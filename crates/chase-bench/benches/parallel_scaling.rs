@@ -1,7 +1,8 @@
 //! P1 — parallel_scaling: the stratum-scheduled parallel executor
 //! (`chase_parallel`) against the sequential delta engine, swept over
 //! 1/2/4/8 threads on Example 4, the Figure 9 travel constraints, and a
-//! random TGD family.
+//! random TGD family. Full-budget runs add a ~9k-fact travel instance,
+//! the size at which the fan-out pays for itself on two cores.
 //!
 //! Every engine replays the identical trace under the same phase schedule
 //! (asserted below before timing), so the comparison isolates pure
@@ -10,7 +11,7 @@
 //! cores — on a single-CPU host the parallel engine's job is to stay at
 //! parity (the dispatch overhead is bounded by `fanout_threshold`).
 
-use chase_bench::{print_table, scaled, Row};
+use chase_bench::{print_table, quick, scaled, Row};
 use chase_corpus::random::{
     random_instance, random_tgds, random_travel_instance, RandomInstanceConfig, RandomTgdConfig,
     RandomTravelConfig,
@@ -49,7 +50,7 @@ fn workloads() -> Vec<Workload> {
             seed: 5,
         },
     );
-    vec![
+    let mut workloads = vec![
         Workload {
             name: "example4",
             set: paper::example4_sigma(),
@@ -73,7 +74,21 @@ fn workloads() -> Vec<Workload> {
             inst: random_inst,
             max_steps: scaled(3_000, 250),
         },
-    ]
+    ];
+    if !quick() {
+        workloads.push(Workload {
+            name: "fig9_travel_9k",
+            set: paper::fig9_travel(),
+            inst: random_travel_instance(&RandomTravelConfig {
+                cities: 400,
+                flights: 6_000,
+                rails: 3_000,
+                seed: 7,
+            }),
+            max_steps: 40_000,
+        });
+    }
+    workloads
 }
 
 fn delta_cfg(phases: &[Vec<usize>], max_steps: usize) -> ChaseConfig {

@@ -14,10 +14,8 @@
 //! 2x that a lock-the-session design would blow through.
 //!
 //! The **high-tenancy** group then pushes fleet size instead of per-tenant
-//! load: thousands of mostly-idle sessions opened over pipelined frames,
-//! on both the bounded worker pool and the legacy thread-per-session
-//! scheduler, recording the crossover where one parked OS thread per
-//! tenant stops being viable.
+//! load: thousands of mostly-idle sessions opened over pipelined frames
+//! onto the bounded worker pool.
 
 use chase_bench::{print_table, quick, scaled, Row};
 use chase_corpus::random::{random_travel_stream, RandomTravelConfig};
@@ -383,41 +381,23 @@ fn print_shape() {
 }
 
 // ---------------------------------------------------------------------------
-// High tenancy: pool vs legacy thread-per-session
+// High tenancy
 // ---------------------------------------------------------------------------
 
-/// The tenant counts each scheduler is pushed to. The pool's top count is
-/// the acceptance floor (>= 2k concurrent sessions); the thread model is
-/// pushed past the pool's *lowest* count so the crossover — where one
-/// parked OS thread per session stops being viable — lands on the
-/// trajectory rather than in a comment.
-fn high_tenancy_grid() -> Vec<(&'static str, usize, ConductorConfig)> {
-    let pool = |n: usize| ConductorConfig {
-        max_sessions: n + 8,
-        ..ConductorConfig::default()
-    };
-    let threads = |n: usize| ConductorConfig {
-        max_sessions: n + 8,
-        workers: 0,
-        ..ConductorConfig::default()
-    };
-    let pool_counts: &[usize] = if quick() { &[512, 2048] } else { &[2048, 8192] };
-    let thread_counts: &[usize] = if quick() { &[512, 1024] } else { &[2048, 4096] };
-    let mut grid = Vec::new();
-    for &n in pool_counts {
-        grid.push(("pool", n, pool(n)));
+/// The fleet sizes the pool is pushed to. The top quick-mode count is the
+/// acceptance floor (>= 2k concurrent sessions).
+fn high_tenancy_counts() -> &'static [usize] {
+    if quick() {
+        &[512, 2048]
+    } else {
+        &[2048, 8192]
     }
-    for &n in thread_counts {
-        grid.push(("threads", n, threads(n)));
-    }
-    grid
 }
 
 /// Pipelined frames kept in flight while loading the tenant fleet.
 const PIPELINE_CHUNK: usize = 64;
 
 struct TenancyPoint {
-    model: &'static str,
     n: usize,
     opens_per_sec: f64,
     touch: HistogramSnapshot,
@@ -428,12 +408,15 @@ struct TenancyPoint {
 /// sequential stats round trips against a sample of the (now mostly idle)
 /// fleet — the latency a tenant sees when thousands of neighbours hold
 /// sessions open.
-fn high_tenancy_round(model: &'static str, n: usize, cfg: ConductorConfig) -> TenancyPoint {
+fn high_tenancy_round(n: usize) -> TenancyPoint {
+    let cfg = ConductorConfig {
+        max_sessions: n + 8,
+        ..ConductorConfig::default()
+    };
     let server = serve("127.0.0.1:0", cfg).expect("bind");
     let mut c = Client::connect(server.addr()).expect("connect");
 
-    // Open + touch the whole fleet, pipelined: with one parked OS thread
-    // per session this is where the legacy model starts to hurt.
+    // Open + touch the whole fleet, pipelined.
     let t0 = Instant::now();
     let mut sessions: Vec<u64> = Vec::with_capacity(n);
     while sessions.len() < n {
@@ -476,25 +459,24 @@ fn high_tenancy_round(model: &'static str, n: usize, cfg: ConductorConfig) -> Te
     }
     server.shutdown();
     TenancyPoint {
-        model,
         n,
         opens_per_sec,
         touch: touch.snapshot(),
     }
 }
 
-/// Drive both schedulers across the tenant grid and print the crossover:
-/// trajectory lines per (model, count) plus a human-readable table.
+/// Drive the pool across the fleet sizes: trajectory lines per count plus
+/// a human-readable table.
 fn high_tenancy() {
-    let points: Vec<TenancyPoint> = high_tenancy_grid()
-        .into_iter()
-        .map(|(model, n, cfg)| high_tenancy_round(model, n, cfg))
+    let points: Vec<TenancyPoint> = high_tenancy_counts()
+        .iter()
+        .map(|&n| high_tenancy_round(n))
         .collect();
     let rows: Vec<Row> = points
         .iter()
         .map(|p| {
             Row::new(
-                format!("{}_s{}", p.model, p.n),
+                format!("pool_s{}", p.n),
                 vec![
                     format!("{} sessions", p.n),
                     format!("{:.0} opens/s", p.opens_per_sec),
@@ -505,26 +487,13 @@ fn high_tenancy() {
         })
         .collect();
     print_table(
-        "S2 — high tenancy: bounded worker pool vs thread-per-session",
-        &["scheduler", "fleet", "load rate", "touch p50", "touch p99"],
+        "S2 — high tenancy: bounded worker pool",
+        &["fleet", "sessions", "load rate", "touch p50", "touch p99"],
         &rows,
-    );
-    // The crossover, stated: the pool at its top count vs the thread model
-    // at its top count (the largest fleet it still sustains).
-    let top = |model: &str| points.iter().rev().find(|p| p.model == model).unwrap();
-    let (pool, threads) = (top("pool"), top("threads"));
-    println!(
-        "high_tenancy crossover: pool holds {} sessions (touch p99 {}), \
-         thread model stops at {} parked threads (touch p99 {}) — \
-         past that, one OS thread per idle tenant is the bottleneck",
-        pool.n,
-        fmt_us(pool.touch.percentile(0.99)),
-        threads.n,
-        fmt_us(threads.touch.percentile(0.99)),
     );
     for p in &points {
         print_latency_line(
-            &format!("session_server/high_tenancy/{}_s{}", p.model, p.n),
+            &format!("session_server/high_tenancy/pool_s{}", p.n),
             &p.touch,
         );
     }

@@ -472,7 +472,7 @@ impl Instance {
     /// index over it) was not modified in between — which makes a cached
     /// clone of the instance taken at version `v` still exact while
     /// `version()` still reads `v`. The `chase-serve` conductor uses this
-    /// as its copy-on-read staleness check: the session actor republishes
+    /// as its copy-on-read staleness check: a session's dispatcher republishes
     /// its shared read snapshot only when the version moved, so duplicate
     /// batches and read-only traffic never pay an O(instance) copy.
     ///

@@ -455,19 +455,30 @@ pub fn parse_constraints(text: &str) -> Result<ConstraintSet, CoreError> {
     ConstraintSet::from_constraints(items)
 }
 
-/// Parse an instance: ground atoms separated by (optional) dots.
-pub fn parse_instance(text: &str) -> Result<Instance, CoreError> {
+/// Parse a fact list: ground atoms separated by (optional) dots, in text
+/// order, duplicates kept. The instance syntax without building the
+/// indexed store — what an update batch needs.
+pub fn parse_facts(text: &str) -> Result<Vec<Atom>, CoreError> {
     let mut p = Parser::new(text, true)?;
-    let mut inst = Instance::new();
+    let mut facts = Vec::new();
     while !p.at_eof() {
         let atom = p.parse_atom()?;
         if !atom.is_ground() {
             return Err(CoreError::NonGroundAtom(atom.to_string()));
         }
-        inst.insert(atom);
+        facts.push(atom);
         if *p.peek() == TokKind::Dot {
             p.advance();
         }
+    }
+    Ok(facts)
+}
+
+/// Parse an instance: [`parse_facts`], inserted into a fresh store.
+pub fn parse_instance(text: &str) -> Result<Instance, CoreError> {
+    let mut inst = Instance::new();
+    for atom in parse_facts(text)? {
+        inst.insert(atom);
     }
     Ok(inst)
 }
@@ -571,6 +582,20 @@ mod tests {
     fn instance_rejects_variables_and_bad_nulls() {
         assert!(parse_instance("S(X).").is_err());
         assert!(parse_instance("S(_foo).").is_err());
+    }
+
+    #[test]
+    fn facts_parse_like_the_instance_they_build() {
+        let text = "S(a). E(a,_n3) S(_n3). S(a).";
+        let facts = parse_facts(text).unwrap();
+        assert_eq!(facts.len(), 4, "duplicates are kept");
+        assert_eq!(parse_instance(text).unwrap().atoms(), facts[..3]);
+        for bad in ["S(X).", "S(_foo).", "S(a", "S(a) -> T(a)"] {
+            assert_eq!(
+                parse_facts(bad).unwrap_err(),
+                parse_instance(bad).unwrap_err()
+            );
+        }
     }
 
     #[test]

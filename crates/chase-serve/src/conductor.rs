@@ -5,19 +5,16 @@
 //! ## Pool scheduling
 //!
 //! Every open session owns a [`ChaseSession`] — warm trigger pool, plan
-//! cache, rewriting cache and all — plus a typed mailbox (`SessionMsg`:
-//! `Apply`/`Query`/`Snapshot`/`Restore`/`Stats`/`Persist`). With
-//! [`ConductorConfig::workers`] > 0 (the default: `min(cores, 8)`) no
-//! session owns a thread: posting into an idle session's mailbox links the
-//! session onto a conductor-level **run queue**, and a pool worker pulls
-//! it, drains its mailbox up to [`ConductorConfig::dispatch_budget`]
-//! messages, then requeues it if more arrived. A `scheduled` flag per
-//! mailbox guarantees a session is owned by at most one worker at a time,
-//! so all mutation stays serialized by construction — thousands of
-//! mostly-idle tenants cost queue entries, not parked OS threads.
-//!
-//! `workers: 0` is the **legacy escape hatch** (kept for one release): one
-//! dedicated actor thread per session, exactly the PR-7 runtime.
+//! cache and all — plus a typed mailbox (`SessionMsg`:
+//! `Apply`/`Query`/`Snapshot`/`Restore`/`Stats`/`Persist`). No session
+//! owns a thread: posting into an idle session's mailbox links the
+//! session onto a conductor-level **run queue**, and one of
+//! [`ConductorConfig::workers`] pool workers pulls it, drains its mailbox
+//! up to [`ConductorConfig::dispatch_budget`] messages, then requeues it
+//! if more arrived. A `scheduled` flag per mailbox guarantees a session is
+//! owned by at most one worker at a time, so all mutation stays serialized
+//! by construction — thousands of mostly-idle tenants cost queue entries,
+//! not parked OS threads.
 //!
 //! ## Concurrent reads during an in-flight apply
 //!
@@ -31,18 +28,18 @@
 //! worker returns immediately with exactly the pre-batch state — it never
 //! queues behind the write. Publication happens *before* the apply's reply
 //! is released, so a client that saw its apply acknowledged is guaranteed
-//! to read its own writes. These invariants are identical in pool and
-//! legacy modes; `process` is the single shared dispatcher.
+//! to read its own writes. Both read paths route through the session's one
+//! rewriting cache, so they rewrite a query identically.
 //!
 //! ## Eviction
 //!
-//! With [`ConductorConfig::evict_after`] set (pool mode only), a janitor
-//! thread tears down sessions idle past the TTL, oldest-touch first in
-//! effect: **durable** sessions [`ChaseSession::persist`] *before*
-//! teardown and transparently warm-restart from their `durable_root`
-//! directory at the next [`Conductor::route`]; **non-durable** sessions
-//! lose their state and later touches fail with [`ServeError::Evicted`].
-//! A session mid-dispatch or with queued messages is never evicted.
+//! With [`ConductorConfig::evict_after`] set, a janitor thread tears down
+//! sessions idle past the TTL, oldest-touch first in effect: **durable**
+//! sessions [`ChaseSession::persist`] *before* teardown and transparently
+//! warm-restart from their `durable_root` directory at the next
+//! [`Conductor::route`]; **non-durable** sessions lose their state and
+//! later touches fail with [`ServeError::Evicted`]. A session
+//! mid-dispatch or with queued messages is never evicted.
 //!
 //! ## Panic containment
 //!
@@ -74,7 +71,7 @@ use chase_obs::{
 };
 
 use crate::session::{
-    choose_rewriting, ChaseOutcome, ChaseSession, QueryOpts, ServeError, SessionConfig,
+    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, ServeError, SessionConfig,
     SessionSnapshot, SessionStats,
 };
 use crate::wal::{self, DurabilityConfig};
@@ -100,9 +97,7 @@ pub struct ConductorConfig {
     /// sessions (ignored without [`ConductorConfig::durable_root`]).
     pub durability: DurabilityConfig,
     /// Pool workers sharing all session mailboxes. The default is
-    /// `min(available cores, 8)`. **`0` selects the legacy
-    /// thread-per-session runtime** (one parked OS thread per open
-    /// session) — an escape hatch kept for one release.
+    /// `min(available cores, 8)`; `0` is clamped to one worker.
     pub workers: usize,
     /// Messages a worker drains from one session's mailbox per dispatch
     /// before requeueing it — the fairness knob: lower bounds per-tenant
@@ -112,7 +107,6 @@ pub struct ConductorConfig {
     /// Durable sessions persist first and warm-restart transparently on
     /// the next touch; non-durable sessions are discarded and answer
     /// [`ServeError::Evicted`] thereafter. `None` (default) never evicts.
-    /// Requires the pool (`workers > 0`); ignored in legacy mode.
     pub evict_after: Option<Duration>,
 }
 
@@ -166,7 +160,6 @@ const M_EVICTIONS_RESTORED: &str = "chase_evictions_restored_total";
 /// [`SessionHandle`] clone. All fields are cheap-to-clone views onto
 /// conductor-owned series — per-session work lands in the server-wide
 /// aggregate without extra locking.
-#[derive(Clone)]
 struct HandleMetrics {
     /// Blocking-apply round-trip latency (send → chased → acked).
     apply_ns: Arc<Histogram>,
@@ -182,23 +175,6 @@ struct HandleMetrics {
     /// The session's engine recorder (phase histograms + event ring),
     /// readable without touching the dispatcher.
     recorder: Recorder,
-}
-
-/// The session's read surface, shared between its dispatcher (publisher)
-/// and every handle (readers).
-struct ReadState {
-    /// Conductor-wide metric handles this session reports into.
-    metrics: HandleMetrics,
-    /// The latest published snapshot.
-    published: RwLock<Published>,
-    /// Rewriting decisions for the concurrent read path, keyed by query
-    /// text — the handle-side mirror of the session's own cache, computed
-    /// by the same [`choose_rewriting`].
-    rewrites: Mutex<HashMap<String, Option<ConjunctiveQuery>>>,
-    /// The session's constraint set (for rewriting on the read path).
-    set: ConstraintSet,
-    /// The session's configuration (for rewriting policy).
-    cfg: SessionConfig,
 }
 
 /// One published state: an immutable chased instance plus the flags a
@@ -248,14 +224,11 @@ enum SessionMsg {
     /// Panic inside the dispatcher — the fault-injection hook behind
     /// [`SessionHandle::inject_panic`]. Never sent in production.
     InjectPanic,
-    /// Drop the session: the legacy actor breaks its loop and the thread
-    /// exits. Unused in pool mode (teardown kills the mailbox directly).
-    Close,
 }
 
 /// What the session owns besides its read surface: the engine state and
 /// the server-side snapshot store, guarded by one lock whose single
-/// holder is whichever worker (or legacy actor) is dispatching it.
+/// holder is whichever worker is dispatching it.
 struct SessionCore {
     session: ChaseSession,
     snapshots: HashMap<u64, SessionSnapshot>,
@@ -265,8 +238,8 @@ struct SessionCore {
 /// Mailbox state: the queue plus the scheduling flags that make the run
 /// queue race-free. `scheduled` is true exactly while the session is on
 /// the run queue or inside a worker's dispatch — the single-drainer
-/// invariant. `dead` kills the mailbox (close, eviction, panic): posts
-/// fail, queued messages are dropped.
+/// invariant. `dead` kills the mailbox (close, eviction, panic): queued
+/// messages are dropped and posts fail, so a dead mailbox stays empty.
 #[derive(Default)]
 struct MailboxState {
     queue: VecDeque<SessionMsg>,
@@ -274,11 +247,19 @@ struct MailboxState {
     dead: bool,
 }
 
-/// One pooled session: core + mailbox + read surface + idle clock.
+/// One session: core + mailbox + read surface + idle clock. The read
+/// surface (`metrics`, `published`, `rewrites`) is what handles touch
+/// without going through the mailbox.
 struct SessionCell {
     core: Mutex<SessionCore>,
     mailbox: Mutex<MailboxState>,
-    read: Arc<ReadState>,
+    /// Conductor-wide metric handles this session reports into.
+    metrics: HandleMetrics,
+    /// The latest published snapshot.
+    published: RwLock<Published>,
+    /// The session's rewriting cache, shared with its [`ChaseSession`] so
+    /// the fast read path and the mailbox path rewrite identically.
+    rewrites: Arc<RewriteCache>,
     /// Was this session durable at spawn (decides the eviction path).
     durable: bool,
     /// Milliseconds since the pool epoch at the last touch (post or
@@ -314,24 +295,12 @@ impl PoolShared {
     }
 }
 
-/// How a session may address its messages: a dedicated actor thread
-/// (legacy) or a pooled cell on the conductor's run queue.
-#[derive(Clone)]
-enum Backend {
-    Thread(Sender<SessionMsg>),
-    Pool {
-        cell: Arc<SessionCell>,
-        shared: Arc<PoolShared>,
-    },
-}
-
-/// A clonable address of one session: its mailbox backend plus the
-/// published read surface. All methods are `&self`; clones address the
-/// same session.
+/// A clonable address of one session: its cell plus the pool that
+/// schedules it. All methods are `&self`; clones address the same session.
 #[derive(Clone)]
 pub struct SessionHandle {
-    backend: Backend,
-    read: Arc<ReadState>,
+    cell: Arc<SessionCell>,
+    shared: Arc<PoolShared>,
 }
 
 impl std::fmt::Debug for SessionHandle {
@@ -342,48 +311,31 @@ impl std::fmt::Debug for SessionHandle {
 
 impl SessionHandle {
     /// Send into the mailbox, keeping the conductor-wide depth gauge in
-    /// step. Pool mode additionally links the session onto the run queue
-    /// when it was idle. `Err` means the session is gone (closed, evicted
-    /// or panicked) and nothing was queued.
+    /// step, and link the session onto the run queue when it was idle.
+    /// `Err` means the session is gone (closed, evicted or panicked) and
+    /// nothing was queued.
     fn post(&self, msg: SessionMsg) -> Result<(), ()> {
-        match &self.backend {
-            Backend::Thread(tx) => {
-                self.read.metrics.mailbox_depth.add(1);
-                if tx.send(msg).is_err() {
-                    self.read.metrics.mailbox_depth.add(-1);
-                    return Err(());
-                }
-                Ok(())
+        let wake = {
+            let mut mb = self.cell.mailbox.lock().unwrap();
+            if mb.dead {
+                return Err(());
             }
-            Backend::Pool { cell, shared } => {
-                let wake = {
-                    let mut mb = cell.mailbox.lock().unwrap();
-                    if mb.dead {
-                        return Err(());
-                    }
-                    mb.queue.push_back(msg);
-                    self.read.metrics.mailbox_depth.add(1);
-                    if mb.scheduled {
-                        false
-                    } else {
-                        mb.scheduled = true;
-                        true
-                    }
-                };
-                cell.last_touch.store(shared.now_ms(), Ordering::Relaxed);
-                if wake {
-                    shared.enqueue(Arc::clone(cell));
-                }
-                Ok(())
-            }
+            mb.queue.push_back(msg);
+            self.cell.metrics.mailbox_depth.add(1);
+            !std::mem::replace(&mut mb.scheduled, true)
+        };
+        self.touch();
+        if wake {
+            self.shared.enqueue(Arc::clone(&self.cell));
         }
+        Ok(())
     }
 
     /// Reset the session's idle clock (routing counts as a touch).
     fn touch(&self) {
-        if let Backend::Pool { cell, shared } = &self.backend {
-            cell.last_touch.store(shared.now_ms(), Ordering::Relaxed);
-        }
+        self.cell
+            .last_touch
+            .store(self.shared.now_ms(), Ordering::Relaxed);
     }
 
     /// Apply an update batch, blocking until the warm re-chase finishes.
@@ -393,7 +345,7 @@ impl SessionHandle {
             .apply_async(batch)
             .recv()
             .map_err(|_| ServeError::SessionGone)?;
-        self.read.metrics.apply_ns.record_duration(t0.elapsed());
+        self.cell.metrics.apply_ns.record_duration(t0.elapsed());
         out
     }
 
@@ -429,7 +381,7 @@ impl SessionHandle {
     ) -> Result<Vec<Vec<Term>>, ServeError> {
         let t0 = Instant::now();
         let out = self.query_inner(q, opts);
-        self.read.metrics.query_ns.record_duration(t0.elapsed());
+        self.cell.metrics.query_ns.record_duration(t0.elapsed());
         out
     }
 
@@ -440,12 +392,16 @@ impl SessionHandle {
         q: &ConjunctiveQuery,
         opts: QueryOpts,
     ) -> Result<Vec<Vec<Term>>, ServeError> {
-        let published = self.read.published.read().unwrap().clone();
+        let published = self.cell.published.read().unwrap().clone();
         if let Some(r) = published.poisoned {
             return Err(ServeError::Poisoned(r));
         }
         if published.quiescent {
-            let target = if opts.sqo { self.rewritten(q) } else { None };
+            let target = if opts.sqo {
+                self.cell.rewrites.rewrite(q)
+            } else {
+                None
+            };
             let target = target.as_ref().unwrap_or(q);
             return Ok(if opts.all {
                 target.evaluate(&published.instance)
@@ -461,22 +417,6 @@ impl SessionHandle {
         })
         .map_err(|_| ServeError::SessionGone)?;
         rx.recv().map_err(|_| ServeError::SessionGone)?
-    }
-
-    /// The read path's cached rewriting decision for `q` (mirrors the
-    /// session-side cache; both call [`choose_rewriting`]).
-    fn rewritten(&self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
-        if !self.read.cfg.use_sqo {
-            return None;
-        }
-        let key = q.to_string();
-        let mut cache = self.read.rewrites.lock().unwrap();
-        if let Some(cached) = cache.get(&key) {
-            return cached.clone();
-        }
-        let choice = choose_rewriting(q, &self.read.set, &self.read.cfg);
-        cache.insert(key, choice.clone());
-        choice
     }
 
     /// Take a server-side snapshot; returns its id for [`SessionHandle::restore`].
@@ -499,7 +439,7 @@ impl SessionHandle {
     /// `Dump`). Served from the read snapshot like [`SessionHandle::query`],
     /// so it never waits behind an in-flight apply.
     pub fn dump(&self) -> Result<String, ServeError> {
-        let published = self.read.published.read().unwrap().clone();
+        let published = self.cell.published.read().unwrap().clone();
         if let Some(r) = published.poisoned {
             return Err(ServeError::Poisoned(r));
         }
@@ -533,13 +473,6 @@ impl SessionHandle {
     }
 }
 
-/// One live session as the conductor tracks it. Pooled sessions have no
-/// thread of their own.
-struct Slot {
-    handle: SessionHandle,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
 /// Why a session id no longer resolves even though it once did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EvictedKind {
@@ -559,7 +492,7 @@ enum EvictedKind {
 /// threads.
 pub struct Conductor {
     cfg: ConductorConfig,
-    sessions: Arc<Mutex<HashMap<u64, Slot>>>,
+    sessions: Arc<Mutex<HashMap<u64, SessionHandle>>>,
     /// Sessions torn down by the TTL janitor, by kind — consulted by
     /// `route` to decide between warm-restart and [`ServeError::Evicted`].
     evicted: Arc<Mutex<HashMap<u64, EvictedKind>>>,
@@ -569,8 +502,8 @@ pub struct Conductor {
     /// and eviction series. Every session reports into these shared
     /// series via [`HandleMetrics`].
     metrics: MetricsRegistry,
-    /// Pool scheduling state; `None` in legacy thread-per-session mode.
-    pool: Option<Arc<PoolShared>>,
+    /// Pool scheduling state, shared with every handle.
+    pool: Arc<PoolShared>,
     /// Worker + janitor threads, joined at shutdown.
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -592,8 +525,8 @@ pub struct FleetStats {
 impl Conductor {
     /// A conductor with the given admission and scheduling policy.
     ///
-    /// With [`ConductorConfig::workers`] > 0 this spawns the worker pool
-    /// (and, with [`ConductorConfig::evict_after`], the eviction janitor).
+    /// This spawns the worker pool (and, with
+    /// [`ConductorConfig::evict_after`], the eviction janitor).
     ///
     /// With [`ConductorConfig::durable_root`] set, construction is a **warm
     /// restart**: every `session-<id>` directory under the root is reopened
@@ -605,27 +538,25 @@ impl Conductor {
     /// the whole server down.
     pub fn new(cfg: ConductorConfig) -> Conductor {
         let metrics = MetricsRegistry::new();
-        let pool = (cfg.workers > 0).then(|| {
-            Arc::new(PoolShared {
-                run_queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                stop: AtomicBool::new(false),
-                dispatch_budget: cfg.dispatch_budget.max(1),
-                epoch: Instant::now(),
-                queue_depth: metrics.gauge(M_POOL_QUEUE_DEPTH),
-                dispatches: metrics.counter(M_POOL_DISPATCHES),
-                messages: metrics.counter(M_POOL_MESSAGES),
-                panics: metrics.counter(M_POOL_PANICS),
-            })
+        let pool = Arc::new(PoolShared {
+            run_queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            stop: AtomicBool::new(false),
+            dispatch_budget: cfg.dispatch_budget.max(1),
+            epoch: Instant::now(),
+            queue_depth: metrics.gauge(M_POOL_QUEUE_DEPTH),
+            dispatches: metrics.counter(M_POOL_DISPATCHES),
+            messages: metrics.counter(M_POOL_MESSAGES),
+            panics: metrics.counter(M_POOL_PANICS),
         });
-        let mut threads = Vec::new();
-        if let Some(shared) = &pool {
-            metrics.gauge(M_POOL_WORKERS).set(cfg.workers as i64);
-            for _ in 0..cfg.workers {
-                let shared = Arc::clone(shared);
-                threads.push(thread::spawn(move || pool_worker(shared)));
-            }
-        }
+        let workers = cfg.workers.max(1);
+        metrics.gauge(M_POOL_WORKERS).set(workers as i64);
+        let threads = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&pool);
+                thread::spawn(move || pool_worker(shared))
+            })
+            .collect();
         let conductor = Conductor {
             cfg,
             sessions: Arc::new(Mutex::new(HashMap::new())),
@@ -668,9 +599,7 @@ impl Conductor {
             }
             match ChaseSession::open_with(&dir, self.cfg.durability) {
                 Ok(session) => {
-                    let sigma = session.constraints().clone();
-                    let cfg = session.config().clone();
-                    sessions.insert(id, self.spawn_slot(session, sigma, cfg));
+                    sessions.insert(id, self.spawn(session));
                     self.metrics.counter(M_SESSIONS_OPENED).inc();
                     self.metrics.counter(M_SESSIONS_REOPENED).inc();
                 }
@@ -686,12 +615,12 @@ impl Conductor {
         self.next_id.store(max_id + 1, Ordering::Relaxed);
     }
 
-    /// Start the TTL janitor (pool mode with `evict_after` only).
+    /// Start the TTL janitor (with `evict_after` only).
     fn spawn_janitor(&self) {
-        let (Some(shared), Some(ttl)) = (&self.pool, self.cfg.evict_after) else {
+        let Some(ttl) = self.cfg.evict_after else {
             return;
         };
-        let shared = Arc::clone(shared);
+        let shared = Arc::clone(&self.pool);
         let sessions = Arc::clone(&self.sessions);
         let evicted = Arc::clone(&self.evicted);
         let evictions = self.metrics.counter(M_EVICTIONS);
@@ -733,14 +662,14 @@ impl Conductor {
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut builder = ChaseSession::builder(sigma.clone()).config(cfg.clone());
+        let mut builder = ChaseSession::builder(sigma).config(cfg);
         if let Some(root) = &self.cfg.durable_root {
             builder = builder
                 .durable(root.join(format!("session-{id}")))
                 .durability(self.cfg.durability);
         }
         let session = builder.try_build()?;
-        sessions.insert(id, self.spawn_slot(session, sigma, cfg));
+        sessions.insert(id, self.spawn(session));
         // Still under the sessions lock, so open/peak can never observe a
         // torn admission.
         self.metrics.counter(M_SESSIONS_OPENED).inc();
@@ -750,17 +679,17 @@ impl Conductor {
         Ok(id)
     }
 
-    /// Wire a built (or reopened) session into its slot — pooled cell or
-    /// legacy actor thread — the shared tail of [`Conductor::open`], warm
-    /// restart, and post-eviction reopen.
-    fn spawn_slot(&self, session: ChaseSession, sigma: ConstraintSet, cfg: SessionConfig) -> Slot {
+    /// Wire a built (or reopened) session into a pooled cell — the shared
+    /// tail of [`Conductor::open`], warm restart, and post-eviction reopen.
+    fn spawn(&self, session: ChaseSession) -> SessionHandle {
         // An empty unpoisoned instance is vacuously quiescent even before
         // the trigger pool exists; a reopened non-quiescent state (snapshot
         // without replay) must route queries through the dispatcher's
         // quiesce.
         let quiescent = session.stats().quiescent
             || (session.instance().is_empty() && session.poisoned().is_none());
-        let read = Arc::new(ReadState {
+        let cell = Arc::new(SessionCell {
+            mailbox: Mutex::new(MailboxState::default()),
             metrics: HandleMetrics {
                 apply_ns: self.metrics.histogram(M_APPLY_NS),
                 query_ns: self.metrics.histogram(M_QUERY_NS),
@@ -775,48 +704,18 @@ impl Conductor {
                 quiescent,
                 poisoned: session.poisoned().cloned(),
             }),
-            rewrites: Mutex::new(HashMap::new()),
-            set: sigma,
-            cfg,
+            rewrites: Arc::clone(session.rewrite_cache()),
+            durable: session.is_durable(),
+            last_touch: AtomicU64::new(self.pool.now_ms()),
+            core: Mutex::new(SessionCore {
+                session,
+                snapshots: HashMap::new(),
+                next_snapshot: 1,
+            }),
         });
-        let durable = session.is_durable();
-        let core = SessionCore {
-            session,
-            snapshots: HashMap::new(),
-            next_snapshot: 1,
-        };
-        match &self.pool {
-            Some(shared) => {
-                let cell = Arc::new(SessionCell {
-                    core: Mutex::new(core),
-                    mailbox: Mutex::new(MailboxState::default()),
-                    read: Arc::clone(&read),
-                    durable,
-                    last_touch: AtomicU64::new(shared.now_ms()),
-                });
-                Slot {
-                    handle: SessionHandle {
-                        backend: Backend::Pool {
-                            cell,
-                            shared: Arc::clone(shared),
-                        },
-                        read,
-                    },
-                    thread: None,
-                }
-            }
-            None => {
-                let (tx, rx) = mpsc::channel();
-                let actor_read = Arc::clone(&read);
-                let thread = thread::spawn(move || actor(core, actor_read, rx));
-                Slot {
-                    handle: SessionHandle {
-                        backend: Backend::Thread(tx),
-                        read,
-                    },
-                    thread: Some(thread),
-                }
-            }
+        SessionHandle {
+            cell,
+            shared: Arc::clone(&self.pool),
         }
     }
 
@@ -833,9 +732,9 @@ impl Conductor {
     /// would exceed the session cap.
     pub fn route(&self, id: u64) -> Result<SessionHandle, ServeError> {
         let mut sessions = self.sessions.lock().unwrap();
-        if let Some(slot) = sessions.get(&id) {
-            slot.handle.touch();
-            return Ok(slot.handle.clone());
+        if let Some(handle) = sessions.get(&id) {
+            handle.touch();
+            return Ok(handle.clone());
         }
         let kind = self.evicted.lock().unwrap().get(&id).copied();
         match kind {
@@ -855,11 +754,8 @@ impl Conductor {
                     .ok_or(ServeError::UnknownSession(id))?;
                 let dir = root.join(format!("session-{id}"));
                 let session = ChaseSession::open_with(&dir, self.cfg.durability)?;
-                let sigma = session.constraints().clone();
-                let cfg = session.config().clone();
-                let slot = self.spawn_slot(session, sigma, cfg);
-                let handle = slot.handle.clone();
-                sessions.insert(id, slot);
+                let handle = self.spawn(session);
+                sessions.insert(id, handle.clone());
                 self.evicted.lock().unwrap().remove(&id);
                 self.metrics.counter(M_EVICTIONS_RESTORED).inc();
                 let open = sessions.len() as i64;
@@ -870,43 +766,40 @@ impl Conductor {
         }
     }
 
-    /// Close a session and free its slot. Legacy mode joins the actor
-    /// thread (queued messages finish first); pool mode kills the mailbox
-    /// — queued-but-unstarted messages fail with
-    /// [`ServeError::SessionGone`], the in-flight one (if any) completes.
+    /// Close a session and free its slot by killing its mailbox:
+    /// queued-but-unstarted messages fail with [`ServeError::SessionGone`],
+    /// the in-flight one (if any) completes.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownSession`] if no such session is open.
     pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        let slot = {
+        let handle = {
             let mut sessions = self.sessions.lock().unwrap();
-            let slot = sessions.remove(&id).ok_or(ServeError::UnknownSession(id))?;
+            let handle = sessions.remove(&id).ok_or(ServeError::UnknownSession(id))?;
             self.metrics
                 .gauge(M_SESSIONS_OPEN)
                 .set(sessions.len() as i64);
-            slot
+            handle
         };
-        retire(slot);
+        kill_mailbox(&handle.cell);
         Ok(())
     }
 
     /// Close every open session and stop the pool (used on server
     /// shutdown).
     pub fn shutdown(&self) {
-        let slots: Vec<Slot> = {
+        let handles: Vec<SessionHandle> = {
             let mut sessions = self.sessions.lock().unwrap();
-            let slots = sessions.drain().map(|(_, s)| s).collect();
+            let handles = sessions.drain().map(|(_, h)| h).collect();
             self.metrics.gauge(M_SESSIONS_OPEN).set(0);
-            slots
+            handles
         };
-        for slot in slots {
-            retire(slot);
+        for handle in handles {
+            kill_mailbox(&handle.cell);
         }
-        if let Some(shared) = &self.pool {
-            shared.stop.store(true, Ordering::Release);
-            shared.available.notify_all();
-        }
+        self.pool.stop.store(true, Ordering::Release);
+        self.pool.available.notify_all();
         let threads: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
         for t in threads {
             let _ = t.join();
@@ -944,7 +837,7 @@ impl Conductor {
             .lock()
             .unwrap()
             .values()
-            .map(|s| s.handle.read.metrics.recorder.clone())
+            .map(|h| h.cell.metrics.recorder.clone())
             .collect();
         let mut snap = self.metrics.snapshot();
         for rec in recorders {
@@ -969,25 +862,9 @@ impl Drop for Conductor {
     }
 }
 
-/// Tear one slot down: join the legacy actor, or kill the pooled mailbox.
-fn retire(slot: Slot) {
-    let Slot { handle, thread } = slot;
-    match &handle.backend {
-        Backend::Thread(_) => {
-            let _ = handle.post(SessionMsg::Close);
-            if let Some(t) = thread {
-                let _ = t.join();
-            }
-        }
-        Backend::Pool { cell, .. } => {
-            kill_mailbox(cell);
-        }
-    }
-}
-
-/// Mark a pooled mailbox dead and drop everything still queued, returning
-/// the queue's contribution to the depth gauge. Posts fail from here on;
-/// the cell is never requeued (a worker holding it notices `dead` and
+/// Mark a mailbox dead and drop everything still queued, taking the
+/// queue's contribution off the depth gauge. Posts fail from here on; the
+/// cell is never requeued (a worker holding it finds the queue empty and
 /// drops out).
 fn kill_mailbox(cell: &SessionCell) {
     let mut mb = cell.mailbox.lock().unwrap();
@@ -995,25 +872,25 @@ fn kill_mailbox(cell: &SessionCell) {
     mb.scheduled = false;
     let dropped = mb.queue.len();
     mb.queue.clear();
-    cell.read.metrics.mailbox_depth.add(-(dropped as i64));
+    cell.metrics.mailbox_depth.add(-(dropped as i64));
 }
 
-/// The shared dispatcher: one message against one session, identical in
-/// pool and legacy modes. Publishes **before** releasing the reply for
-/// every mutating message — the read-your-writes guarantee.
-fn process(core: &mut SessionCore, read: &ReadState, msg: SessionMsg) -> Flow {
+/// The dispatcher: one message against one session. Publishes **before**
+/// releasing the reply for every mutating message — the read-your-writes
+/// guarantee.
+fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
     match msg {
         SessionMsg::Apply { batch, reply } => {
             let out = core.session.apply(batch);
             // Publish before replying: once the client sees the ack it
             // is guaranteed to read its own writes from the snapshot.
-            publish(&core.session, read);
+            publish(&core.session, cell);
             let _ = reply.send(out);
         }
         SessionMsg::Query { q, opts, reply } => {
             let out = core.session.query((&q, opts));
             // The query may have quiesced a budget-stopped chase.
-            publish(&core.session, read);
+            publish(&core.session, cell);
             let _ = reply.send(out);
         }
         SessionMsg::Snapshot { reply } => {
@@ -1043,7 +920,7 @@ fn process(core: &mut SessionCore, read: &ReadState, msg: SessionMsg) -> Flow {
                 }
                 None => Err(ServeError::UnknownSnapshot(snapshot)),
             };
-            publish(&core.session, read);
+            publish(&core.session, cell);
             let _ = reply.send(out);
         }
         SessionMsg::Stats { reply } => {
@@ -1053,30 +930,6 @@ fn process(core: &mut SessionCore, read: &ReadState, msg: SessionMsg) -> Flow {
             let _ = reply.send(core.session.persist());
         }
         SessionMsg::InjectPanic => panic!("injected dispatch panic (test hook)"),
-        SessionMsg::Close => return Flow::Stop,
-    }
-    Flow::Continue
-}
-
-/// Whether the dispatcher should keep going after a message.
-enum Flow {
-    Continue,
-    Stop,
-}
-
-/// The legacy session actor (`workers: 0`): drains its own mailbox on a
-/// dedicated thread through the same [`process`] dispatcher.
-fn actor(mut core: SessionCore, read: Arc<ReadState>, rx: Receiver<SessionMsg>) {
-    for msg in &rx {
-        read.metrics.mailbox_depth.add(-1);
-        if let Flow::Stop = process(&mut core, &read, msg) {
-            break;
-        }
-    }
-    // Anything still queued behind the Close is dropped with the receiver;
-    // return its contribution to the depth gauge.
-    for _ in rx.try_iter() {
-        read.metrics.mailbox_depth.add(-1);
     }
 }
 
@@ -1111,14 +964,8 @@ fn dispatch(cell: &Arc<SessionCell>, shared: &Arc<PoolShared>) {
     let mut core = cell.core.lock().unwrap();
     for _ in 0..shared.dispatch_budget {
         let msg = {
+            // A dead mailbox is empty, so this also ends a killed session.
             let mut mb = cell.mailbox.lock().unwrap();
-            if mb.dead {
-                let dropped = mb.queue.len();
-                mb.queue.clear();
-                mb.scheduled = false;
-                cell.read.metrics.mailbox_depth.add(-(dropped as i64));
-                return;
-            }
             match mb.queue.pop_front() {
                 Some(m) => m,
                 None => {
@@ -1127,27 +974,19 @@ fn dispatch(cell: &Arc<SessionCell>, shared: &Arc<PoolShared>) {
                 }
             }
         };
-        cell.read.metrics.mailbox_depth.add(-1);
+        cell.metrics.mailbox_depth.add(-1);
         shared.messages.inc();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(&mut core, &cell.read, msg)
+            process(&mut core, cell, msg)
         }));
-        match outcome {
-            Ok(Flow::Continue) => {}
-            Ok(Flow::Stop) => {
-                // `Close` is never posted to pooled sessions, but honor it.
-                kill_mailbox(cell);
-                return;
-            }
-            Err(_) => {
-                shared.panics.inc();
-                // Poison the read surface so fast-path reads fail loudly,
-                // then kill the mailbox: later posts get SessionGone and
-                // the session is never requeued.
-                cell.read.published.write().unwrap().poisoned = Some(StopReason::Failed);
-                kill_mailbox(cell);
-                return;
-            }
+        if outcome.is_err() {
+            shared.panics.inc();
+            // Poison the read surface so fast-path reads fail loudly, then
+            // kill the mailbox: later posts get SessionGone and the
+            // session is never requeued.
+            cell.published.write().unwrap().poisoned = Some(StopReason::Failed);
+            kill_mailbox(cell);
+            return;
         }
     }
     drop(core);
@@ -1155,18 +994,8 @@ fn dispatch(cell: &Arc<SessionCell>, shared: &Arc<PoolShared>) {
     // (`scheduled` stays true across the requeue — still our claim).
     let requeue = {
         let mut mb = cell.mailbox.lock().unwrap();
-        if mb.dead {
-            let dropped = mb.queue.len();
-            mb.queue.clear();
-            mb.scheduled = false;
-            cell.read.metrics.mailbox_depth.add(-(dropped as i64));
-            false
-        } else if mb.queue.is_empty() {
-            mb.scheduled = false;
-            false
-        } else {
-            true
-        }
+        mb.scheduled = !mb.queue.is_empty();
+        mb.scheduled
     };
     if requeue {
         shared.enqueue(Arc::clone(cell));
@@ -1180,7 +1009,7 @@ fn dispatch(cell: &Arc<SessionCell>, shared: &Arc<PoolShared>) {
 /// so routes answer [`ServeError::Evicted`].
 fn janitor(
     shared: Arc<PoolShared>,
-    sessions: Arc<Mutex<HashMap<u64, Slot>>>,
+    sessions: Arc<Mutex<HashMap<u64, SessionHandle>>>,
     evicted: Arc<Mutex<HashMap<u64, EvictedKind>>>,
     ttl: Duration,
     evictions: Counter,
@@ -1208,7 +1037,7 @@ fn janitor(
 /// durable reopen can never race the persist).
 fn sweep(
     shared: &PoolShared,
-    sessions: &Mutex<HashMap<u64, Slot>>,
+    sessions: &Mutex<HashMap<u64, SessionHandle>>,
     evicted: &Mutex<HashMap<u64, EvictedKind>>,
     ttl: Duration,
     evictions: &Counter,
@@ -1219,19 +1048,13 @@ fn sweep(
     let mut sessions = sessions.lock().unwrap();
     let idle: Vec<u64> = sessions
         .iter()
-        .filter_map(|(id, slot)| {
-            let Backend::Pool { cell, .. } = &slot.handle.backend else {
-                return None;
-            };
-            let touched = cell.last_touch.load(Ordering::Relaxed);
+        .filter_map(|(id, h)| {
+            let touched = h.cell.last_touch.load(Ordering::Relaxed);
             (now.saturating_sub(touched) >= ttl_ms).then_some(*id)
         })
         .collect();
     for id in idle {
-        let Some(slot) = sessions.get(&id) else {
-            continue;
-        };
-        let Backend::Pool { cell, .. } = &slot.handle.backend else {
+        let Some(cell) = sessions.get(&id).map(|h| &h.cell) else {
             continue;
         };
         {
@@ -1243,8 +1066,7 @@ fn sweep(
             }
             mb.dead = true;
         }
-        let cell = Arc::clone(cell);
-        let slot = sessions.remove(&id).unwrap();
+        let cell = sessions.remove(&id).unwrap().cell;
         let kind = if cell.durable {
             // Persist-before-teardown: the on-disk state must cover the
             // session before its slot disappears. A failed persist is
@@ -1257,7 +1079,6 @@ fn sweep(
         evicted.lock().unwrap().insert(id, kind);
         evictions.inc();
         open_gauge.set(sessions.len() as i64);
-        drop(slot);
     }
 }
 
@@ -1265,16 +1086,16 @@ fn sweep(
 /// The [`Instance::version`] comparison is the copy-on-read filter: a
 /// duplicate-only batch leaves the version alone, so readers keep sharing
 /// the old `Arc` and no clone happens.
-fn publish(session: &ChaseSession, read: &ReadState) {
+fn publish(session: &ChaseSession, cell: &SessionCell) {
     let stats = session.stats();
     let version = session.instance().version();
     let poisoned = session.poisoned().cloned();
-    let current = read.published.read().unwrap();
+    let current = cell.published.read().unwrap();
     let stale = current.version != version
         || current.quiescent != stats.quiescent
         || current.poisoned != poisoned;
     if !stale {
-        read.metrics.publish_skipped.inc();
+        cell.metrics.publish_skipped.inc();
         return;
     }
     let fresh_instance = if current.version != version {
@@ -1283,14 +1104,14 @@ fn publish(session: &ChaseSession, read: &ReadState) {
         Arc::clone(&current.instance)
     };
     drop(current);
-    *read.published.write().unwrap() = Published {
+    *cell.published.write().unwrap() = Published {
         instance: fresh_instance,
         version,
         quiescent: stats.quiescent,
         poisoned,
     };
-    read.metrics.publishes.inc();
-    read.metrics.recorder.event(
+    cell.metrics.publishes.inc();
+    cell.metrics.recorder.event(
         EventKind::SnapshotPublish,
         version,
         u64::from(stats.quiescent),
@@ -1488,9 +1309,9 @@ mod tests {
         let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let h = conductor.route(id).unwrap();
         h.apply(atoms("e(a,b).")).unwrap();
-        let before = Arc::as_ptr(&h.read.published.read().unwrap().instance);
+        let before = Arc::as_ptr(&h.cell.published.read().unwrap().instance);
         h.apply(atoms("e(a,b).")).unwrap();
-        let after = Arc::as_ptr(&h.read.published.read().unwrap().instance);
+        let after = Arc::as_ptr(&h.cell.published.read().unwrap().instance);
         assert_eq!(before, after, "duplicate-only batch must not re-clone");
     }
 
@@ -1521,17 +1342,40 @@ mod tests {
     }
 
     #[test]
-    fn legacy_thread_mode_still_serves() {
+    fn zero_workers_clamp_to_one_and_still_serve() {
         let conductor = Conductor::new(ConductorConfig {
             workers: 0,
             ..ConductorConfig::default()
         });
+        assert_eq!(conductor.metrics_snapshot().gauge(M_POOL_WORKERS), Some(1));
         let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let h = conductor.route(id).unwrap();
         h.apply(atoms("e(a,b).")).unwrap();
         let q = ConjunctiveQuery::parse("q(X) <- e(X,b)").unwrap();
         assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 1);
+        assert_eq!(h.stats().unwrap().epoch, 1, "the mailbox path is served");
         conductor.close(id).unwrap();
+    }
+
+    #[test]
+    fn a_query_flood_keeps_the_rewrite_cache_bounded_and_answers_exact() {
+        use crate::session::REWRITE_CACHE_CAP;
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor.open(sigma("rail(X,Y,D) -> rail(Y,X,D)")).unwrap();
+        let h = conductor.route(id).unwrap();
+        h.apply(atoms("rail(c1,u,d1). rail(u,v,d2). rail(c2,w,d1)."))
+            .unwrap();
+        // Every text is distinct and rewrites (the symmetric twin atom is
+        // redundant under Σ), so each one is a first sight for the cache.
+        for i in 0..REWRITE_CACHE_CAP + 64 {
+            let c = i % 3;
+            let text = format!("q{i}(X) <- rail(c{c},X,D), rail(X,c{c},D)");
+            let q = ConjunctiveQuery::parse(&text).unwrap();
+            let plain = h.query(&q, QueryOpts::default().without_sqo()).unwrap();
+            assert_eq!(h.query(&q, QueryOpts::default()).unwrap(), plain, "{text}");
+            assert!(h.cell.rewrites.len() <= REWRITE_CACHE_CAP);
+        }
+        assert_eq!(h.cell.rewrites.len(), REWRITE_CACHE_CAP);
     }
 
     #[test]

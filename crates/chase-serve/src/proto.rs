@@ -150,7 +150,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Read one frame's payload. `Ok(None)` means the peer closed the stream
 /// cleanly *between* frames; EOF anywhere inside a frame is
 /// [`ProtoError::Truncated`]. An oversized declared length is rejected
-/// without allocating.
+/// without allocating, and an accepted one is never trusted up front: the
+/// buffer grows with the bytes that actually arrive.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut len = [0u8; 4];
     // Hand-rolled read loop so a clean EOF before the first byte is
@@ -169,8 +170,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     if len > MAX_FRAME {
         return Err(ProtoError::Oversized { len });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(ProtoError::Truncated);
+    }
     Ok(Some(payload))
 }
 
@@ -576,7 +580,7 @@ pub enum ErrorCode {
     UnknownSession,
     /// No such snapshot id ([`ServeError::UnknownSnapshot`]).
     UnknownSnapshot,
-    /// The session's actor thread is gone ([`ServeError::SessionGone`]).
+    /// The session is gone ([`ServeError::SessionGone`]).
     SessionGone,
     /// Anything else (core rejection, internal failure).
     Internal,
@@ -935,6 +939,14 @@ mod tests {
             read_frame(&mut huge).unwrap_err(),
             ProtoError::Oversized { len: MAX_FRAME + 1 }
         );
+    }
+
+    #[test]
+    fn a_maximal_header_with_a_short_payload_is_truncated() {
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[PROTO_VERSION, 1, 2, 3]);
+        let mut stream = io::Cursor::new(bytes);
+        assert_eq!(read_frame(&mut stream).unwrap_err(), ProtoError::Truncated);
     }
 
     #[test]

@@ -27,7 +27,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use chase_core::{ConjunctiveQuery, ConstraintSet, Instance};
+use chase_core::parser::parse_facts;
+use chase_core::{ConjunctiveQuery, ConstraintSet};
 
 use crate::conductor::{Conductor, ConductorConfig, SessionHandle};
 use crate::proto::{ErrorCode, ProtoError, Request, Response};
@@ -189,11 +190,10 @@ fn respond(conductor: &Conductor, req: Request) -> Response {
                 Err(e) => Response::from_serve_error(&e),
             },
         },
-        Request::Apply { session, facts } => match Instance::parse(&facts) {
+        Request::Apply { session, facts } => match parse_facts(&facts) {
             Err(e) => parse_error(e),
             Ok(batch) => routed(conductor, session, |h| {
-                h.apply(batch.atoms())
-                    .map(|outcome| Response::Applied { outcome })
+                h.apply(batch).map(|outcome| Response::Applied { outcome })
             }),
         },
         Request::Query { session, cq, opts } => match ConjunctiveQuery::parse(&cq) {

@@ -21,15 +21,17 @@
 //! workspace root) and certain answers agree exactly.
 
 use crate::wal::{self, DurabilityConfig, DurabilityStats, Wal};
-use chase_core::fx::FxHashMap;
+use chase_core::parser::parse_facts;
 use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, CoreError, Instance, Term};
 use chase_engine::{chase_resume, ChaseConfig, ChaseMode, EngineState, StopReason};
 use chase_obs::{Phase, Recorder, RegistrySnapshot};
 use chase_sqo::minimal_rewritings;
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Session configuration: the engine configuration used for every warm
 /// re-chase, plus the query-rewriting policy.
@@ -40,8 +42,8 @@ pub struct SessionConfig {
     pub chase: ChaseConfig,
     /// Route queries through `chase-sqo` rewriting when beneficial (a
     /// strictly smaller Σ-equivalent body exists). Rewriting decisions are
-    /// cached per query text, so the universal-plan chase runs once per
-    /// distinct query, not once per call.
+    /// cached per query text (up to a fixed cap), so the universal-plan
+    /// chase runs once per distinct query, not once per call.
     pub use_sqo: bool,
     /// Budgeted configuration for the rewriting pipeline's own chases
     /// (freezing and chasing the query — guarded, because that chase need
@@ -239,8 +241,8 @@ pub enum ServeError {
     UnknownSession(u64),
     /// No snapshot with this id exists on the addressed session.
     UnknownSnapshot(u64),
-    /// The session's actor is gone (its thread exited or panicked); the
-    /// session can no longer be addressed.
+    /// The session is gone (closed, evicted, or poisoned by a panic in its
+    /// dispatcher); it can no longer be addressed.
     SessionGone,
     /// A durability operation failed: the write-ahead log or a snapshot
     /// could not be read or written, a durable directory's manifest does
@@ -265,7 +267,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::UnknownSession(id) => write!(f, "no session {id}"),
             ServeError::UnknownSnapshot(id) => write!(f, "no snapshot {id}"),
-            ServeError::SessionGone => write!(f, "session actor is gone"),
+            ServeError::SessionGone => write!(f, "session is gone"),
             ServeError::Durability(msg) => write!(f, "durability: {msg}"),
             ServeError::Evicted(id) => write!(
                 f,
@@ -330,16 +332,15 @@ const SESSION_EVENT_RING: usize = 256;
 /// assert_eq!(reach.len(), 2); // b and c
 /// ```
 pub struct ChaseSession {
-    set: ConstraintSet,
     cfg: SessionConfig,
     state: EngineState,
     epoch: u64,
     last_reason: Option<StopReason>,
-    /// Per-query rewriting decisions: query text → the strictly smaller
-    /// Σ-equivalent rewriting chosen for it, or `None` when rewriting is
-    /// not beneficial (or the rewriting chase was cut off). Survives
-    /// across epochs — the constraint set never changes under a session.
-    rewrites: FxHashMap<String, Option<ConjunctiveQuery>>,
+    /// The constraint set plus the per-query rewriting decisions under it.
+    /// Shared by every fork and snapshot of the session (and by the
+    /// conductor's read path): decisions depend only on Σ and the SQO
+    /// policy, which never change under a session.
+    rewrites: Arc<RewriteCache>,
     /// The durability attachment (WAL handle, snapshot thresholds,
     /// counters), present on sessions built with [`SessionBuilder::durable`]
     /// or reopened with [`ChaseSession::open`]. Boxed: most sessions are
@@ -366,12 +367,11 @@ impl Clone for ChaseSession {
     /// own.
     fn clone(&self) -> ChaseSession {
         ChaseSession {
-            set: self.set.clone(),
             cfg: self.cfg.clone(),
             state: self.state.clone(),
             epoch: self.epoch,
             last_reason: self.last_reason.clone(),
-            rewrites: self.rewrites.clone(),
+            rewrites: Arc::clone(&self.rewrites),
             durable: None,
         }
     }
@@ -538,12 +538,11 @@ fn build_in_memory(set: ConstraintSet, cfg: SessionConfig, instance: &Instance) 
     // the engine, so this cannot perturb the deterministic trace.
     state.set_recorder(Recorder::enabled(SESSION_EVENT_RING));
     ChaseSession {
-        set,
+        rewrites: Arc::new(RewriteCache::new(set, &cfg)),
         cfg,
         state,
         epoch: 0,
         last_reason: None,
-        rewrites: FxHashMap::default(),
         durable: None,
     }
 }
@@ -669,14 +668,12 @@ impl ChaseSession {
                         record.epoch
                     )));
                 }
-                let batch = Instance::parse(&record.batch)
-                    .map_err(|e| {
-                        ServeError::Durability(format!(
-                            "WAL record for epoch {} does not parse: {e}",
-                            record.epoch
-                        ))
-                    })?
-                    .atoms();
+                let batch = parse_facts(&record.batch).map_err(|e| {
+                    ServeError::Durability(format!(
+                        "WAL record for epoch {} does not parse: {e}",
+                        record.epoch
+                    ))
+                })?;
                 session.apply_inner(batch)?;
                 replayed_records += 1;
             }
@@ -785,7 +782,7 @@ impl ChaseSession {
 
     /// The constraint set the session chases under.
     pub fn constraints(&self) -> &ConstraintSet {
-        &self.set
+        &self.rewrites.set
     }
 
     /// The session configuration.
@@ -887,8 +884,9 @@ impl ChaseSession {
         if let Some(r) = self.state.poisoned() {
             return Err(ServeError::Poisoned(r.clone()));
         }
-        let added = self.state.insert_batch(&self.set, &self.cfg.chase, batch)?;
-        let out = chase_resume(&mut self.state, &self.set, &self.cfg.chase);
+        let set = &self.rewrites.set;
+        let added = self.state.insert_batch(set, &self.cfg.chase, batch)?;
+        let out = chase_resume(&mut self.state, set, &self.cfg.chase);
         self.epoch += 1;
         self.last_reason = Some(out.reason.clone());
         Ok(ChaseOutcome {
@@ -923,7 +921,7 @@ impl ChaseSession {
     /// `chase-sqo`: if a strictly smaller Σ-equivalent rewriting of the
     /// query exists, the rewriting is evaluated instead — same answers
     /// (the instance satisfies Σ), fewer joins. Decisions are cached per
-    /// query text.
+    /// query text, in a cache the session's forks and snapshots share.
     ///
     /// # Errors
     /// [`ServeError::Poisoned`] on a failed/aborted session.
@@ -933,8 +931,14 @@ impl ChaseSession {
     ) -> Result<Vec<Vec<Term>>, ServeError> {
         let QuerySpec { q, opts } = spec.into();
         self.quiesce()?;
-        let target = if opts.sqo { self.rewritten(q) } else { None };
-        let target = target.unwrap_or_else(|| q.clone());
+        // A non-quiescent instance (after a budget stop) need not satisfy
+        // Σ, and Σ-equivalent rewritings only agree on instances that do.
+        let target = if opts.sqo && self.state.quiescent() {
+            self.rewrites.rewrite(q)
+        } else {
+            None
+        };
+        let target = target.as_ref().unwrap_or(q);
         Ok(if opts.all {
             target.evaluate(self.state.instance())
         } else {
@@ -948,7 +952,7 @@ impl ChaseSession {
             return Err(ServeError::Poisoned(r.clone()));
         }
         if !self.state.quiescent() {
-            let out = chase_resume(&mut self.state, &self.set, &self.cfg.chase);
+            let out = chase_resume(&mut self.state, &self.rewrites.set, &self.cfg.chase);
             self.last_reason = Some(out.reason.clone());
             if let Some(r) = self.state.poisoned() {
                 return Err(ServeError::Poisoned(r.clone()));
@@ -957,21 +961,9 @@ impl ChaseSession {
         Ok(())
     }
 
-    /// The cached rewriting decision for `q` (computing and caching it on
-    /// first sight). `None` = evaluate `q` itself.
-    fn rewritten(&mut self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
-        if !self.cfg.use_sqo || !self.state.quiescent() {
-            // A non-quiescent instance need not satisfy Σ, and Σ-equivalent
-            // rewritings only agree on instances that do.
-            return None;
-        }
-        let key = q.to_string();
-        if let Some(cached) = self.rewrites.get(&key) {
-            return cached.clone();
-        }
-        let choice = choose_rewriting(q, &self.set, &self.cfg);
-        self.rewrites.insert(key, choice.clone());
-        choice
+    /// The rewriting cache the session, its forks and snapshots share.
+    pub(crate) fn rewrite_cache(&self) -> &Arc<RewriteCache> {
+        &self.rewrites
     }
 
     /// The telemetry recorder the session's engine reports into. All
@@ -1030,8 +1022,8 @@ impl ChaseSession {
     }
 
     /// Rewind the session to a snapshot (taken from this session or a
-    /// fork). The rewriting cache is kept — the constraint set didn't
-    /// change, so cached decisions stay valid.
+    /// fork). The rewriting cache is kept — the constraint set and policy
+    /// are asserted equal, so cached decisions stay valid.
     ///
     /// On a **durable** session the on-disk log must be rewound too — it
     /// records batches the restore just abandoned. Restoring re-anchors the
@@ -1057,7 +1049,7 @@ impl ChaseSession {
             );
         }
         assert!(
-            snap.0.set == self.set,
+            snap.constraints() == self.constraints(),
             "snapshot taken under a different constraint set than this session's"
         );
         assert!(
@@ -1084,8 +1076,8 @@ impl ChaseSession {
 }
 
 /// Render a batch into the WAL's on-disk text: the fact surface syntax,
-/// one `pred(args).` per atom — exactly what [`Instance::parse`] reads
-/// back at replay. Labeled nulls round-trip (`_n3` ↔ null 3).
+/// one `pred(args).` per atom — exactly what [`parse_facts`] reads back
+/// at replay. Labeled nulls round-trip (`_n3` ↔ null 3).
 fn render_batch(batch: &[Atom]) -> String {
     let mut out = String::new();
     for atom in batch {
@@ -1095,25 +1087,90 @@ fn render_batch(batch: &[Atom]) -> String {
     out
 }
 
-/// The `chase-sqo` rewriting choice for `q` under `set` and the session's
-/// rewriting policy: the first minimal rewriting when it is a *strict*
-/// shrink of the body, `None` otherwise (or when the rewriting chase was
-/// cut off). Shared by [`ChaseSession`]'s per-session cache and the
-/// conductor's concurrent read path, so both route queries identically.
-pub(crate) fn choose_rewriting(
+/// Cached rewriting decisions per [`RewriteCache`]. A decision costs one
+/// universal-plan chase to recompute, so an evicted entry is a slower
+/// query, never a wrong one; the cap keeps a tenant that sends endless
+/// distinct query texts from growing the cache without bound.
+pub(crate) const REWRITE_CACHE_CAP: usize = 1024;
+
+/// A session's `chase-sqo` rewriting decisions, keyed by query text: the
+/// strictly smaller Σ-equivalent rewriting chosen for a query, or `None`
+/// when rewriting is not beneficial (or its chase was cut off). It owns Σ
+/// and the rewriting policy, so a decision depends on nothing else and may
+/// be shared, through an `Arc`, by everything that answers queries for the
+/// session: the session itself, its forks and snapshots, and every
+/// conductor handle.
+pub(crate) struct RewriteCache {
+    set: ConstraintSet,
+    enabled: bool,
+    chase: ChaseConfig,
+    max_plan_atoms: usize,
+    /// Keyed by client-sent text, so it keeps the default (collision-
+    /// resistant) hasher.
+    decisions: Mutex<HashMap<String, Option<ConjunctiveQuery>>>,
+}
+
+impl RewriteCache {
+    fn new(set: ConstraintSet, cfg: &SessionConfig) -> RewriteCache {
+        RewriteCache {
+            set,
+            enabled: cfg.use_sqo,
+            chase: cfg.sqo_chase.clone(),
+            max_plan_atoms: cfg.sqo_max_plan_atoms,
+            decisions: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The rewriting to evaluate instead of `q`, computed and cached on
+    /// first sight; `None` = evaluate `q` itself. Only sound on instances
+    /// that satisfy Σ (callers check quiescence).
+    pub(crate) fn rewrite(&self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
+        if !self.enabled {
+            return None;
+        }
+        let key = q.to_string();
+        if let Some(hit) = self.decisions().get(&key) {
+            return hit.clone();
+        }
+        // Computed without the lock: a first sight runs a chase, and reads
+        // of other queries must not queue behind it. Racing computations
+        // of one key agree, so either insert is fine.
+        let choice = choose_rewriting(q, &self.set, &self.chase, self.max_plan_atoms);
+        let mut decisions = self.decisions();
+        if decisions.len() >= REWRITE_CACHE_CAP && !decisions.contains_key(&key) {
+            if let Some(victim) = decisions.keys().next().cloned() {
+                decisions.remove(&victim);
+            }
+        }
+        decisions.insert(key, choice.clone());
+        choice
+    }
+
+    fn decisions(&self) -> MutexGuard<'_, HashMap<String, Option<ConjunctiveQuery>>> {
+        self.decisions
+            .lock()
+            .expect("no code panics while holding the rewrite cache lock")
+    }
+
+    /// Decisions currently cached.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.decisions().len()
+    }
+}
+
+/// The `chase-sqo` rewriting choice for `q` under `set`: the first minimal
+/// rewriting when it is a *strict* shrink of the body, `None` otherwise
+/// (or when the rewriting chase was cut off).
+fn choose_rewriting(
     q: &ConjunctiveQuery,
     set: &ConstraintSet,
-    cfg: &SessionConfig,
+    chase: &ChaseConfig,
+    max_plan_atoms: usize,
 ) -> Option<ConjunctiveQuery> {
-    minimal_rewritings(q, set, &cfg.sqo_chase, cfg.sqo_max_plan_atoms)
+    minimal_rewritings(q, set, chase, max_plan_atoms)
         .ok()
-        .and_then(|mut v| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.remove(0))
-            }
-        })
+        .and_then(|v| v.into_iter().next())
         .filter(|r| r.body().len() < q.body().len())
 }
 
@@ -1329,8 +1386,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 2); // u and w
                                 // The rewriting decision was cached and is a strict shrink.
-        let cached = with_sqo.rewrites.get(&q.to_string()).unwrap();
-        assert_eq!(cached.as_ref().unwrap().body().len(), 1);
+        let cached = with_sqo.rewrites.decisions()[&q.to_string()].clone();
+        assert_eq!(cached.unwrap().body().len(), 1);
         // Second query hits the cache (no way to observe the chase from
         // here, but the cached entry must be stable).
         assert_eq!(with_sqo.query(&q).unwrap(), a);

@@ -24,9 +24,9 @@
 //!   `--serve` mode): sessions log to `<dir>/session-<id>` and a restarted
 //!   server **warm-restarts** every session it finds there, same ids. This
 //!   is the crash-recovery path `docs/OPERATIONS.md` walks through;
-//! * `--workers <n>` — size the session worker pool (`0` = legacy
-//!   thread-per-session scheduler, kept for one release);
-//! * `--evict-after <secs>` — TTL for idle sessions (pool mode): durable
+//! * `--workers <n>` — size the session worker pool (`0` is clamped to
+//!   one worker);
+//! * `--evict-after <secs>` — TTL for idle sessions: durable
 //!   ones persist + tear down and warm-restart transparently on the next
 //!   touch (`attach <id>` works), non-durable ones answer `Evicted`.
 //!
@@ -198,9 +198,8 @@ fn main() {
     };
 
     // Durable servers log every session under this root and warm-restart
-    // whatever a previous process left there. `--workers 0` selects the
-    // legacy thread-per-session scheduler; `--evict-after` puts a TTL on
-    // idle sessions (pool mode only).
+    // whatever a previous process left there. `--workers` sizes the
+    // session worker pool; `--evict-after` puts a TTL on idle sessions.
     let conductor_cfg = || ConductorConfig {
         durable_root: flag("--durable").map(std::path::PathBuf::from),
         workers: flag("--workers")

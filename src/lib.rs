@@ -22,9 +22,9 @@
 //! * `serve` ([`chase_serve`]) — the serving layer: long-lived incremental
 //!   chase sessions with warm re-chase over update batches, certain-answer
 //!   queries, snapshot/restore forking, a multi-tenant TCP session
-//!   server (actor-per-session runtime behind a framed wire protocol),
-//!   and durable sessions (write-ahead log + columnar snapshots with
-//!   warm restart);
+//!   server (sessions scheduled on a bounded worker pool behind a framed
+//!   wire protocol), and durable sessions (write-ahead log + columnar
+//!   snapshots with warm restart);
 //! * `corpus` ([`chase_corpus`]) — every example of the paper plus synthetic
 //!   workload generators.
 //!

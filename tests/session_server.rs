@@ -9,17 +9,14 @@
 //!   comes back as a [`ProtoError`] value. A v1 (no-correlation) client is
 //!   answered with a clean version error frame, never silence.
 //!
-//! * **The clock.** A query admitted while an apply is chasing inside the
-//!   session's actor is answered from the *published* snapshot: it sees
+//! * **The clock.** A query admitted while an apply is chasing inside a
+//!   pool worker is answered from the *published* snapshot: it sees
 //!   exactly the pre-batch instance (never a torn intermediate state), and
 //!   once the apply's acknowledgement is observed, reads see the post-batch
 //!   instance (read-your-writes).
 //!
 //! Plus the full loopback TCP lifecycle: multi-tenant isolation under
-//! concurrent connections and every protocol error path — each concurrency
-//! test run against **both** schedulers (the pooled run queue and the
-//! legacy `workers: 0` thread-per-session escape hatch), so their
-//! equivalence is pinned rather than assumed.
+//! concurrent connections and every protocol error path.
 //!
 //! The vendored proptest stand-in has no collection strategies, so random
 //! messages are generated from a `u64` seed through a `StdRng`, like the
@@ -33,22 +30,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::Cursor;
-
-/// The two conductor scheduling modes every concurrency test must agree
-/// across: the bounded worker pool (default) and the legacy
-/// thread-per-session escape hatch (`workers: 0`, kept for one release).
-fn scheduler_modes() -> [(&'static str, ConductorConfig); 2] {
-    [
-        ("pool", ConductorConfig::default()),
-        (
-            "legacy-threads",
-            ConductorConfig {
-                workers: 0,
-                ..ConductorConfig::default()
-            },
-        ),
-    ]
-}
 
 // ---------------------------------------------------------------------------
 // Seeded message generators
@@ -320,22 +301,15 @@ fn normalized(mut answers: Vec<Vec<Term>>) -> Vec<Vec<Term>> {
     answers
 }
 
-/// A query answered while an apply is chasing inside the actor sees
+/// A query answered while an apply is chasing inside a worker sees
 /// exactly the pre-batch snapshot; after the apply's acknowledgement, the
 /// post-batch instance (read-your-writes). Nothing in between is ever
-/// observable — under either scheduler.
+/// observable.
 #[test]
 fn query_mid_apply_sees_exactly_the_pre_batch_snapshot() {
-    for (mode, cfg) in scheduler_modes() {
-        eprintln!("scheduler mode: {mode}");
-        query_mid_apply_in(cfg);
-    }
-}
-
-fn query_mid_apply_in(cfg: ConductorConfig) {
     let conductor = Conductor::new(ConductorConfig {
         step_budget: None,
-        ..cfg
+        ..ConductorConfig::default()
     });
     let id = conductor
         .open(ConstraintSet::parse("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap())
@@ -357,7 +331,7 @@ fn query_mid_apply_in(cfg: ConductorConfig) {
     }
     let pending = h.apply_async(atoms(&batch));
 
-    // Issued immediately after enqueueing: the actor is (at most) mid-way
+    // Issued immediately after enqueueing: the worker is (at most) mid-way
     // through the batch, and the published snapshot is still pre-batch.
     let mid = normalized(h.query(&q, QueryOpts::default()).unwrap());
     assert_eq!(
@@ -394,17 +368,10 @@ fn query_mid_apply_in(cfg: ConductorConfig) {
 
 /// Concurrent tenants over real connections: every tenant's chased state
 /// stays its own (no cross-session leakage), and the conductor serves all
-/// of them to completion — under either scheduler.
+/// of them to completion.
 #[test]
 fn concurrent_tenants_are_isolated() {
-    for (mode, cfg) in scheduler_modes() {
-        eprintln!("scheduler mode: {mode}");
-        concurrent_tenants_in(cfg);
-    }
-}
-
-fn concurrent_tenants_in(cfg: ConductorConfig) {
-    let server = serve("127.0.0.1:0", cfg).unwrap();
+    let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
     let addr = server.addr();
     let handles: Vec<_> = (0..6)
         .map(|t| {

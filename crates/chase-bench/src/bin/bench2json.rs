@@ -5,7 +5,7 @@
 //! line has the shape the criterion stand-in prints:
 //!
 //! ```text
-//! parallel_scaling/fig9_travel/t4        time: [1.10 ms 1.23 ms 1.51 ms]
+//! fig1_chase_engines/delta/ex4           time: [1.10 ms 1.23 ms 1.51 ms]
 //! ```
 //!
 //! and becomes `{"group", "workload", "engine", "label", "median_ns"}`,
@@ -439,10 +439,10 @@ mod tests {
     #[test]
     fn parses_measurement_lines() {
         let m = parse_line(
-            "parallel_scaling/fig9_travel/t4                time: [1.10 ms 1.23 ms 1.51 ms]",
+            "fig1_chase_engines/delta/ex4                   time: [1.10 ms 1.23 ms 1.51 ms]",
         )
         .unwrap();
-        assert_eq!(m.label, "parallel_scaling/fig9_travel/t4");
+        assert_eq!(m.label, "fig1_chase_engines/delta/ex4");
         assert!((m.median_ns - 1.23e6).abs() < 1.0);
         assert!((m.min_ns - 1.10e6).abs() < 1.0);
         let m = parse_line("g/f   time: [980.00 ns 1.10 µs 1.90 µs]").unwrap();
@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn ignores_non_measurement_lines() {
-        assert!(parse_line("## parallel_scaling").is_none());
+        assert!(parse_line("## fig1_chase_engines").is_none());
         assert!(parse_line("some table row | 33 | 12").is_none());
         assert!(parse_line("x time: [weird]").is_none());
     }

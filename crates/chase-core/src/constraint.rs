@@ -455,8 +455,8 @@ pub struct ConstraintSet {
     items: Vec<Constraint>,
 }
 
-// Constraint sets are shared read-only across the parallel engine's matcher
-// threads, alongside `InstanceView` snapshots.
+// Constraint sets are shared read-only across threads: the session server's
+// rewrite cache holds one behind an `Arc` that every query thread reads.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Constraint>();

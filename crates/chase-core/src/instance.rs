@@ -1199,19 +1199,6 @@ impl Instance {
         Ok(s)
     }
 
-    /// A read-only view of this instance for concurrent matching.
-    ///
-    /// Between chase steps the instance — including its per-predicate and
-    /// per-`(predicate, position, id)` indexes — is immutable, so a view
-    /// taken then is a consistent *snapshot* of the position index that any
-    /// number of worker threads may query through [`Instance::candidates`]
-    /// concurrently (see the `Sync` assertion in this module). The view is
-    /// `Copy` and borrows the instance, so the borrow checker retires every
-    /// outstanding snapshot before the next mutating step can run.
-    pub fn view(&self) -> InstanceView<'_> {
-        InstanceView(self)
-    }
-
     /// Facts in a canonical sorted order (for display and comparison).
     pub fn sorted_atoms(&self) -> Vec<Atom> {
         let mut v: Vec<Atom> = self.iter().collect();
@@ -1295,42 +1282,15 @@ impl FactView<'_> {
     }
 }
 
-/// A read-only, thread-shareable snapshot of an [`Instance`] (see
-/// [`Instance::view`]).
-///
-/// Dereferences to the instance, exposing the whole query API
-/// (`candidates`, `fact`, `with_pred`, …) with no way to mutate. The
-/// parallel matching engine hands one to its revalidation workers, which
-/// query the snapshot's position index concurrently; its other sharded
-/// paths share `&Instance` through the run state under the same `Sync`
-/// contract (asserted below).
-#[derive(Clone, Copy)]
-pub struct InstanceView<'a>(&'a Instance);
-
-impl<'a> InstanceView<'a> {
-    /// The underlying instance.
-    pub fn instance(&self) -> &'a Instance {
-        self.0
-    }
-}
-
-impl std::ops::Deref for InstanceView<'_> {
-    type Target = Instance;
-
-    fn deref(&self) -> &Instance {
-        self.0
-    }
-}
-
-// The contract the parallel chase engine builds on: instances (and therefore
-// views of them) can be shared across matcher threads. `Sym` is an index
-// into the process-wide interner, which is guarded by a `parking_lot`-style
-// `RwLock`, `TermId` is plain data, so everything an instance holds is
+// Instances are shared read-only across threads: the session server
+// publishes each chased instance as an `Arc<Instance>` snapshot that query
+// threads read while the next batch is chased. `Sym` is an index into the
+// process-wide interner, which is guarded by a `parking_lot`-style
+// `RwLock`, and `TermId` is plain data, so everything an instance holds is
 // plain shareable data.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Instance>();
-    assert_sync::<InstanceView<'_>>();
 };
 
 impl PartialEq for Instance {

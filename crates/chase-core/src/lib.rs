@@ -43,7 +43,7 @@ pub use error::CoreError;
 pub use homomorphism::{
     exists_extension, exists_hom, find_all_homs, find_hom, unify_atom, HomConfig, Subst,
 };
-pub use instance::{FactId, FactView, Instance, InstanceView, MergeEffect};
+pub use instance::{FactId, FactView, Instance, MergeEffect};
 pub use schema::{PosSet, Position, Schema};
 pub use snapshot::{crc32, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use symbol::Sym;

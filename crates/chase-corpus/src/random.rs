@@ -285,8 +285,8 @@ pub fn random_instance(set: &ConstraintSet, cfg: &RandomInstanceConfig) -> Insta
 }
 
 /// Shape of a random travel network for the Figure 9 constraints
-/// (`fly`/`rail` over cities, with durations) — sized so the parallel
-/// engine's sharded matching has work to chew on.
+/// (`fly`/`rail` over cities, with durations), scalable from a unit-test
+/// network to the ~150k-fact tenants the serving benchmarks load.
 #[derive(Debug, Clone)]
 pub struct RandomTravelConfig {
     /// City pool size (`city0 … city{n−1}`).

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # chase-engine
 //!
@@ -12,14 +13,16 @@
 //! sequences up to a budget — reproducing Example 4's divergence is as much a
 //! part of the paper as reproducing the terminating orders of Theorem 2.
 //!
-//! Three engines share the same canonical trigger selection and therefore
+//! Two engines share the same canonical trigger selection and therefore
 //! produce bit-identical traces on the same inputs:
 //!
 //! * [`chase_naive`] — per-step full trigger re-enumeration (the reference);
-//! * [`chase`] — the delta-driven trigger queue (semi-naive re-matching);
-//! * [`chase_parallel`] — the delta engine scheduled over a stratification
-//!   phase order, with per-step matching sharded across scoped worker
-//!   threads ([`parallel`]).
+//! * [`chase`] — the delta-driven trigger queue (semi-naive re-matching).
+//!
+//! Theorem 2's terminating order is not a third engine but a strategy:
+//! [`Strategy::Phased`] with the SCC phases that
+//! `chase_termination::phase_schedule` computes runs either engine phase by
+//! phase.
 //!
 //! The delta engine's run state (trigger pool, dead-trigger memo, plan
 //! cache, monitor, counters) is reified as a resumable [`EngineState`]:
@@ -31,7 +34,6 @@
 pub mod bfs;
 pub mod core_of;
 pub mod monitor;
-pub mod parallel;
 pub mod runner;
 pub mod step;
 pub mod trigger;
@@ -39,7 +41,6 @@ pub mod trigger;
 pub use bfs::{find_terminating_sequence, BfsOutcome};
 pub use core_of::{core_chase, core_of, is_core, CoreChaseResult};
 pub use monitor::MonitorGraph;
-pub use parallel::{chase_parallel, ParallelConfig};
 pub use runner::{
     chase, chase_default, chase_naive, chase_resume, ChaseConfig, ChaseMode, ChaseResult,
     EngineState, ResumeOutcome, StepRecord, StopReason, Strategy,

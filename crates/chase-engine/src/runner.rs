@@ -67,7 +67,6 @@
 //! their traces are bit-identical whenever the pool is maintained correctly.
 
 use crate::monitor::MonitorGraph;
-use crate::parallel::WorkerPool;
 use crate::step::{apply_step, StepEffect};
 use crate::trigger::{head_rests, normalize, Matcher};
 use chase_core::fx::{FxHashMap, FxHashSet};
@@ -110,6 +109,22 @@ pub enum Strategy {
     /// the next group, then finish with a round-robin pass over everything
     /// (a no-op for correctly stratified phases, Theorem 2).
     Phased(Vec<Vec<usize>>),
+}
+
+impl Strategy {
+    /// The first constraint index this strategy names that is out of range
+    /// for a set of `constraints` constraints, if any. Only
+    /// [`Strategy::FixedCycle`] and [`Strategy::Phased`] name indices; every
+    /// run asserts this is `None` before it starts, and the serving layer
+    /// uses it to reject a session template up front.
+    pub fn out_of_range(&self, constraints: usize) -> Option<usize> {
+        let beyond = |&ci: &usize| ci >= constraints;
+        match self {
+            Strategy::FixedCycle(order) => order.iter().copied().find(beyond),
+            Strategy::Phased(phases) => phases.iter().flatten().copied().find(beyond),
+            Strategy::RoundRobin | Strategy::Random { .. } => None,
+        }
+    }
 }
 
 /// Chase configuration.
@@ -567,7 +582,7 @@ impl EngineState {
             // the first run's full enumeration will see the batch.
             self.matcher.refresh(set, &mut self.inst);
             if self.pool_built {
-                Run::new(set, cfg, self, false, None, 0).apply_delta(&added);
+                Run::new(set, cfg, self, false).apply_delta(&added);
             }
         }
         Ok(added)
@@ -585,12 +600,6 @@ struct Run<'a> {
     /// Naive reference mode: skip all pool maintenance and re-enumerate
     /// triggers from scratch at every step (the seed engine's behaviour).
     naive: bool,
-    /// Worker pool of the parallel executor ([`crate::chase_parallel`]).
-    /// `None` runs every matching path inline on the calling thread.
-    exec: Option<&'a WorkerPool<'a>>,
-    /// Minimum work items per dispatch before matching work is sharded
-    /// across `exec`'s workers.
-    fanout: usize,
     rng: Option<StdRng>,
     stop: Option<StopReason>,
     trace: Vec<StepRecord>,
@@ -599,7 +608,7 @@ struct Run<'a> {
     nulls0: usize,
 }
 
-/// A trigger discovered by (possibly sharded) delta re-matching:
+/// A trigger discovered by delta re-matching:
 /// `(constraint, key, assignment, fireable-now)`.
 type FoundTrigger = (usize, TriggerKey, Subst, bool);
 
@@ -663,9 +672,13 @@ impl<'a> Run<'a> {
         cfg: &'a ChaseConfig,
         st: &'a mut EngineState,
         naive: bool,
-        exec: Option<&'a WorkerPool<'a>>,
-        fanout: usize,
     ) -> Run<'a> {
+        if let Some(ci) = cfg.strategy.out_of_range(set.len()) {
+            panic!(
+                "strategy names constraint {ci}, but the set has {} constraints",
+                set.len()
+            );
+        }
         let rng = match cfg.strategy {
             Strategy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
             _ => None,
@@ -676,8 +689,6 @@ impl<'a> Run<'a> {
             cfg,
             st,
             naive,
-            exec,
-            fanout,
             rng,
             stop: None,
             trace: Vec::new(),
@@ -722,67 +733,24 @@ impl<'a> Run<'a> {
     /// only. EGD merges used to route through here conservatively; they
     /// are now repaired incrementally by [`Run::apply_merge_delta`], so a
     /// running engine never re-enumerates.
-    ///
-    /// With a worker pool and a large enough instance the enumeration is
-    /// sharded over the instance atoms: every body homomorphism of a
-    /// non-empty body maps at least one atom into some shard, so the union
-    /// of delta-seeded searches over the shards covers every trigger
-    /// exactly (duplicates collapse in the content-addressed pool).
     fn rebuild_pool(&mut self) {
-        self.st.pool.clear();
-        for d in &mut self.st.dead {
-            d.clear();
-        }
-        if let Some(exec) = self.exec {
-            if self.st.inst.len() >= self.fanout.max(1) {
-                let this = &*self;
-                let affected: Vec<usize> = (0..this.set.len())
-                    .filter(|&ci| !this.set[ci].body().is_empty())
-                    .collect();
-                // Materialize the instance once for sharding — rebuilds are
-                // rare (init and EGD merges), and the shard functions want
-                // `&[Atom]` delta slices.
-                let all_atoms = this.st.inst.atoms();
-                let found: Vec<FoundTrigger> = exec
-                    .map_shards(&all_atoms, |shard| {
-                        this.collect_delta_matches(&affected, shard)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                for (ci, key, mu, fires) in found {
-                    if fires && !self.st.pool.contains(ci, &key) {
-                        self.st.pool.insert(ci, key, mu);
-                    }
-                }
-                // Empty-body constraints have no atom to seed from; finish
-                // them through the full enumeration below.
-                self.enumerate_pool(true);
-                return;
-            }
-        }
-        self.enumerate_pool(false);
-    }
-
-    /// The from-scratch enumeration behind [`Run::rebuild_pool`], optionally
-    /// restricted to constraints with empty bodies (the sharded rebuild's
-    /// blind spot).
-    fn enumerate_pool(&mut self, empty_bodies_only: bool) {
         // Split borrows: the matcher holds `inst` while the callback fills
         // `pool`.
         let Run { set, cfg, st, .. } = self;
         let EngineState {
             inst,
             fired,
+            dead,
             pool,
             matcher,
             ..
         } = &mut **st;
+        pool.clear();
+        for d in dead.iter_mut() {
+            d.clear();
+        }
         let matcher = &*matcher;
         for (ci, c) in set.enumerate() {
-            if empty_bodies_only && !c.body().is_empty() {
-                continue;
-            }
             matcher.for_each_body_hom(ci, c, inst, &mut |mu| {
                 let key = normalize(c, mu);
                 let fires = match cfg.mode {
@@ -799,8 +767,7 @@ impl<'a> Run<'a> {
 
     /// Semi-naive re-matching of the `affected` constraints against `delta`
     /// (a subset of the instance), deduplicated per constraint and filtered
-    /// against triggers already pooled, dead, or fired. Read-only — the
-    /// parallel engine calls this concurrently, one delta shard per worker.
+    /// against triggers already pooled, dead, or fired.
     fn collect_delta_matches(&self, affected: &[usize], delta: &[Atom]) -> Vec<FoundTrigger> {
         let mut out = Vec::new();
         for &ci in affected {
@@ -849,10 +816,7 @@ impl<'a> Run<'a> {
         // Revalidate pooled triggers that the new atoms may have satisfied:
         // a violated TGD trigger becomes satisfied only when an atom with one
         // of its head predicates appears. (Oblivious triggers and EGD
-        // triggers never die from added atoms.) Each trigger's check is
-        // independent and read-only, so a large pool is sharded across the
-        // worker pool; the merged dead-list is a set, so shard boundaries
-        // cannot influence the outcome.
+        // triggers never die from added atoms.)
         if self.cfg.mode == ChaseMode::Standard {
             let _t = self.sampled_phase(Phase::HeadRevalidate);
             for ci in 0..self.set.len() {
@@ -871,33 +835,14 @@ impl<'a> Run<'a> {
                 } else {
                     head_rests(head)
                 };
-                // The position-index snapshot the revalidation workers query
-                // concurrently; `Copy`, so the closure captures it by value.
-                let inst = self.st.inst.view();
-                let entries: Vec<(&TriggerKey, &Subst)> = self.st.pool.pools[ci].iter().collect();
-                let matcher = &self.st.matcher;
-                let dies = |mu: &Subst| {
-                    matcher.head_newly_satisfied(ci, head, &rests, inst.instance(), added, mu)
-                };
-                let now_dead: Vec<TriggerKey> = match self.exec {
-                    Some(exec) if entries.len() >= self.fanout.max(1) => exec
-                        .map_shards(&entries, |shard| {
-                            shard
-                                .iter()
-                                .filter(|(_, mu)| dies(mu))
-                                .map(|(key, _)| (*key).clone())
-                                .collect::<Vec<_>>()
-                        })
-                        .into_iter()
-                        .flatten()
-                        .collect(),
-                    _ => entries
-                        .iter()
-                        .filter(|(_, mu)| dies(mu))
-                        .map(|(key, _)| (*key).clone())
-                        .collect(),
-                };
-                drop(entries);
+                let (inst, matcher) = (&self.st.inst, &self.st.matcher);
+                let now_dead: Vec<TriggerKey> = self.st.pool.pools[ci]
+                    .iter()
+                    .filter(|(_, mu)| {
+                        matcher.head_newly_satisfied(ci, head, &rests, inst, added, mu)
+                    })
+                    .map(|(key, _)| key.clone())
+                    .collect();
                 for key in now_dead {
                     self.st.pool.remove(ci, &key);
                     self.st.dead[ci].insert(key);
@@ -905,10 +850,7 @@ impl<'a> Run<'a> {
             }
         }
         // Re-match constraints whose body can see the delta, seeded from the
-        // new atoms. Large deltas are sharded across the worker pool, each
-        // worker running the semi-naive search for its shard through the
-        // shared position index; the merge below is keyed by normalized
-        // assignment, so cross-shard duplicates collapse deterministically.
+        // new atoms.
         let _t = self.sampled_phase(Phase::DeltaMatch);
         let affected: Vec<usize> = (0..self.set.len())
             .filter(|&ci| !self.st.body_preds[ci].is_disjoint(&delta_preds))
@@ -916,26 +858,7 @@ impl<'a> Run<'a> {
         if affected.is_empty() {
             return;
         }
-        let found: Vec<FoundTrigger> = match self.exec {
-            Some(exec) if added.len() >= self.fanout.max(2) => {
-                let this = &*self;
-                let affected = &affected;
-                exec.map_shards(added, |shard| this.collect_delta_matches(affected, shard))
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-            _ => self.collect_delta_matches(&affected, added),
-        };
-        for (ci, key, mu, fires) in found {
-            let duplicate = self.st.pool.contains(ci, &key)
-                || match self.cfg.mode {
-                    ChaseMode::Standard => self.st.dead[ci].contains(&key),
-                    ChaseMode::Oblivious => false,
-                };
-            if duplicate {
-                continue; // the same trigger arrived from another shard
-            }
+        for (ci, key, mu, fires) in self.collect_delta_matches(&affected, added) {
             match self.cfg.mode {
                 ChaseMode::Standard => {
                     if fires {
@@ -967,8 +890,7 @@ impl<'a> Run<'a> {
     /// 2. **Re-match.** The surviving rewritten rows are the merge's
     ///    delta: they get the exact maintenance a TGD step's added atoms
     ///    get ([`Run::apply_delta`] — head revalidation of pooled
-    ///    triggers, then semi-naive body re-matching, sharded across the
-    ///    worker pool the same way).
+    ///    triggers, then semi-naive body re-matching).
     ///
     /// Soundness rests on two facts. A body match mentions a rewritten row
     /// iff its assignment binds `from` (the merged-away null cannot occur
@@ -1356,22 +1278,19 @@ impl<'a> Run<'a> {
 /// assert_eq!(res.reason, StopReason::MonitorAbort { depth: 3 });
 /// ```
 pub fn chase(instance: &Instance, set: &ConstraintSet, cfg: &ChaseConfig) -> ChaseResult {
-    run_to_result(instance, set, cfg, false, None, 0)
+    run_to_result(instance, set, cfg, false)
 }
 
-/// One-shot driver shared by [`chase`], [`chase_naive`] and
-/// [`run_with_exec`]: build fresh state, run it to a stop, tear it apart
-/// into a [`ChaseResult`].
+/// One-shot driver shared by [`chase`] and [`chase_naive`]: build fresh
+/// state, run it to a stop, tear it apart into a [`ChaseResult`].
 fn run_to_result(
     instance: &Instance,
     set: &ConstraintSet,
     cfg: &ChaseConfig,
     naive: bool,
-    exec: Option<&WorkerPool<'_>>,
-    fanout: usize,
 ) -> ChaseResult {
     let mut st = EngineState::new(instance, set, cfg);
-    let out = Run::new(set, cfg, &mut st, naive, exec, fanout).run();
+    let out = Run::new(set, cfg, &mut st, naive).run();
     ChaseResult {
         instance: st.inst,
         reason: out.reason,
@@ -1441,20 +1360,7 @@ pub fn chase_resume(
             trace: Vec::new(),
         };
     }
-    Run::new(set, cfg, state, false, None, 0).run()
-}
-
-/// Run the delta engine with an optional worker pool for sharded matching —
-/// the entry point behind [`crate::chase_parallel`]. With `exec = None` this
-/// is exactly [`chase`].
-pub(crate) fn run_with_exec(
-    instance: &Instance,
-    set: &ConstraintSet,
-    cfg: &ChaseConfig,
-    exec: Option<&WorkerPool<'_>>,
-    fanout: usize,
-) -> ChaseResult {
-    run_to_result(instance, set, cfg, false, exec, fanout)
+    Run::new(set, cfg, state, false).run()
 }
 
 /// Run the chase with naive trigger discovery: every constraint is
@@ -1476,7 +1382,7 @@ pub(crate) fn run_with_exec(
 /// workloads where an early match exists. (The seed's `Random` strategy
 /// already enumerated everything every step.)
 pub fn chase_naive(instance: &Instance, set: &ConstraintSet, cfg: &ChaseConfig) -> ChaseResult {
-    run_to_result(instance, set, cfg, true, None, 0)
+    run_to_result(instance, set, cfg, true)
 }
 
 /// Run the chase with the default configuration (standard mode, round-robin,
@@ -1604,6 +1510,34 @@ mod tests {
         assert_eq!(res.instance.len(), 3);
         let fired: Vec<usize> = res.trace.iter().map(|s| s.constraint).collect();
         assert_eq!(fired, vec![1, 0]);
+    }
+
+    /// Strategy indices are checked once, before the run does any work:
+    /// an out-of-range index panics with a message naming it, for both
+    /// strategies that name indices, and in both engines.
+    #[test]
+    fn phase_index_out_of_range_panics() {
+        let (set, inst) = parse("S(X) -> T(X)", "S(a).");
+        for strategy in [
+            Strategy::Phased(vec![vec![0, 3]]),
+            Strategy::FixedCycle(vec![0, 3]),
+        ] {
+            assert_eq!(strategy.out_of_range(set.len()), Some(3));
+            let cfg = ChaseConfig {
+                strategy,
+                ..ChaseConfig::default()
+            };
+            for engine in [chase, chase_naive] {
+                let err = std::panic::catch_unwind(|| engine(&inst, &set, &cfg)).unwrap_err();
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert_eq!(
+                    msg,
+                    "strategy names constraint 3, but the set has 1 constraints"
+                );
+            }
+        }
+        assert_eq!(Strategy::Phased(vec![vec![0]]).out_of_range(1), None);
+        assert_eq!(Strategy::RoundRobin.out_of_range(0), None);
     }
 
     #[test]

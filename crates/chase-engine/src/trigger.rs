@@ -143,9 +143,6 @@ pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
 /// searcher. This keeps the per-trigger cost at a few O(arity) unifications
 /// in the common case instead of a full backtracking extension search per
 /// pooled trigger.
-///
-/// Pure and `Sync`-friendly: the parallel engine calls it concurrently from
-/// revalidation workers, each over its shard of the trigger pool.
 pub fn head_newly_satisfied(
     head: &[Atom],
     rests: &[Vec<Atom>],

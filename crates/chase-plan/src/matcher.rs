@@ -20,8 +20,7 @@
 //! cardinality and distinct-count statistics incrementally through
 //! [`Instance::merge_terms`], so a merge that leaves the stats epoch alone
 //! leaves the plans exactly as good as they were.
-//! Between refreshes the matcher is plain read-only data (`Sync`), so the
-//! parallel engine's shard functions query it concurrently.
+//! Between refreshes the matcher is plain read-only data.
 //!
 //! An **unplanned** matcher ([`Matcher::unplanned`]) answers every query
 //! through the classic backtracking searcher instead — the planner-off
@@ -124,13 +123,6 @@ pub struct Matcher {
     /// choice or enumeration order. Disabled by default.
     recorder: Recorder,
 }
-
-// Shared read-only across the parallel engine's matcher threads between
-// refreshes, like the instance and constraint set.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<Matcher>();
-};
 
 impl Matcher {
     /// A planner-off matcher: every query runs the classic searcher.

@@ -100,8 +100,8 @@ pub struct PlanStep {
 }
 
 /// A compiled join program: pattern atoms in execution order plus the
-/// register file layout. Plain data — shared read-only across matcher
-/// threads.
+/// register file layout. Plain data, compiled once per statistics epoch
+/// and then only read.
 #[derive(Debug, Clone)]
 pub struct JoinProgram {
     /// Steps in execution order.

@@ -154,6 +154,8 @@ const M_POOL_MESSAGES: &str = "chase_pool_messages_total";
 const M_POOL_PANICS: &str = "chase_pool_panics_total";
 const M_EVICTIONS: &str = "chase_evictions_total";
 const M_EVICTIONS_RESTORED: &str = "chase_evictions_restored_total";
+const M_REWRITE_DECISIONS: &str = "chase_rewrite_cache_decisions";
+const M_REWRITE_EVICTIONS: &str = "chase_rewrite_cache_evictions_total";
 
 /// Handles into the conductor-wide [`MetricsRegistry`] plus the session's
 /// engine recorder, shared by the session's dispatcher and every
@@ -830,20 +832,23 @@ impl Conductor {
     /// Reads only lock-free recorder sinks and the session map — never a
     /// session mailbox — so a metrics scrape cannot block behind a
     /// tenant's in-flight apply. Sessions closed before the scrape no
-    /// longer contribute their phase timings.
+    /// longer contribute their phase timings or rewrite-cache series.
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
-        let recorders: Vec<Recorder> = self
+        let cells: Vec<Arc<SessionCell>> = self
             .sessions
             .lock()
             .unwrap()
             .values()
-            .map(|h| h.cell.metrics.recorder.clone())
+            .map(|h| Arc::clone(&h.cell))
             .collect();
         let mut snap = self.metrics.snapshot();
-        for rec in recorders {
+        for cell in cells {
+            let rec = &cell.metrics.recorder;
             let mut one = RegistrySnapshot::new();
             rec.export_phases(M_PHASE_NS, &mut one);
             one.set_counter(M_EVENTS_DROPPED, rec.events_dropped());
+            one.set_gauge(M_REWRITE_DECISIONS, cell.rewrites.len() as i64);
+            one.set_counter(M_REWRITE_EVICTIONS, cell.rewrites.evictions());
             snap.merge(&one);
         }
         snap
@@ -1179,6 +1184,36 @@ mod tests {
     }
 
     #[test]
+    fn a_template_strategy_the_sigma_cannot_run_is_rejected_at_open() {
+        use chase_engine::Strategy;
+        let mut session = SessionConfig::default();
+        session.chase.strategy = Strategy::FixedCycle(vec![1, 0]);
+        let conductor = Conductor::new(ConductorConfig {
+            session,
+            ..ConductorConfig::default()
+        });
+        assert_eq!(
+            conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap_err(),
+            ServeError::StrategyOutOfRange {
+                index: 1,
+                constraints: 1
+            }
+        );
+        assert_eq!(conductor.session_count(), 0);
+        // A sigma the cycle fits opens and chases normally.
+        let id = conductor
+            .open(sigma("e(X,Y) -> e(Y,X)\ne(X,Y) -> n(X)"))
+            .unwrap();
+        let out = conductor
+            .route(id)
+            .unwrap()
+            .apply(atoms("e(a,b)."))
+            .unwrap();
+        assert_eq!(out.reason, StopReason::Satisfied);
+        assert_eq!(out.total_facts, 4);
+    }
+
+    #[test]
     fn step_budget_clamps_admitted_sessions() {
         let conductor = Conductor::new(ConductorConfig {
             step_budget: Some(3),
@@ -1376,6 +1411,17 @@ mod tests {
             assert!(h.cell.rewrites.len() <= REWRITE_CACHE_CAP);
         }
         assert_eq!(h.cell.rewrites.len(), REWRITE_CACHE_CAP);
+        // The cap's effect is observable from a scrape: the cache holds
+        // exactly the cap, and every first sight past it evicted one.
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(
+            snap.gauge(M_REWRITE_DECISIONS),
+            Some(REWRITE_CACHE_CAP as i64)
+        );
+        assert_eq!(snap.counter(M_REWRITE_EVICTIONS), Some(64));
+        assert!(conductor
+            .metrics_text()
+            .contains("chase_rewrite_cache_evictions_total 64"));
     }
 
     #[test]

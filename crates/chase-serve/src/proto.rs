@@ -582,7 +582,8 @@ pub enum ErrorCode {
     UnknownSnapshot,
     /// The session is gone ([`ServeError::SessionGone`]).
     SessionGone,
-    /// Anything else (core rejection, internal failure).
+    /// Anything else (core rejection, a session template whose strategy
+    /// the sigma cannot run, internal failure).
     Internal,
     /// A durability operation failed ([`ServeError::Durability`]): the
     /// write-ahead log or a snapshot could not be read or written, or the
@@ -629,7 +630,7 @@ impl From<&ServeError> for ErrorCode {
     fn from(e: &ServeError) -> ErrorCode {
         match e {
             ServeError::Poisoned(_) => ErrorCode::Poisoned,
-            ServeError::Core(_) => ErrorCode::Internal,
+            ServeError::Core(_) | ServeError::StrategyOutOfRange { .. } => ErrorCode::Internal,
             ServeError::Capacity { .. } => ErrorCode::Capacity,
             ServeError::UnknownSession(_) => ErrorCode::UnknownSession,
             ServeError::UnknownSnapshot(_) => ErrorCode::UnknownSnapshot,

@@ -19,13 +19,17 @@
 //! accept loop awake with a loopback connect, joins it, then closes every
 //! session through the conductor. Connection threads poll the flag between
 //! frames (socket read timeout) and drain themselves.
+//!
+//! A frame that has started must arrive whole within two seconds:
+//! a client may pause mid-frame, but a stalled one gets one final error
+//! frame and is disconnected, never silence.
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chase_core::parser::parse_facts;
 use chase_core::{ConjunctiveQuery, ConstraintSet};
@@ -36,6 +40,41 @@ use crate::session::{ChaseOutcome, QueryOpts, ServeError, SessionStats};
 
 /// How often an idle connection thread wakes to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// How long a request frame may take to arrive once its first byte has.
+const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The read half of a connection while one frame is in flight: rides out
+/// the [`POLL_INTERVAL`] read timeouts until the frame's deadline passes.
+struct FrameReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl FrameReader<'_> {
+    fn expired(&self) -> bool {
+        Instant::now() >= self.deadline
+    }
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if is_timeout(&e) && !self.expired() => continue,
+                other => return other,
+            }
+        }
+    }
+}
+
+/// Did a read end on the socket's read timeout?
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
 
 /// A running session server. Dropping it (or calling
 /// [`Server::shutdown`]) stops the accept loop and closes every session.
@@ -114,7 +153,7 @@ impl Drop for Server {
 fn connection(stream: TcpStream, conductor: Arc<Conductor>, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
+    let reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
@@ -129,35 +168,39 @@ fn connection(stream: TcpStream, conductor: Arc<Conductor>, stop: Arc<AtomicBool
         match reader.peek(&mut probe) {
             Ok(0) => return, // client closed cleanly
             Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if is_timeout(&e) => continue,
             Err(_) => return,
         }
-        // A frame has started; a mid-frame stall beyond the timeout is a
-        // dropped client, not an idle one — give up on the connection.
-        let (corr, reply) = match Request::read_from(&mut reader) {
-            Ok(Some((corr, req))) => (corr, respond(&conductor, req)),
-            Ok(None) => return,
-            Err(e @ (ProtoError::Oversized { .. } | ProtoError::Version { .. })) => {
-                // Tell the peer why before hanging up; resync is hopeless.
-                // A v1 frame carries no correlation id, so reply with 0 —
-                // the pinned contract is "one final error frame, never
-                // silence", not id association.
-                let _ = Response::Error {
-                    code: ErrorCode::Internal,
-                    message: e.to_string(),
+        // A frame has started: pauses are tolerated up to its deadline.
+        let mut frame = FrameReader {
+            stream: &reader,
+            deadline: Instant::now() + FRAME_DEADLINE,
+        };
+        let message = match Request::read_from(&mut frame) {
+            Ok(Some((corr, req))) => {
+                let reply = respond(&conductor, req);
+                if reply.write_to(&mut writer, corr).is_err() {
+                    return;
                 }
-                .write_to(&mut writer, 0);
-                return;
+                continue;
+            }
+            Ok(None) => return,
+            Err(e @ (ProtoError::Oversized { .. } | ProtoError::Version { .. })) => e.to_string(),
+            Err(ProtoError::Io(_)) if frame.expired() => {
+                format!("request frame not completed within the {FRAME_DEADLINE:?} deadline")
             }
             Err(_) => return,
         };
-        if reply.write_to(&mut writer, corr).is_err() {
-            return;
+        // Tell the peer why before hanging up; resync is hopeless. The
+        // failed frame's correlation id was never read (a v1 frame has
+        // none), so reply with 0 — the pinned contract is "one final error
+        // frame, never silence", not id association.
+        let _ = Response::Error {
+            code: ErrorCode::Internal,
+            message,
         }
+        .write_to(&mut writer, 0);
+        return;
     }
 }
 
@@ -597,6 +640,37 @@ mod tests {
         assert!(matches!(replies[4], Ok(Response::Stats { .. })));
         // And the connection is still usable for plain calls afterwards.
         assert_eq!(c.stats(s).unwrap().total_facts, 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_paused_frame_is_answered_and_a_stalled_one_gets_an_error_frame() {
+        let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(FRAME_DEADLINE * 5)).unwrap();
+        let mut frame = Vec::new();
+        Request::Metrics.write_to(&mut frame, 7).unwrap();
+        // A pause longer than the poll interval but inside the deadline
+        // is a slow client: the frame is answered normally.
+        stream.write_all(&frame[..6]).unwrap();
+        thread::sleep(Duration::from_millis(150));
+        stream.write_all(&frame[6..]).unwrap();
+        let (corr, resp) = Response::read_from(&mut stream).unwrap().unwrap();
+        assert_eq!(corr, 7);
+        assert!(matches!(resp, Response::Metrics { .. }), "{resp:?}");
+        // A stall past the deadline gets one error frame, then a hang-up.
+        stream.write_all(&frame[..6]).unwrap();
+        thread::sleep(FRAME_DEADLINE + POLL_INTERVAL * 3);
+        let (corr, resp) = Response::read_from(&mut stream).unwrap().unwrap();
+        assert_eq!(corr, 0);
+        match resp {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("deadline"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert_eq!(Response::read_from(&mut stream).unwrap(), None);
         server.shutdown();
     }
 

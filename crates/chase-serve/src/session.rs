@@ -31,6 +31,7 @@ use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Session configuration: the engine configuration used for every warm
@@ -255,6 +256,15 @@ pub enum ServeError {
     /// non-durable, was discarded. (A durable session warm-restarts
     /// transparently instead of ever surfacing this.)
     Evicted(u64),
+    /// The session configuration's chase strategy (or its SQO chase
+    /// strategy) names a constraint index the constraint set does not have
+    /// (see `Strategy::out_of_range`). No session was built.
+    StrategyOutOfRange {
+        /// The first out-of-range index the strategy names.
+        index: usize,
+        /// The number of constraints in the set.
+        constraints: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -273,6 +283,11 @@ impl fmt::Display for ServeError {
                 f,
                 "session {id} was evicted after idling past the server's TTL \
                  (non-durable state discarded)"
+            ),
+            ServeError::StrategyOutOfRange { index, constraints } => write!(
+                f,
+                "session strategy names constraint {index}, but the set has \
+                 {constraints} constraints"
             ),
         }
     }
@@ -473,9 +488,15 @@ impl SessionBuilder {
     }
 
     /// Build the session, reporting durability problems as
-    /// [`ServeError::Durability`] instead of panicking. Infallible for
-    /// in-memory builders.
+    /// [`ServeError::Durability`] instead of panicking. For in-memory
+    /// builders the only error is [`ServeError::StrategyOutOfRange`].
     pub fn try_build(self) -> Result<ChaseSession, ServeError> {
+        let constraints = self.set.len();
+        for strategy in [&self.cfg.chase.strategy, &self.cfg.sqo_chase.strategy] {
+            if let Some(index) = strategy.out_of_range(constraints) {
+                return Err(ServeError::StrategyOutOfRange { index, constraints });
+            }
+        }
         let Some(dir) = self.durable_dir else {
             return Ok(build_in_memory(self.set, self.cfg, &self.instance));
         };
@@ -1108,6 +1129,8 @@ pub(crate) struct RewriteCache {
     /// Keyed by client-sent text, so it keeps the default (collision-
     /// resistant) hasher.
     decisions: Mutex<HashMap<String, Option<ConjunctiveQuery>>>,
+    /// Decisions dropped to stay within [`REWRITE_CACHE_CAP`].
+    evictions: AtomicU64,
 }
 
 impl RewriteCache {
@@ -1118,6 +1141,7 @@ impl RewriteCache {
             chase: cfg.sqo_chase.clone(),
             max_plan_atoms: cfg.sqo_max_plan_atoms,
             decisions: Mutex::new(HashMap::new()),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -1140,6 +1164,7 @@ impl RewriteCache {
         if decisions.len() >= REWRITE_CACHE_CAP && !decisions.contains_key(&key) {
             if let Some(victim) = decisions.keys().next().cloned() {
                 decisions.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         decisions.insert(key, choice.clone());
@@ -1153,9 +1178,13 @@ impl RewriteCache {
     }
 
     /// Decisions currently cached.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.decisions().len()
+    }
+
+    /// Decisions evicted so far to stay within [`REWRITE_CACHE_CAP`].
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 

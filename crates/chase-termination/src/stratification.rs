@@ -66,10 +66,9 @@ pub fn stratified_order(set: &ConstraintSet, cfg: &PrecedenceConfig) -> Vec<Vec<
     chase_graph(set, cfg).graph.sccs_topological()
 }
 
-/// Phase metadata consumed by the stratum-scheduled executor
-/// (`chase_engine::chase_parallel`): which constraint groups to chase in
-/// which order, and whether that order carries Theorem 2's termination
-/// guarantee.
+/// Phase metadata for `chase_engine::Strategy::Phased`: which constraint
+/// groups to chase in which order, and whether that order carries Theorem
+/// 2's termination guarantee.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSchedule {
     /// Constraint-index groups in execution order. For a stratified set these
@@ -110,9 +109,11 @@ impl PhaseSchedule {
 /// as a termination guarantee).
 ///
 /// Either way the schedule covers every constraint exactly once, so running
-/// its phases with `chase_engine::Strategy::Phased` (or the parallel
-/// executor) preserves the "chase until satisfied" contract; stratification
-/// only decides whether Theorem 2 additionally promises termination.
+/// its phases with `chase_engine::Strategy::Phased` under either engine
+/// (`chase` or the `chase_naive` reference) preserves the "chase until
+/// satisfied" contract; stratification only decides whether Theorem 2
+/// additionally promises termination. The umbrella `chase` crate's docs
+/// show the composition end to end.
 pub fn phase_schedule(set: &ConstraintSet, cfg: &PrecedenceConfig) -> PhaseSchedule {
     let stratified = is_stratified(set, cfg);
     if stratified == Recognition::Yes {

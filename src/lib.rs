@@ -41,6 +41,14 @@
 //! let result = chase_default(&instance, &sigma);
 //! assert!(result.terminated());
 //! ```
+//!
+//! ## Theorem 2's terminating order
+//!
+//! The terminating order is a [`Strategy`](chase_engine::Strategy), not a
+//! separate engine: [`phase_schedule`](chase_termination::phase_schedule)
+//! turns the chase graph's SCCs into phases (one all-constraint phase when
+//! the set is not recognizably stratified), and `Strategy::Phased` chases
+//! them to completion in order. The [`prelude`] example composes the two.
 
 pub use chase_core as core;
 pub use chase_corpus as corpus;
@@ -52,46 +60,39 @@ pub use chase_serve as serve;
 pub use chase_sqo as sqo;
 pub use chase_termination as termination;
 
-/// Run the stratum-scheduled parallel chase end to end: analyze `set` with
-/// [`chase_termination::phase_schedule`] (the Theorem 2 SCC order when the
-/// set is stratified, a single phase otherwise) and execute the phases with
-/// [`chase_engine::chase_parallel`] across `threads` threads.
-///
-/// The produced trace is bit-identical to the sequential engines under the
-/// same schedule; `threads = 1` runs without workers.
+/// Everything most callers need, in one import.
 ///
 /// # Examples
+///
+/// Theorem 2's terminating order: compute the phase schedule, then chase
+/// it under `Strategy::Phased`.
 ///
 /// ```
 /// use chase::prelude::*;
 ///
 /// let sigma = ConstraintSet::parse("S(X) -> T(X)\nT(X) -> U(X,Y)").unwrap();
+/// let schedule = phase_schedule(&sigma, &PrecedenceConfig::default());
+/// assert_eq!(schedule.stratified, Recognition::Yes);
+/// assert_eq!(schedule.phases, vec![vec![0], vec![1]]);
+///
+/// let cfg = ChaseConfig {
+///     strategy: Strategy::Phased(schedule.phases),
+///     ..ChaseConfig::default()
+/// };
 /// let inst = Instance::parse("S(a). S(b).").unwrap();
-/// let res = chase::chase_parallel_auto(&inst, &sigma, 2);
+/// let res = chase(&inst, &sigma, &cfg);
 /// assert!(res.terminated());
+/// assert_eq!(res.steps, 4);
 /// ```
-pub fn chase_parallel_auto(
-    instance: &chase_core::Instance,
-    set: &chase_core::ConstraintSet,
-    threads: usize,
-) -> chase_engine::ChaseResult {
-    let schedule =
-        chase_termination::phase_schedule(set, &chase_termination::PrecedenceConfig::default());
-    let cfg = chase_engine::ParallelConfig::with_threads(threads);
-    chase_engine::chase_parallel(instance, set, &schedule.phases, &cfg)
-}
-
-/// Everything most callers need, in one import.
 pub mod prelude {
     pub use chase_core::{
         Atom, ConjunctiveQuery, Constraint, ConstraintSet, CoreError, Egd, Instance, PosSet,
         Position, Schema, Subst, Sym, Term, Tgd,
     };
     pub use chase_engine::{
-        chase, chase_default, chase_parallel, chase_resume, core_chase, core_of,
-        find_terminating_sequence, is_core, BfsOutcome, ChaseConfig, ChaseMode, ChaseResult,
-        CoreChaseResult, EngineState, Matcher, MonitorGraph, ParallelConfig, ResumeOutcome,
-        StopReason, Strategy,
+        chase, chase_default, chase_resume, core_chase, core_of, find_terminating_sequence,
+        is_core, BfsOutcome, ChaseConfig, ChaseMode, ChaseResult, CoreChaseResult, EngineState,
+        Matcher, MonitorGraph, ResumeOutcome, StopReason, Strategy,
     };
     pub use chase_obs::{Histogram, MetricsRegistry, Phase, Recorder};
     pub use chase_plan::JoinProgram;

@@ -1,25 +1,23 @@
-//! Equivalence of the three engines: naive re-enumeration, the delta-driven
-//! trigger queue, and the stratum-scheduled parallel executor.
+//! Equivalence of the two engines: naive re-enumeration and the
+//! delta-driven trigger queue.
 //!
 //! The delta-driven trigger queue promises *identical semantics* to naive
 //! per-step re-enumeration — same trigger fired at every step, so the same
-//! trace, step count, fresh-null count, and final instance — and
-//! `chase_parallel` promises the same again under any thread count: the
-//! workers only shard *matching* work, never trigger *selection*. These
-//! tests hold the engines against each other over the `chase-corpus` random
-//! families and the named corpus families, across strategies and chase
-//! modes. On terminating runs the results must additionally be
-//! homomorphically equivalent (they are in fact equal, which is stronger;
-//! the hom check guards the contract the chase actually promises).
+//! trace, step count, fresh-null count, and final instance — under every
+//! strategy, including Theorem 2's phase order (`Strategy::Phased` over
+//! `phase_schedule`), and with the join planner on or off. These tests hold
+//! the engines against each other over the `chase-corpus` random families
+//! and the named corpus families, across strategies and chase modes. On
+//! terminating runs the results must additionally be homomorphically
+//! equivalent (they are in fact equal, which is stronger; the hom check
+//! guards the contract the chase actually promises).
 
 use chase_core::homomorphism::hom_equivalent;
 use chase_corpus::families;
 use chase_corpus::random::{
     random_egd_mix, random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig,
 };
-use chase_engine::{
-    chase, chase_naive, chase_parallel, ChaseConfig, ChaseMode, ParallelConfig, Strategy,
-};
+use chase_engine::{chase, chase_naive, ChaseConfig, ChaseMode, Strategy};
 use chase_termination::{phase_schedule, PhaseSchedule, PrecedenceConfig, Recognition};
 use proptest::prelude::*;
 
@@ -154,6 +152,13 @@ fn assert_traces_equal(
             i
         );
         prop_assert_eq!(
+            &x.fresh_nulls,
+            &y.fresh_nulls,
+            "{}: step {} invented different nulls",
+            label,
+            i
+        );
+        prop_assert_eq!(
             &x.merged,
             &y.merged,
             "{}: step {} merged differently",
@@ -172,20 +177,28 @@ fn assert_traces_equal(
     Ok(())
 }
 
-/// The three-way check: naive, delta, and parallel (at 1, 2 and 4 threads)
-/// must all replay the same trace under the set's phase schedule — with the
-/// join planner on *and* off (planning changes matching cost and
-/// enumeration order, never which trigger is selected). The 2-thread run
-/// uses `fanout_threshold = 0` to force every matching path through the
-/// sharded code even on tiny workloads.
-fn assert_three_way(
+/// The two-way check under the set's phase schedule: naive and delta must
+/// replay the same trace, with the join planner on *and* off (planning
+/// changes matching cost and enumeration order, never which trigger is
+/// selected).
+fn assert_two_way(
     set: &chase_core::ConstraintSet,
     inst: &chase_core::Instance,
     max_steps: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let schedule = phase_schedule(set, &PrecedenceConfig::default());
+    assert_two_way_phased(set, inst, &schedule.phases, max_steps)
+}
+
+/// [`assert_two_way`] under explicitly given phases.
+fn assert_two_way_phased(
+    set: &chase_core::ConstraintSet,
+    inst: &chase_core::Instance,
+    phases: &[Vec<usize>],
+    max_steps: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
     let cfg = ChaseConfig {
-        strategy: Strategy::Phased(schedule.phases.clone()),
+        strategy: Strategy::Phased(phases.to_vec()),
         max_steps: Some(max_steps),
         keep_trace: true,
         ..ChaseConfig::default()
@@ -199,26 +212,6 @@ fn assert_three_way(
     assert_traces_equal("planner-off delta vs delta", &delta_off, &delta, set, inst)?;
     let naive_off = chase_naive(inst, set, &cfg_off);
     assert_traces_equal("planner-off naive vs delta", &naive_off, &delta, set, inst)?;
-    for (threads, threshold) in [(1usize, 256usize), (2, 0), (4, 256)] {
-        for base in [&cfg, &cfg_off] {
-            let pcfg = ParallelConfig {
-                base: base.clone(),
-                threads,
-                fanout_threshold: threshold,
-            };
-            let par = chase_parallel(inst, set, &schedule.phases, &pcfg);
-            assert_traces_equal(
-                &format!(
-                    "parallel t={threads} f={threshold} planner={} vs delta",
-                    base.use_planner
-                ),
-                &par,
-                &delta,
-                set,
-                inst,
-            )?;
-        }
-    }
     if delta.terminated() {
         prop_assert!(
             hom_equivalent(&delta.instance, &naive.instance),
@@ -292,7 +285,7 @@ proptest! {
             seed,
         });
         let inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 4, seed });
-        assert_three_way(&set, &inst, 200)?;
+        assert_two_way(&set, &inst, 200)?;
     }
 
     #[test]
@@ -302,7 +295,7 @@ proptest! {
         egds in 1usize..=3,
     ) {
         // Existential-heavy TGDs invent nulls, random key EGDs merge them
-        // away: every engine must repair its trigger state through the
+        // away: the delta engine must repair its trigger state through the
         // merge delta and still replay the naive trace bit for bit.
         let set = random_egd_mix(&RandomTgdConfig {
             constraints: 2,
@@ -314,7 +307,7 @@ proptest! {
             seed,
         }, egds);
         let inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 3, seed });
-        assert_three_way(&set, &inst, 200)?;
+        assert_two_way(&set, &inst, 200)?;
     }
 
     #[test]
@@ -421,12 +414,59 @@ fn corpus_families_agree_three_way() {
         ),
     ];
     for (set, inst) in &cases {
-        assert_three_way(set, inst, 200).unwrap_or_else(|e| panic!("{e:?}"));
+        assert_two_way(set, inst, 200).unwrap_or_else(|e| panic!("{e:?}"));
     }
 }
 
+/// Runs the two-way check on a parsed set and instance under explicit phases.
+fn assert_phased_case(set: &str, inst: &str, phases: &[Vec<usize>]) {
+    let set = chase_core::ConstraintSet::parse(set).unwrap();
+    let inst = chase_core::Instance::parse(inst).unwrap();
+    assert_two_way_phased(&set, &inst, phases, 200).unwrap_or_else(|e| panic!("{e:?}"));
+}
+
+// Small shapes that each stress one maintenance path of the delta engine
+// under `Strategy::Phased`.
+
+#[test]
+fn phased_engines_agree_on_tgd_chains() {
+    assert_phased_case(
+        "S(X) -> T(X)\nT(X) -> U(X,Y)\nU(X,Y) -> V(Y)",
+        "S(a). S(b). S(c).",
+        &[vec![0], vec![1], vec![2]],
+    );
+}
+
+#[test]
+fn phased_engines_agree_on_single_phase_divergence() {
+    // The unstratified fallback: one phase, budget-bounded divergence.
+    assert_phased_case(
+        "S(X) -> E(X,Y), S(Y)",
+        "S(n1). S(n2). E(n1,n2).",
+        &[vec![0]],
+    );
+}
+
+#[test]
+fn phased_engines_agree_on_egd_merges() {
+    assert_phased_case(
+        "E(X,Y), E(X,Z) -> Y = Z\nS(X) -> E(X,Y)",
+        "S(a). E(a,_n0). E(_n0,c). E(a,b).",
+        &[vec![0, 1]],
+    );
+}
+
+#[test]
+fn phased_engines_agree_on_joins() {
+    assert_phased_case(
+        "E(X,Y), E(Y,Z) -> E(X,Z)",
+        "E(a,b). E(b,c). E(c,d). E(d,e).",
+        &[vec![0]],
+    );
+}
+
 /// An unstratified set must fall back to a single-phase schedule, and the
-/// parallel engine must still replay the sequential trace on it.
+/// delta engine must still replay the naive trace on it.
 #[test]
 fn unstratified_sets_fall_back_to_single_phase() {
     let set = chase_core::ConstraintSet::parse("S(X) -> E(X,Y), S(Y)\nE(X,Y) -> T(Y)").unwrap();
@@ -438,7 +478,7 @@ fn unstratified_sets_fall_back_to_single_phase() {
         PhaseSchedule::single_phase(set.len()).phases
     );
     let inst = chase_core::Instance::parse("S(n1). S(n2). E(n1,n2).").unwrap();
-    assert_three_way(&set, &inst, 120).unwrap_or_else(|e| panic!("{e:?}"));
+    assert_two_way(&set, &inst, 120).unwrap_or_else(|e| panic!("{e:?}"));
 }
 
 /// EGD-heavy workload: merges force the delta engine down its rebuild path.

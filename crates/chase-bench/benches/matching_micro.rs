@@ -1,6 +1,6 @@
 //! Planned vs unplanned body matching on wide-body TGDs — the microbench
 //! behind the `chase-plan` join compiler's headline claim: a compiled,
-//! statistics-ordered join program with composite secondary indexes beats
+//! statistics-ordered join program over the store's own indexes beats
 //! the per-node dynamic searcher by ≥ 2x on badly-written bodies, while
 //! enumerating exactly the same homomorphism multiset (asserted here before
 //! timing anything).
@@ -13,7 +13,8 @@
 //! * `chain` — `E(X1,X2), E(X2,X3), E(X3,X4), S(X4)`: a path join anchored
 //!   at the far end;
 //! * `pair` — `T(X,Y), S(X), R(Y)`: a fat relation with a low-selectivity
-//!   first column, where only the two-column composite index is selective.
+//!   first column: once `S` and `R` bind both columns, `T` is one exact-row
+//!   probe of the dedup table instead of a wide positional bucket.
 
 use chase_bench::{print_table, scaled, Row};
 use chase_core::{Atom, ConstraintSet, Instance, Term};
@@ -103,8 +104,8 @@ fn workloads() -> Vec<Workload> {
 
 fn print_shape() {
     let mut rows = Vec::new();
-    for mut w in workloads() {
-        let planned = Matcher::planned(&w.set, &mut w.inst);
+    for w in workloads() {
+        let planned = Matcher::planned(&w.set, &w.inst);
         let unplanned = Matcher::unplanned();
         let t0 = std::time::Instant::now();
         let np = count_matches(&planned, &w);
@@ -141,8 +142,8 @@ fn print_shape() {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("matching_micro");
     g.sample_size(10);
-    for mut w in workloads() {
-        let planned = Matcher::planned(&w.set, &mut w.inst);
+    for w in workloads() {
+        let planned = Matcher::planned(&w.set, &w.inst);
         let unplanned = Matcher::unplanned();
         g.bench_with_input(BenchmarkId::new(w.name, "planned"), &w, |b, w| {
             b.iter(|| count_matches(black_box(&planned), w))

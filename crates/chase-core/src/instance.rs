@@ -13,11 +13,10 @@
 //!
 //! * **dedup** — a row-content hash table (`u64` hash → fact chain) probed
 //!   with a handful of `u32`s; inserting a duplicate never allocates,
-//!   inserting a new fact appends to the columns instead of cloning an atom;
+//!   inserting a new fact appends to the columns instead of cloning an
+//!   atom, and an exact-row lookup ([`Instance::find_ids`]) is one probe;
 //! * **`by_pos`** — the `(predicate, position, TermId)` index behind
 //!   [`Instance::candidates`];
-//! * **composite** — registered multi-column indexes keyed by
-//!   `Vec<TermId>` (see [`Instance::register_composite`]);
 //! * per-predicate cardinality and per-position distinct-value statistics
 //!   for the `chase-plan` join compiler.
 //!
@@ -33,8 +32,8 @@
 //! The atom-level API ([`Instance::atoms`], [`Instance::iter`],
 //! [`Instance::atom_at`]) materializes [`Atom`]s on demand (an O(arity)
 //! gather per fact); hot paths use the id-level accessors
-//! ([`Instance::fact`], [`Instance::pos_bucket`],
-//! [`Instance::composite_candidates_ids`]) and touch only `u32`s.
+//! ([`Instance::fact`], [`Instance::pos_bucket`], [`Instance::find_ids`])
+//! and touch only `u32`s.
 
 use crate::atom::Atom;
 use crate::error::CoreError;
@@ -49,10 +48,6 @@ use std::hash::Hasher;
 /// A fact's insertion index in its [`Instance`] — the currency of every
 /// index bucket and candidate list.
 pub type FactId = u32;
-
-/// One composite index: key (the term ids at the mask's positions,
-/// ascending by position) → fact ids.
-type CompositeBuckets = FxHashMap<Vec<TermId>, Vec<FactId>>;
 
 /// One column-major relation: all facts sharing a predicate *and* arity
 /// (the store tolerates one predicate at several arities, like the old
@@ -95,19 +90,9 @@ pub struct Instance {
     dedup_overflow: FxHashMap<u64, Vec<FactId>>,
     by_pred: FxHashMap<Sym, Vec<FactId>>,
     by_pos: FxHashMap<(Sym, u32, TermId), Vec<FactId>>,
-    /// Registered composite indexes, nested by predicate so an insert only
-    /// walks its own predicate's masks: pred → position bitmask → bucket
-    /// per key. Registration is sticky — once a planner asks for a mask it
-    /// stays maintained across inserts and merges, so read-only matcher
-    /// shards can rely on it.
-    composite: FxHashMap<Sym, FxHashMap<u32, CompositeBuckets>>,
     /// Distinct-value count per `(pred, position)` — the number of live
     /// `by_pos` buckets, maintained without scanning the key space.
     distinct: FxHashMap<(Sym, u32), u32>,
-    /// Bumped on every *effective* merge — one that rewrote at least one
-    /// row. A merge whose `from` occurs nowhere leaves the store untouched
-    /// and does not move this counter.
-    merges: u64,
     /// Bumped on every mutation of the fact set: each new fact inserted and
     /// each effective merge. Two reads of [`Instance::version`] returning
     /// the same number bracket a window in which the instance was not
@@ -284,9 +269,9 @@ impl Instance {
         }
         tbl.rows += 1;
         self.locs.push(FactLoc { table, row });
-        // Positional index + distinct statistics, then composite buckets,
-        // then the per-predicate bucket — the same maintenance order (and
-        // therefore the same bucket contents) as the old atom-keyed store.
+        // Positional index + distinct statistics, then the per-predicate
+        // bucket — the same maintenance order (and therefore the same bucket
+        // contents) as the old atom-keyed store.
         for (i, &id) in ids.iter().enumerate() {
             if let Some(n) = id.as_null() {
                 self.next_null = self.next_null.max(n + 1);
@@ -296,13 +281,6 @@ impl Instance {
                 *self.distinct.entry((pred, i as u32)).or_insert(0) += 1;
             }
             bucket.push(fact);
-        }
-        if let Some(masks) = self.composite.get_mut(&pred) {
-            for (&mask, buckets) in masks.iter_mut() {
-                if let Some(key) = composite_key_ids(ids, mask) {
-                    buckets.entry(key).or_default().push(fact);
-                }
-            }
         }
         self.by_pred.entry(pred).or_default().push(fact);
         self.dedup_insert(hash, fact);
@@ -385,6 +363,13 @@ impl Instance {
             .find(|&f| eq(f))
     }
 
+    /// The fact reading exactly `pred(ids)`, if present — one dedup probe,
+    /// no allocation. The id-level membership test: the planned executor
+    /// answers a pattern atom with every position bound through it.
+    pub fn find_ids(&self, pred: Sym, ids: &[TermId]) -> Option<FactId> {
+        self.probe(row_hash(pred, ids), pred, ids)
+    }
+
     /// Does the instance contain this exact atom?
     pub fn contains(&self, atom: &Atom) -> bool {
         let mut ids = Vec::with_capacity(atom.arity());
@@ -394,8 +379,7 @@ impl Instance {
                 None => return false,
             }
         }
-        self.probe(row_hash(atom.pred(), &ids), atom.pred(), &ids)
-            .is_some()
+        self.find_ids(atom.pred(), &ids).is_some()
     }
 
     /// Number of facts.
@@ -411,9 +395,9 @@ impl Instance {
     /// Facts in insertion order, materialized.
     ///
     /// This gathers every fact out of the columns into owned [`Atom`]s —
-    /// O(total terms). Fine for snapshots handed to instance-level
-    /// homomorphism searches or sharded enumeration; per-fact hot paths
-    /// should use [`Instance::fact`] instead.
+    /// O(total terms). Fine for snapshots, encoders and instance-level
+    /// homomorphism searches; per-fact hot paths should use
+    /// [`Instance::fact`] instead.
     pub fn atoms(&self) -> Vec<Atom> {
         self.iter().collect()
     }
@@ -454,17 +438,6 @@ impl Instance {
             .map_or(0, |&n| n as usize)
     }
 
-    /// Number of *effective* merges ([`Instance::merge_terms`] calls that
-    /// rewrote at least one row) performed so far.
-    ///
-    /// Merges maintain every statistic incrementally, so this is a change
-    /// counter for observability — not a recompile trigger; plan caches
-    /// watch [`Instance::stats_epoch`] alone. A merge whose `from` occurs
-    /// in no fact is a true no-op and does not move this counter.
-    pub fn merge_epoch(&self) -> u64 {
-        self.merges
-    }
-
     /// The mutation version: bumped once per new fact inserted and once per
     /// effective merge, never decremented.
     ///
@@ -476,8 +449,7 @@ impl Instance {
     /// its shared read snapshot only when the version moved, so duplicate
     /// batches and read-only traffic never pay an O(instance) copy.
     ///
-    /// The counter is observational only (like [`Instance::merge_epoch`]):
-    /// nothing inside `chase-core` keys off it, and a clone carries its
+    /// The counter is observational only: nothing inside `chase-core` keys off it, and a clone carries its
     /// parent's version forward.
     pub fn version(&self) -> u64 {
         self.version
@@ -491,76 +463,6 @@ impl Instance {
     /// their cost estimates age.
     pub fn stats_epoch(&self) -> u32 {
         u64::BITS - (self.locs.len() as u64).leading_zeros()
-    }
-
-    /// Register a composite (multi-column) index for `pred` over the
-    /// positions set in `mask` (bit `i` = argument position `i`).
-    ///
-    /// Backfills from the existing `pred`-facts on first registration (O(k))
-    /// and is maintained incrementally by every later insert and merge.
-    /// Registering an already-registered mask is a no-op. Masks with
-    /// fewer than two bits are rejected (the positional index already serves
-    /// them); positions beyond an atom's arity simply never match.
-    pub fn register_composite(&mut self, pred: Sym, mask: u32) {
-        if mask.count_ones() < 2
-            || self
-                .composite
-                .get(&pred)
-                .is_some_and(|m| m.contains_key(&mask))
-        {
-            return;
-        }
-        let mut buckets = CompositeBuckets::default();
-        if let Some(idxs) = self.by_pred.get(&pred) {
-            for &i in idxs {
-                let loc = self.locs[i as usize];
-                let tbl = &self.tables[loc.table as usize];
-                if let Some(key) = composite_key_row(tbl, loc.row, mask) {
-                    buckets.entry(key).or_default().push(i);
-                }
-            }
-        }
-        self.composite
-            .entry(pred)
-            .or_default()
-            .insert(mask, buckets);
-    }
-
-    /// Candidate facts whose arguments at the positions of a registered
-    /// `(pred, mask)` composite index equal `key` (the terms at those
-    /// positions, ascending). Returns `None` when the mask was never
-    /// registered — callers fall back to [`Instance::candidates`].
-    pub fn composite_candidates(&self, pred: Sym, mask: u32, key: &[Term]) -> Option<&[FactId]> {
-        let mut ids = Vec::with_capacity(key.len());
-        for &t in key {
-            // A non-ground key term can equal no stored id.
-            ids.push(TermId::from_ground(t).unwrap_or(TermId::NEVER));
-        }
-        self.composite_candidates_ids(pred, mask, &ids)
-    }
-
-    /// [`Instance::composite_candidates`] keyed by interned ids — the form
-    /// the planned executor uses, no term conversion on the hot path.
-    pub fn composite_candidates_ids(
-        &self,
-        pred: Sym,
-        mask: u32,
-        key: &[TermId],
-    ) -> Option<&[FactId]> {
-        let buckets = self.composite.get(&pred)?.get(&mask)?;
-        Some(buckets.get(key).map(|v| v.as_slice()).unwrap_or(&[]))
-    }
-
-    /// The composite masks currently registered for `pred` (planner
-    /// introspection and tests).
-    pub fn registered_composites(&self, pred: Sym) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .composite
-            .get(&pred)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
     }
 
     /// Indices of candidate facts for a `pred`-atom whose argument at each
@@ -693,8 +595,8 @@ impl Instance {
     ///
     /// A **delta pass**: the rows containing `from` are located through the
     /// `(pred, pos, from)` buckets of the positional index, only those rows
-    /// are rewritten in place, and dedup, `by_pred`, `by_pos`, composite
-    /// buckets and the cardinality/distinct statistics are patched
+    /// are rewritten in place, and dedup, `by_pred`, `by_pos` and the
+    /// cardinality/distinct statistics are patched
     /// incrementally — O(occurrences + removed-id compaction), not
     /// O(instance). Rewritten rows that collapse onto an already-present
     /// row (and present rows absorbed by an earlier rewritten row) are
@@ -704,8 +606,8 @@ impl Instance {
     ///
     /// A merge whose `from` occurs in no fact (including a variable or
     /// `from == to`) is a true no-op: no index is touched and
-    /// [`Instance::merge_epoch`] does not move, so plan caches and trigger
-    /// pools stay untouched too.
+    /// [`Instance::version`] does not move, so plan caches and trigger
+    /// pools stay untouched too. An effective merge bumps the version once.
     ///
     /// Returns a [`MergeEffect`] naming the surviving rewritten rows — the
     /// delta engines re-match triggers against — and the collapse count.
@@ -832,171 +734,52 @@ impl Instance {
                 survives,
             });
         }
-        let mut removed: Vec<FactId> = absorbed.clone();
+        let mut removed = absorbed;
         removed.extend(plans.iter().filter(|p| !p.survives).map(|p| p.fact));
         removed.sort_unstable();
 
-        // Phase 2 — apply. Dedup first (removals before insertions, since
-        // an absorbed row's entry sits under the exact hash its absorber is
-        // about to claim), while the absorbed rows still hold their cells.
-        for plan in &plans {
-            self.dedup_remove(plan.old_hash, plan.fact);
-        }
-        for &j in &absorbed {
-            let loc = self.locs[j as usize];
+        // Phase 2 — apply, while every cell still reads its pre-merge
+        // content. Removed rows (collapsing touched rows and absorbed
+        // untouched ones) leave dedup and every positional bucket but the
+        // `from` ones, which empty wholesale below. They leave dedup before
+        // any survivor is rehashed: an absorbed row's entry sits under the
+        // exact hash its absorber is about to claim.
+        for &r in &removed {
+            let loc = self.locs[r as usize];
+            let pred = self.table_preds[loc.table as usize];
             let tbl = &self.tables[loc.table as usize];
             ids.clear();
             ids.extend(tbl.cols.iter().map(|c| c[loc.row as usize]));
-            let hash = row_hash(self.table_preds[loc.table as usize], &ids);
-            self.dedup_remove(hash, j);
+            self.dedup_remove(row_hash(pred, &ids), r);
+            for (p, &id) in ids.iter().enumerate() {
+                if id != from_id {
+                    self.remove_pos_entry(pred, p as u32, id, r);
+                }
+            }
         }
         for plan in plans.iter().filter(|p| p.survives) {
+            self.dedup_remove(plan.old_hash, plan.fact);
             self.dedup_insert(plan.new_hash, plan.fact);
         }
-
-        // Positional index: every `(pred, pos, from)` bucket empties
-        // wholesale — its members are exactly the touched rows.
+        // Every `(pred, pos, from)` bucket empties wholesale — its members
+        // are exactly the touched rows.
         for &(pred, p) in &pairs {
             if self.by_pos.remove(&(pred, p, from_id)).is_some() {
-                let d = self
-                    .distinct
-                    .get_mut(&(pred, p))
-                    .expect("live bucket is counted");
-                *d -= 1;
-                if *d == 0 {
-                    self.distinct.remove(&(pred, p));
-                }
+                self.uncount_distinct(pred, p);
             }
         }
-        // Survivors move into the `to` buckets at their rewritten
-        // positions; collapsing rows leave every bucket they were in.
-        for plan in &plans {
-            let loc = self.locs[plan.fact as usize];
-            let pred = self.table_preds[loc.table as usize];
-            if plan.survives {
-                for &p in &plan.from_positions {
-                    let bucket = self.by_pos.entry((pred, p, to_id)).or_default();
-                    if bucket.is_empty() {
-                        *self.distinct.entry((pred, p)).or_insert(0) += 1;
-                    }
-                    bucket_insert(bucket, plan.fact);
-                }
-            } else {
-                let tbl = &self.tables[loc.table as usize];
-                ids.clear();
-                ids.extend(tbl.cols.iter().map(|c| c[loc.row as usize]));
-                for (p, &id) in ids.iter().enumerate() {
-                    // The `from` buckets are already gone wholesale.
-                    if id != from_id {
-                        self.remove_pos_entry(pred, p as u32, id, plan.fact);
-                    }
-                }
-            }
-        }
-        for &j in &absorbed {
-            let loc = self.locs[j as usize];
-            let pred = self.table_preds[loc.table as usize];
-            let tbl = &self.tables[loc.table as usize];
-            ids.clear();
-            ids.extend(tbl.cols.iter().map(|c| c[loc.row as usize]));
-            for (p, &id) in ids.iter().enumerate() {
-                self.remove_pos_entry(pred, p as u32, id, j);
-            }
-        }
-
-        // Rewrite the surviving rows' cells in place (after the removals
-        // above, which still needed the collapsing rows' old content).
+        // Survivors move into the `to` buckets at their rewritten positions,
+        // and their cells are rewritten in place.
         for plan in plans.iter().filter(|p| p.survives) {
             let loc = self.locs[plan.fact as usize];
-            let tbl = &mut self.tables[loc.table as usize];
+            let pred = self.table_preds[loc.table as usize];
             for &p in &plan.from_positions {
-                tbl.cols[p as usize][loc.row as usize] = to_id;
-            }
-        }
-
-        // Composite buckets: survivors move from their old key to the
-        // rewritten key for every mask covering a `from` position; removed
-        // rows leave all their buckets. Registrations are sticky either way.
-        for plan in &plans {
-            let loc = self.locs[plan.fact as usize];
-            let pred = self.table_preds[loc.table as usize];
-            if !self.composite.contains_key(&pred) {
-                continue;
-            }
-            ids.clear();
-            ids.extend(
-                self.tables[loc.table as usize]
-                    .cols
-                    .iter()
-                    .map(|c| c[loc.row as usize]),
-            );
-            let masks = self.composite.get_mut(&pred).expect("checked above");
-            for (&mask, buckets) in masks.iter_mut() {
-                let Some(current_key) = composite_key_ids(&ids, mask) else {
-                    continue; // out-of-arity mask: this row was never filed
-                };
-                if plan.survives {
-                    // Cells are rewritten, so `current_key` is the *new*
-                    // key; restore `from` at the rewritten slots for the
-                    // old one.
-                    if !plan
-                        .from_positions
-                        .iter()
-                        .any(|&p| p < 32 && mask & (1 << p) != 0)
-                    {
-                        continue; // mask misses every rewritten position
-                    }
-                    let mut old_key = current_key.clone();
-                    let mut slot = 0;
-                    let mut m = mask;
-                    while m != 0 {
-                        if plan.from_positions.contains(&m.trailing_zeros()) {
-                            old_key[slot] = from_id;
-                        }
-                        slot += 1;
-                        m &= m - 1;
-                    }
-                    if let Some(b) = buckets.get_mut(&old_key) {
-                        bucket_remove(b, plan.fact);
-                        if b.is_empty() {
-                            buckets.remove(&old_key);
-                        }
-                    }
-                    bucket_insert(buckets.entry(current_key).or_default(), plan.fact);
-                } else {
-                    // Collapsing row: cells untouched, current key = old key.
-                    if let Some(b) = buckets.get_mut(&current_key) {
-                        bucket_remove(b, plan.fact);
-                        if b.is_empty() {
-                            buckets.remove(&current_key);
-                        }
-                    }
+                let bucket = self.by_pos.entry((pred, p, to_id)).or_default();
+                if bucket.is_empty() {
+                    *self.distinct.entry((pred, p)).or_insert(0) += 1;
                 }
-            }
-        }
-        for &j in &absorbed {
-            let loc = self.locs[j as usize];
-            let pred = self.table_preds[loc.table as usize];
-            if !self.composite.contains_key(&pred) {
-                continue;
-            }
-            ids.clear();
-            ids.extend(
-                self.tables[loc.table as usize]
-                    .cols
-                    .iter()
-                    .map(|c| c[loc.row as usize]),
-            );
-            let masks = self.composite.get_mut(&pred).expect("checked above");
-            for (&mask, buckets) in masks.iter_mut() {
-                if let Some(key) = composite_key_ids(&ids, mask) {
-                    if let Some(b) = buckets.get_mut(&key) {
-                        bucket_remove(b, j);
-                        if b.is_empty() {
-                            buckets.remove(&key);
-                        }
-                    }
-                }
+                bucket_insert(bucket, plan.fact);
+                self.tables[loc.table as usize].cols[p as usize][loc.row as usize] = to_id;
             }
         }
 
@@ -1066,13 +849,6 @@ impl Instance {
             for bucket in self.by_pos.values_mut() {
                 renumber(bucket);
             }
-            for masks in self.composite.values_mut() {
-                for buckets in masks.values_mut() {
-                    for bucket in buckets.values_mut() {
-                        renumber(bucket);
-                    }
-                }
-            }
             for id in self.dedup.values_mut() {
                 *id -= removed.partition_point(|&r| r < *id) as u32;
             }
@@ -1086,7 +862,6 @@ impl Instance {
         if let Some(n) = to_id.as_null() {
             self.next_null = self.next_null.max(n + 1);
         }
-        self.merges += 1;
         self.version += 1;
         self.scratch = ids;
         let rewritten = plans
@@ -1136,14 +911,20 @@ impl Instance {
         bucket_remove(bucket, fact);
         if bucket.is_empty() {
             self.by_pos.remove(&(pred, pos, id));
-            let d = self
-                .distinct
-                .get_mut(&(pred, pos))
-                .expect("live bucket is counted");
-            *d -= 1;
-            if *d == 0 {
-                self.distinct.remove(&(pred, pos));
-            }
+            self.uncount_distinct(pred, pos);
+        }
+    }
+
+    /// One `(pred, pos, _)` bucket was dropped: decrement the position's
+    /// distinct count, dropping the count at zero.
+    fn uncount_distinct(&mut self, pred: Sym, pos: u32) {
+        let d = self
+            .distinct
+            .get_mut(&(pred, pos))
+            .expect("live bucket is counted");
+        *d -= 1;
+        if *d == 0 {
+            self.distinct.remove(&(pred, pos));
         }
     }
 
@@ -1210,33 +991,6 @@ impl Instance {
         });
         v
     }
-}
-
-/// The composite-index key of a row under `mask`: its ids at the mask's
-/// positions, ascending. `None` when the mask addresses a position beyond
-/// the row's arity (such a fact can never match a pattern bound at that
-/// position, so it is simply not indexed).
-fn composite_key_ids(ids: &[TermId], mask: u32) -> Option<Vec<TermId>> {
-    let mut key = Vec::with_capacity(mask.count_ones() as usize);
-    let mut m = mask;
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        key.push(*ids.get(i)?);
-        m &= m - 1;
-    }
-    Some(key)
-}
-
-/// [`composite_key_ids`] reading straight out of a table row.
-fn composite_key_row(tbl: &PredTable, row: u32, mask: u32) -> Option<Vec<TermId>> {
-    let mut key = Vec::with_capacity(mask.count_ones() as usize);
-    let mut m = mask;
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        key.push(tbl.cols.get(i)?[row as usize]);
-        m &= m - 1;
-    }
-    Some(key)
 }
 
 /// A borrowed view of one stored fact: predicate, arity and per-position
@@ -1606,7 +1360,7 @@ mod tests {
     fn merge_without_occurrences_is_a_true_no_op() {
         // Nothing to rewrite — whether `from` is a variable or simply a
         // term occurring in no fact — must leave everything alone: no
-        // index cleared, no merge epoch bumped (so plan caches and trigger
+        // index cleared, no version bumped (so plan caches and trigger
         // pools see nothing either).
         let mut i = Instance::new();
         i.insert(ca("E", &["a", "b"]));
@@ -1614,7 +1368,7 @@ mod tests {
         assert!(eff.is_noop());
         let eff = i.merge_terms(Term::null(9), Term::constant("c"));
         assert!(eff.is_noop());
-        assert_eq!(i.merge_epoch(), 0, "no-op merges move no epoch");
+        assert_eq!(i.version(), 1, "no-op merges move no version");
         assert_eq!(i.len(), 1);
         assert_index_consistent(&i);
     }
@@ -1670,84 +1424,75 @@ mod tests {
         assert_eq!(i.stats_epoch(), 2);
         i.insert(ca("S", &["d"]));
         assert_eq!(i.stats_epoch(), 3);
-        assert_eq!(i.merge_epoch(), 0);
+        // Collapsing S(_n0) onto S(a) bumps the version once and leaves
+        // the epoch; a no-op merge moves neither.
         i.insert(Atom::new("S", vec![Term::null(0)]));
+        assert_eq!(i.version(), 5);
         i.merge_terms(Term::null(0), Term::constant("a"));
-        assert_eq!(i.merge_epoch(), 1);
+        assert_eq!(i.version(), 6);
+        assert_eq!(i.stats_epoch(), 3);
         i.merge_terms(Term::constant("a"), Term::constant("a")); // no-op
-        assert_eq!(i.merge_epoch(), 1);
+        assert_eq!(i.version(), 6);
+    }
+
+    /// [`Instance::find_ids`] on a ground atom's interned row.
+    fn find(i: &Instance, a: &Atom) -> Option<FactId> {
+        let ids: Vec<TermId> = a
+            .terms()
+            .iter()
+            .map(|&t| TermId::from_ground(t).unwrap())
+            .collect();
+        i.find_ids(a.pred(), &ids)
     }
 
     #[test]
-    fn composite_index_matches_brute_force() {
+    fn find_ids_matches_brute_force() {
         let mut i = Instance::new();
         i.insert(ca("T", &["a", "b", "c"]));
         i.insert(ca("T", &["a", "b", "d"]));
-        i.insert(ca("T", &["a", "x", "c"]));
         i.insert(ca("T", &["y", "b", "c"]));
-        let t = Sym::new("T");
-        // Unregistered: None, caller falls back to the positional index.
-        assert!(i.composite_candidates(t, 0b011, &[]).is_none());
-        i.register_composite(t, 0b011); // columns 0 and 1
-        assert_eq!(i.registered_composites(t), vec![0b011]);
-        let key = vec![Term::constant("a"), Term::constant("b")];
-        let got = i.composite_candidates(t, 0b011, &key).unwrap().to_vec();
-        assert_eq!(got, vec![0, 1]);
-        let miss = vec![Term::constant("y"), Term::constant("x")];
-        assert!(i.composite_candidates(t, 0b011, &miss).unwrap().is_empty());
-        // Single-column masks are rejected — the positional index serves
-        // those.
-        i.register_composite(t, 0b100);
-        assert!(i.composite_candidates(t, 0b100, &[]).is_none());
-        // Incremental maintenance on insert.
-        i.insert(ca("T", &["a", "b", "e"]));
-        let got = i.composite_candidates(t, 0b011, &key).unwrap().to_vec();
-        assert_eq!(got, vec![0, 1, 4]);
+        i.insert(ca("S", &["a"]));
+        for (f, a) in i.atoms().iter().enumerate() {
+            assert_eq!(find(&i, a), Some(f as FactId), "{a}");
+        }
+        let miss = ca("T", &["a", "x", "c"]);
+        assert_eq!(find(&i, &miss), None);
+        assert_eq!(i.find_ids(Sym::new("T"), &[TermId::NEVER; 3]), None);
+        // Inserts are visible to the next probe.
+        i.insert(miss.clone());
+        assert_eq!(find(&i, &miss), Some(4));
     }
 
     #[test]
-    fn composite_index_survives_merges() {
+    fn find_ids_survives_merges() {
+        // T(a,_n0,c) id0, T(a,b,c) id1, T(z,b,c) id2: merging _n0→b makes
+        // id0 absorb id1, and id2 compacts to id 1.
         let mut i = Instance::new();
-        let t = Sym::new("T");
-        i.insert(Atom::new(
+        let null_row = Atom::new(
             "T",
             vec![Term::constant("a"), Term::null(0), Term::constant("c")],
-        ));
+        );
+        i.insert(null_row.clone());
         i.insert(ca("T", &["a", "b", "c"]));
         i.insert(ca("T", &["z", "b", "c"]));
-        i.register_composite(t, 0b011);
-        let key_null = vec![Term::constant("a"), Term::null(0)];
-        assert_eq!(
-            i.composite_candidates(t, 0b011, &key_null).unwrap().len(),
-            1
-        );
+        assert_eq!(find(&i, &null_row), Some(0));
         i.merge_terms(Term::null(0), Term::constant("b"));
-        // The null key is gone, the merged atoms collapse into one bucket.
-        assert!(i
-            .composite_candidates(t, 0b011, &key_null)
-            .unwrap()
-            .is_empty());
-        let key = vec![Term::constant("a"), Term::constant("b")];
-        let bucket = i.composite_candidates(t, 0b011, &key).unwrap();
-        assert_eq!(bucket.len(), 1);
-        assert_eq!(i.atom_at(bucket[0]), ca("T", &["a", "b", "c"]));
-        // Registration is sticky: inserts after the merge keep indexing.
+        assert_eq!(find(&i, &null_row), None, "the null row is gone");
+        assert_eq!(find(&i, &ca("T", &["a", "b", "c"])), Some(0));
+        assert_eq!(find(&i, &ca("T", &["z", "b", "c"])), Some(1), "compacted");
         i.insert(ca("T", &["a", "b", "q"]));
-        assert_eq!(i.composite_candidates(t, 0b011, &key).unwrap().len(), 2);
+        assert_eq!(find(&i, &ca("T", &["a", "b", "q"])), Some(2));
     }
 
     #[test]
-    fn composite_key_ignores_out_of_arity_masks() {
+    fn find_ids_keeps_arities_apart() {
         let mut i = Instance::new();
         i.insert(ca("S", &["a"]));
-        i.insert(ca("S", &["b"]));
-        let s = Sym::new("S");
-        i.register_composite(s, 0b101); // bit 2 is beyond arity 1
-        assert_eq!(
-            i.composite_candidates(s, 0b101, &[Term::constant("a"), Term::constant("a")])
-                .unwrap(),
-            &[] as &[u32]
-        );
+        i.insert(ca("S", &["a", "a"]));
+        assert_eq!(find(&i, &ca("S", &["a"])), Some(0));
+        assert_eq!(find(&i, &ca("S", &["a", "a"])), Some(1));
+        assert_eq!(find(&i, &ca("S", &["a", "a", "a"])), None);
+        assert_eq!(find(&i, &ca("S", &[])), None);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   and their interned ground form [`TermId`], [`Atom`]s and database
 //!   [`Position`]s,
 //! * indexed database [`Instance`]s — an interned, columnar fact store with
-//!   id-keyed dedup and indexes (see [`instance`]),
+//!   an id-keyed dedup table (which doubles as the exact-row lookup),
+//!   per-predicate and positional indexes (see [`instance`]),
 //! * a backtracking [`homomorphism`] engine (the workhorse behind chase-step
 //!   applicability, constraint satisfaction and conjunctive-query
 //!   evaluation),

@@ -2,8 +2,8 @@
 //!
 //! The columnar store was designed to be dumpable: every table is a set of
 //! flat `Vec<TermId>` columns, fact identity is an insertion-order index, and
-//! all secondary structures (dedup table, positional/composite indexes,
-//! distinct-value stats) are derivable from the columns by replaying inserts
+//! all secondary structures (dedup table, per-predicate and positional
+//! indexes, distinct-value stats) are derivable from the columns by replaying inserts
 //! in fact-id order. A snapshot therefore serializes exactly the primary
 //! data — tables, insertion order, the null counter — and *rebuild markers*
 //! stand in for the indexes: [`Instance::from_snapshot_bytes`] reconstructs

@@ -4,8 +4,9 @@
 //! a process-wide table and referred to by a 4-byte [`Sym`]. Interned strings
 //! are leaked (`Box::leak`), which is the standard compiler-style trade-off:
 //! the set of distinct names in a session is small and bounded, and in
-//! exchange `Sym::as_str` returns `&'static str` with no locking on the read
-//! path after the first lookup.
+//! exchange `Sym::as_str` returns a `&'static str` that outlives the lookup.
+//! Every `as_str` call still takes the interner's read lock (shared, so
+//! readers only wait behind a thread interning a new name).
 
 use crate::fx::FxHashMap;
 use parking_lot::RwLock;

@@ -48,8 +48,8 @@
 //! through a [`Matcher`]: with `ChaseConfig::use_planner` (the default) each
 //! constraint body and head is compiled once per statistics epoch into a
 //! `chase-plan` join program (greedy bind-first/smallest-relation-first atom
-//! order, composite secondary-index lookups), and with the planner off the
-//! classic backtracking searcher runs instead. Both enumerate the same
+//! order, exact-row probes for fully bound atoms), and with the planner off
+//! the classic backtracking searcher runs instead. Both enumerate the same
 //! homomorphism sets and triggers are selected canonically by normalized
 //! assignment, so traces are bit-identical planner-on vs planner-off.
 //!
@@ -147,7 +147,7 @@ pub struct ChaseConfig {
     /// Maintain (and return) the monitor graph even without a depth guard.
     pub keep_monitor: bool,
     /// Route all trigger matching through the `chase-plan` cost-guided join
-    /// programs and composite indexes (the default). With `false`, every
+    /// programs (the default). With `false`, every
     /// matching path runs the classic backtracking searcher instead.
     /// Trigger selection is canonical either way, so traces are
     /// bit-identical planner-on vs planner-off — only the cost differs.
@@ -393,7 +393,7 @@ pub struct EngineState {
     /// The matching engine every trigger query goes through: compiled
     /// `chase-plan` join programs (planner on) or the classic searcher
     /// (planner off). Refreshed when the instance's statistics epoch
-    /// moves; shared read-only with matcher shards.
+    /// moves; it only ever reads the instance.
     matcher: Matcher,
     /// Facts rewritten by EGD merges, cumulative across every run over
     /// this state (merge-cost observability for the serving layer).
@@ -441,10 +441,10 @@ impl EngineState {
                 Constraint::Egd(_) => FxHashSet::default(),
             })
             .collect();
-        let mut inst = instance.clone();
+        let inst = instance.clone();
         let recorder = chase_obs::global().clone();
         let matcher = if cfg.use_planner {
-            Matcher::planned_with(set, &mut inst, recorder.clone())
+            Matcher::planned_with(set, &inst, recorder.clone())
         } else {
             Matcher::unplanned()
         };
@@ -580,7 +580,7 @@ impl EngineState {
             // instance's statistics), then revalidate + re-match from the
             // delta. Before the initial pool build the delta work is moot:
             // the first run's full enumeration will see the batch.
-            self.matcher.refresh(set, &mut self.inst);
+            self.matcher.refresh(set, &self.inst);
             if self.pool_built {
                 Run::new(set, cfg, self, false).apply_delta(&added);
             }
@@ -1027,8 +1027,7 @@ impl<'a> Run<'a> {
                 // Plans are refreshed (statistics epoch permitting) before
                 // the delta re-match, so growth-driven recompiles kick in as
                 // soon as the data doubles.
-                let EngineState { matcher, inst, .. } = &mut *self.st;
-                matcher.refresh(self.set, inst);
+                self.st.matcher.refresh(self.set, &self.st.inst);
                 if !self.naive {
                     if self.cfg.mode == ChaseMode::Standard {
                         // The fired trigger is satisfied by its own head
@@ -1047,8 +1046,7 @@ impl<'a> Run<'a> {
                 );
                 // Merges maintain statistics incrementally, so the refresh
                 // only recompiles if the collapses moved the stats epoch.
-                let EngineState { matcher, inst, .. } = &mut *self.st;
-                matcher.refresh(self.set, inst);
+                self.st.matcher.refresh(self.set, &self.st.inst);
                 if !m.is_noop() {
                     // A fired trigger stays fired under the renaming:
                     // remap the oblivious fired memo in *both* engines, so

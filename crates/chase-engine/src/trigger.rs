@@ -236,8 +236,8 @@ mod tests {
              E(X,Y), E(X,Z) -> Y = Z",
         )
         .unwrap();
-        let mut inst = Instance::parse("E(a,b). E(b,c). E(a,c). S(a). S(z).").unwrap();
-        let planned = Matcher::planned(&set, &mut inst);
+        let inst = Instance::parse("E(a,b). E(b,c). E(a,c). S(a). S(z).").unwrap();
+        let planned = Matcher::planned(&set, &inst);
         let unplanned = Matcher::unplanned();
         let keys = |mus: Vec<Subst>, c: &Constraint| {
             let mut v: Vec<Vec<(Sym, Term)>> = mus.iter().map(|mu| normalize(c, mu)).collect();

@@ -10,10 +10,10 @@
 //! — only when a complete match builds the [`chase_core::Subst`] the
 //! callback needs.
 //!
-//! Candidate buckets come from the access path the compiler chose:
-//! registered composite (multi-column) buckets for steps with ≥ 2 bound
-//! positions, else the smallest applicable `(pred, position, id)` bucket,
-//! else the per-predicate bucket. Every access path over-approximates the
+//! Candidates come from the access path the compiler chose: one exact-row
+//! probe of the dedup table when every position is bound, else the
+//! smallest applicable `(pred, position, id)` bucket, else the
+//! per-predicate bucket. Every access path over-approximates the
 //! matching facts and the per-position verification filters exactly, so the
 //! enumerated homomorphism set is independent of the plan — the equivalence
 //! the proptest suite pins against [`chase_core::homomorphism::for_each_hom`].
@@ -28,8 +28,8 @@ struct RunState {
     regs: Vec<Option<TermId>>,
     /// Registers bound since entry, for backtracking.
     trail: Vec<u16>,
-    /// Scratch buffer for composite keys (reused across nodes).
-    key: Vec<TermId>,
+    /// Scratch buffer for probed rows (reused across nodes).
+    row: Vec<TermId>,
     /// The substitution handed to the callback, reused across matches: at a
     /// complete match every register is bound, so overwriting the pattern
     /// variables' bindings in place is equivalent to rebuilding from the
@@ -55,7 +55,7 @@ pub fn for_each_match(
     let mut st = RunState {
         regs: vec![None; prog.vars.len()],
         trail: Vec::with_capacity(prog.vars.len()),
-        key: Vec::new(),
+        row: Vec::new(),
         out: seed.clone(),
     };
     for (r, &v) in prog.vars.iter().enumerate() {
@@ -97,32 +97,21 @@ fn step(
     };
     // Resolve the step's access path under the current registers. Bound
     // registers are always `Some` by construction (seed or earlier step);
-    // the `else` arms below only defend against callers seeding less than
-    // the compiler was promised, degrading to a wider bucket.
+    // the fallbacks below (a probe whose row does not resolve, positions
+    // skipped in `positional_bucket`) only defend against callers seeding
+    // less than the compiler was promised, degrading to a wider bucket.
+    let hit: [u32; 1];
     let cands: &[u32] = match s.access {
-        Access::Composite => {
-            st.key.clear();
-            let mut complete = true;
-            for &(_, pt) in &s.bound {
-                match resolve(pt, &st.regs) {
-                    Some(t) => st.key.push(t),
-                    None => {
-                        complete = false;
-                        break;
-                    }
+        Access::Probe if resolve_row(&s.terms, &st.regs, &mut st.row) => {
+            match inst.find_ids(s.pred, &st.row) {
+                Some(f) => {
+                    hit = [f];
+                    &hit
                 }
-            }
-            let bucket = if complete {
-                inst.composite_candidates_ids(s.pred, s.mask, &st.key)
-            } else {
-                None
-            };
-            match bucket {
-                Some(b) => b,
-                None => positional_bucket(inst, s, &st.regs),
+                None => &[],
             }
         }
-        Access::Positional => positional_bucket(inst, s, &st.regs),
+        Access::Probe | Access::Positional => positional_bucket(inst, s, &st.regs),
         Access::FullScan => inst.pred_bucket(s.pred),
     };
     'cand: for &ci in cands {
@@ -178,6 +167,19 @@ fn positional_bucket<'a>(
         }
     }
     best.unwrap_or_else(|| inst.pred_bucket(s.pred))
+}
+
+/// Resolve every slot of `terms` into `row`; `false` if some register is
+/// unbound.
+fn resolve_row(terms: &[PatTerm], regs: &[Option<TermId>], row: &mut Vec<TermId>) -> bool {
+    row.clear();
+    for &pt in terms {
+        match resolve(pt, regs) {
+            Some(t) => row.push(t),
+            None => return false,
+        }
+    }
+    true
 }
 
 fn resolve(pt: PatTerm, regs: &[Option<TermId>]) -> Option<TermId> {
@@ -288,33 +290,33 @@ mod tests {
     }
 
     #[test]
-    fn composite_path_agrees_with_fallback() {
-        // Register the composite index the plan wants and check the planned
-        // enumeration still agrees with the unplanned searcher.
+    fn row_probe_agrees_with_searcher() {
+        // T(X,Y) is probed once S and R bind both columns; U(X,Y,Z) gets a
+        // two-column positional step; T at arity 1 shares the predicate.
         let mut i = Instance::new();
         for k in 0..32 {
-            i.insert(Atom::new(
-                "T",
-                vec![
-                    Term::constant(&format!("a{}", k % 4)),
-                    Term::constant(&format!("b{}", k % 8)),
-                ],
-            ));
+            let (a, b) = (format!("a{}", k % 4), format!("b{}", k % 8));
+            let (a, b) = (Term::constant(&a), Term::constant(&b));
+            i.insert(Atom::new("T", vec![a, b]));
+            i.insert(Atom::new("U", vec![a, b, Term::constant("c")]));
+            i.insert(Atom::new("T", vec![a]));
         }
         for k in 0..4 {
             i.insert(Atom::new("S", vec![Term::constant(&format!("a{k}"))]));
             i.insert(Atom::new("R", vec![Term::constant(&format!("b{k}"))]));
         }
-        let pattern = atoms("T(X,Y), S(X), R(Y)");
-        let prog = compile(&pattern, &[], &i);
-        let without_index = all_matches(&prog, &i, &Subst::new());
-        for (pred, mask) in prog.needed_composites().collect::<Vec<_>>() {
-            i.register_composite(pred, mask);
+        for pat in ["T(X,Y), S(X), R(Y)", "U(X,Y,Z), S(X), R(Y)", "T(X,Y), T(X)"] {
+            let pattern = atoms(pat);
+            let prog = compile(&pattern, &[], &i);
+            let got = all_matches(&prog, &i, &Subst::new());
+            assert!(!got.is_empty(), "{pat}");
+            assert_eq!(got, unplanned(&pattern, &i, &Subst::new()), "{pat}\n{prog}");
         }
-        let with_index = all_matches(&prog, &i, &Subst::new());
-        assert_eq!(without_index, with_index);
-        assert_eq!(with_index, unplanned(&pattern, &i, &Subst::new()));
-        assert!(!with_index.is_empty());
+        let prog = compile(&atoms("T(X,Y), S(X), R(Y)"), &[], &i);
+        assert!(
+            prog.steps.iter().any(|s| s.access == Access::Probe),
+            "{prog}"
+        );
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! * a greedy *bind-first / smallest-relation-first* atom order driven by
 //!   per-predicate cardinalities and per-position distinct-value counts
 //!   harvested from the [`chase_core::Instance`] ([`plan`]),
-//! * precomputed binding masks and access paths per step — registered
-//!   composite (multi-column) hash indexes when two or more positions are
-//!   bound, the positional index otherwise ([`exec`]),
+//! * precomputed bound positions and access paths per step — one exact-row
+//!   probe of the store's dedup table when every position is bound, the
+//!   smallest positional bucket when some are, a per-predicate scan
+//!   otherwise ([`exec`]); plans only read the store, so its layout never
+//!   depends on which plans ran,
 //! * a register-file executor that never clones candidate facts and only
 //!   materializes a [`chase_core::Subst`] at complete matches.
 //!

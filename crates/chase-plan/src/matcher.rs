@@ -14,9 +14,9 @@
 //!
 //! Plans are recompiled when the instance's [`Instance::stats_epoch`]
 //! changes (each doubling — or merge-driven halving — of the fact count)
-//! or when the matcher is handed a different constraint set; recompilation
-//! also registers the composite indexes the new plans want. Merges are
-//! *not* a recompile trigger on their own: the store maintains its
+//! or when the matcher is handed a different constraint set. Plans only
+//! read the store, so its layout never depends on which plans ran. Merges
+//! are *not* a recompile trigger on their own: the store maintains its
 //! cardinality and distinct-count statistics incrementally through
 //! [`Instance::merge_terms`], so a merge that leaves the stats epoch alone
 //! leaves the plans exactly as good as they were.
@@ -134,14 +134,14 @@ impl Matcher {
     }
 
     /// A planner-on matcher for `set`, compiled against `inst`'s current
-    /// statistics (and registering the composite indexes the plans want).
-    pub fn planned(set: &ConstraintSet, inst: &mut Instance) -> Matcher {
+    /// statistics.
+    pub fn planned(set: &ConstraintSet, inst: &Instance) -> Matcher {
         Matcher::planned_with(set, inst, Recorder::disabled())
     }
 
     /// [`Matcher::planned`], with a telemetry recorder installed before the
     /// initial compile so the first `PlanCompile` phase is captured too.
-    pub fn planned_with(set: &ConstraintSet, inst: &mut Instance, recorder: Recorder) -> Matcher {
+    pub fn planned_with(set: &ConstraintSet, inst: &Instance, recorder: Recorder) -> Matcher {
         let mut m = Matcher {
             cache: Some(PlanCache {
                 set: set.clone(),
@@ -191,16 +191,14 @@ impl Matcher {
     /// past a power of two), the constraint set differs from the one
     /// compiled for, or [`Matcher::invalidate`] was called. Merges alone
     /// don't invalidate: the store keeps its statistics current through
-    /// [`Instance::merge_terms`], so [`Instance::merge_epoch`] is an
-    /// observability counter here, not a staleness input. Registers any
-    /// composite indexes the fresh plans want. Returns `true` if a
-    /// recompile happened. No-op for unplanned matchers.
+    /// [`Instance::merge_terms`]. Returns `true` if a recompile happened.
+    /// No-op for unplanned matchers.
     ///
     /// Stale plans compiled from the *same* set are never incorrect — the
     /// executor re-verifies every candidate — so skipping refresh only
     /// costs speed. A changed set, however, would execute the wrong
     /// programs, which is why refresh compares it.
-    pub fn refresh(&mut self, set: &ConstraintSet, inst: &mut Instance) -> bool {
+    pub fn refresh(&mut self, set: &ConstraintSet, inst: &Instance) -> bool {
         let Some(cache) = &mut self.cache else {
             return false;
         };
@@ -222,17 +220,6 @@ impl Matcher {
         cache.recompiles += 1;
         self.recorder
             .event(EventKind::PlanRecompile, cache.recompiles, u64::from(stamp));
-        for cp in &cache.plans {
-            let programs = std::iter::once(&cp.body)
-                .chain(&cp.body_delta)
-                .chain(&cp.head)
-                .chain(&cp.head_rests);
-            for prog in programs {
-                for (pred, mask) in prog.needed_composites() {
-                    inst.register_composite(pred, mask);
-                }
-            }
-        }
         cache.stamp = Some(stamp);
         true
     }
@@ -381,8 +368,8 @@ mod tests {
              E(X,Y), E(X,Z) -> Y = Z",
         )
         .unwrap();
-        let mut inst = Instance::parse("E(a,b). E(b,c). E(c,d). E(a,c). S(a). S(c).").unwrap();
-        let planned = Matcher::planned(&set, &mut inst);
+        let inst = Instance::parse("E(a,b). E(b,c). E(c,d). E(a,c). S(a). S(c).").unwrap();
+        let planned = Matcher::planned(&set, &inst);
         let unplanned = Matcher::unplanned();
         for (ci, c) in set.enumerate() {
             let mut a = Vec::new();
@@ -418,12 +405,12 @@ mod tests {
     #[test]
     fn delta_matching_agrees_and_counts_multiplicity() {
         let set = ConstraintSet::parse("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
-        let mut inst = Instance::parse("E(a,b). E(b,c). E(c,d).").unwrap();
+        let inst = Instance::parse("E(a,b). E(b,c). E(c,d).").unwrap();
         let delta = vec![Atom::new(
             "E",
             vec![Term::constant("b"), Term::constant("c")],
         )];
-        let planned = Matcher::planned(&set, &mut inst);
+        let planned = Matcher::planned(&set, &inst);
         let unplanned = Matcher::unplanned();
         let collect = |m: &Matcher| {
             let mut out = Vec::new();
@@ -444,9 +431,9 @@ mod tests {
     fn refresh_recompiles_on_staleness_only() {
         let set = ConstraintSet::parse("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
         let mut inst = Instance::parse("E(a,b). E(b,c).").unwrap();
-        let mut m = Matcher::planned(&set, &mut inst);
+        let mut m = Matcher::planned(&set, &inst);
         assert_eq!(m.recompile_count(), 1, "planned() compiles once");
-        assert!(!m.refresh(&set, &mut inst), "same stamp: no recompile");
+        assert!(!m.refresh(&set, &inst), "same stamp: no recompile");
         assert_eq!(m.recompile_count(), 1);
         inst.insert(Atom::new(
             "E",
@@ -456,43 +443,37 @@ mod tests {
             "E",
             vec![Term::constant("d"), Term::constant("e")],
         ));
-        assert!(m.refresh(&set, &mut inst), "len doubled: epoch moved");
+        assert!(m.refresh(&set, &inst), "len doubled: epoch moved");
         // A merge that keeps the fact count inside the same epoch does NOT
         // recompile — the store's statistics are maintained incrementally,
         // so the compiled plans are as good as they were.
         inst.insert(Atom::new("E", vec![Term::constant("d"), Term::null(0)]));
-        m.refresh(&set, &mut inst);
+        m.refresh(&set, &inst);
         let before = m.recompile_count();
         let eff = inst.merge_terms(Term::null(0), Term::constant("e"));
         assert_eq!(eff.collapsed, 1, "E(d,_n0) collapses onto E(d,e)");
-        assert!(
-            !m.refresh(&set, &mut inst),
-            "same-epoch merge: no recompile"
-        );
+        assert!(!m.refresh(&set, &inst), "same-epoch merge: no recompile");
         assert_eq!(m.recompile_count(), before);
         m.invalidate();
-        assert!(m.refresh(&set, &mut inst), "invalidate forces recompile");
+        assert!(m.refresh(&set, &inst), "invalidate forces recompile");
         assert_eq!(m.recompile_count(), before + 1, "one count per recompile");
-        assert!(!Matcher::unplanned().refresh(&set, &mut inst));
+        assert!(!Matcher::unplanned().refresh(&set, &inst));
         assert_eq!(Matcher::unplanned().recompile_count(), 0);
     }
 
     #[test]
     fn no_occurrence_merge_is_invisible_to_plans() {
         // Satellite regression: merging away a term that occurs in no fact
-        // must be a true no-op — no merge-epoch bump, no recompile.
+        // must be a true no-op — no version bump, no recompile.
         let set = ConstraintSet::parse("E(X,Y), E(X,Z) -> Y = Z").unwrap();
         let mut inst = Instance::parse("E(a,b). E(b,c).").unwrap();
-        let mut m = Matcher::planned(&set, &mut inst);
+        let mut m = Matcher::planned(&set, &inst);
         let before = m.recompile_count();
-        let epoch = inst.merge_epoch();
+        let version = inst.version();
         let eff = inst.merge_terms(Term::null(7), Term::constant("b"));
         assert!(eff.is_noop());
-        assert_eq!(inst.merge_epoch(), epoch, "no-op merge leaves merge_epoch");
-        assert!(
-            !m.refresh(&set, &mut inst),
-            "no-op merge: nothing to refresh"
-        );
+        assert_eq!(inst.version(), version, "no-op merge leaves the version");
+        assert!(!m.refresh(&set, &inst), "no-op merge: nothing to refresh");
         assert_eq!(m.recompile_count(), before);
     }
 
@@ -502,9 +483,9 @@ mod tests {
         // old programs.
         let set_a = ConstraintSet::parse("E(X,Y) -> E(Y,X)").unwrap();
         let set_b = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
-        let mut inst = Instance::parse("E(a,b). S(a). S(b).").unwrap();
-        let mut m = Matcher::planned(&set_a, &mut inst);
-        assert!(m.refresh(&set_b, &mut inst), "set change forces recompile");
+        let inst = Instance::parse("E(a,b). S(a). S(b).").unwrap();
+        let mut m = Matcher::planned(&set_a, &inst);
+        assert!(m.refresh(&set_b, &inst), "set change forces recompile");
         let mut homs = Vec::new();
         m.for_each_body_hom(0, &set_b[0], &inst, &mut |mu| {
             homs.push(mu.var_bindings());
@@ -512,7 +493,7 @@ mod tests {
         });
         homs.sort();
         assert_eq!(homs.len(), 2, "S(X) matches S(a), S(b)");
-        assert!(!m.refresh(&set_b, &mut inst), "now in sync with set_b");
+        assert!(!m.refresh(&set_b, &inst), "now in sync with set_b");
     }
 
     #[test]
@@ -521,7 +502,7 @@ mod tests {
         let c = &set[0];
         let t = c.as_tgd().unwrap();
         let mut inst = Instance::parse("S(a). S(b).").unwrap();
-        let planned = Matcher::planned(&set, &mut inst);
+        let planned = Matcher::planned(&set, &inst);
         let mut mus = Vec::new();
         planned.for_each_body_hom(0, c, &inst, &mut |mu| {
             mus.push(mu.clone());

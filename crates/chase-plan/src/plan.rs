@@ -72,9 +72,9 @@ pub enum Access {
     /// The smallest applicable `(pred, position, term)` bucket over the
     /// step's bound positions.
     Positional,
-    /// The registered composite (multi-column) bucket for the step's binding
-    /// mask — an exact secondary-index lookup.
-    Composite,
+    /// Every position is bound: one exact-row probe of the store's dedup
+    /// table ([`Instance::find_ids`]) — at most one candidate.
+    Probe,
 }
 
 /// One step of a [`JoinProgram`]: match the compiled atom against the
@@ -90,8 +90,6 @@ pub struct PlanStep {
     /// Positions whose value is determined when the step starts (ground, or
     /// a register bound by the seed or an earlier step), ascending.
     pub bound: Vec<(u32, PatTerm)>,
-    /// Bitmask over `bound` positions (< 32 only) — the composite-index key.
-    pub mask: u32,
     /// The access path chosen at compile time.
     pub access: Access,
     /// Estimated candidate rows at compile time (`EXPLAIN` output; never
@@ -117,17 +115,6 @@ pub struct JoinProgram {
 }
 
 impl JoinProgram {
-    /// The `(pred, mask)` composite indexes this program's steps expect;
-    /// callers register them on the instance before execution (a composite
-    /// lookup on an unregistered mask falls back to the positional index,
-    /// so missing registration costs speed, never correctness).
-    pub fn needed_composites(&self) -> impl Iterator<Item = (Sym, u32)> + '_ {
-        self.steps
-            .iter()
-            .filter(|s| s.access == Access::Composite)
-            .map(|s| (s.pred, s.mask))
-    }
-
     /// The register holding variable `v`, if `v` occurs in the pattern.
     pub fn reg_of(&self, v: Sym) -> Option<u16> {
         self.vars.iter().position(|&u| u == v).map(|i| i as u16)
@@ -200,26 +187,21 @@ pub fn compile(pattern: &[Atom], seed_vars: &[Sym], stats: &dyn Stats) -> JoinPr
         }
         let ai = remaining.remove(best_slot);
         let terms = compiled[ai].clone();
-        let mut bound: Vec<(u32, PatTerm)> = Vec::new();
-        let mut mask = 0u32;
-        for (i, &pt) in terms.iter().enumerate() {
-            let determined = match pt {
+        let bound: Vec<(u32, PatTerm)> = terms
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pt)| match pt {
                 PatTerm::Ground(_) => true,
                 PatTerm::Var(r) => bound_regs[r as usize],
-            };
-            if determined {
-                bound.push((i as u32, pt));
-                if i < 32 {
-                    mask |= 1 << i;
-                }
-            }
-        }
-        let access = if bound.len() >= 2 && bound.len() == mask.count_ones() as usize {
-            Access::Composite
-        } else if !bound.is_empty() {
-            Access::Positional
-        } else {
+            })
+            .map(|(i, &pt)| (i as u32, pt))
+            .collect();
+        let access = if bound.len() == terms.len() {
+            Access::Probe
+        } else if bound.is_empty() {
             Access::FullScan
+        } else {
+            Access::Positional
         };
         for &pt in &terms {
             if let PatTerm::Var(r) = pt {
@@ -231,7 +213,6 @@ pub fn compile(pattern: &[Atom], seed_vars: &[Sym], stats: &dyn Stats) -> JoinPr
             pred: pattern[ai].pred(),
             terms,
             bound,
-            mask,
             access,
             est_rows: best_est,
         });
@@ -275,7 +256,7 @@ impl fmt::Display for JoinProgram {
     /// JoinProgram (3 steps, 3 vars):
     ///   1. T(X1,X2)  scan T                 est 4
     ///   2. T(X1,X3)  idx T[0]               est 2
-    ///   3. T(X3,X1)  cidx T{0,1}            est 1
+    ///   3. T(X3,X1)  probe T                est 1
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -302,10 +283,7 @@ impl fmt::Display for JoinProgram {
                     let cols: Vec<String> = s.bound.iter().map(|(p, _)| p.to_string()).collect();
                     format!("idx {}[{}]", s.pred, cols.join(","))
                 }
-                Access::Composite => {
-                    let cols: Vec<String> = s.bound.iter().map(|(p, _)| p.to_string()).collect();
-                    format!("cidx {}{{{}}}", s.pred, cols.join(","))
-                }
+                Access::Probe => format!("probe {}", s.pred),
             };
             writeln!(
                 f,
@@ -355,18 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn two_bound_columns_choose_the_composite_path() {
+    fn access_path_follows_the_bound_positions() {
         // T is big with a low-selectivity first column, S and R are small:
         // the greedy order is S, R, T — and by then T has both columns
-        // bound, so the composite path wins over any single bucket.
+        // bound, so it is one row probe instead of any single bucket.
         let mut inst = Instance::new();
         for i in 0..64 {
+            let (a, b) = (format!("a{}", i % 4), format!("b{i}"));
+            inst.insert(Atom::new("T", vec![Term::constant(&a), Term::constant(&b)]));
             inst.insert(Atom::new(
-                "T",
-                vec![
-                    Term::constant(&format!("a{}", i % 4)),
-                    Term::constant(&format!("b{i}")),
-                ],
+                "U",
+                vec![Term::constant(&a), Term::constant(&b), Term::constant("c")],
             ));
         }
         for i in 0..4 {
@@ -380,10 +357,18 @@ mod tests {
             .iter()
             .find(|s| s.pattern_index == 0)
             .expect("T step present");
-        assert_eq!(t_step.access, Access::Composite, "{prog}");
-        assert_eq!(t_step.mask, 0b11);
-        let needed: Vec<(Sym, u32)> = prog.needed_composites().collect();
-        assert_eq!(needed, vec![(Sym::new("T"), 0b11)]);
+        assert_eq!(t_step.access, Access::Probe, "{prog}");
+        assert!(prog.to_string().contains("probe T"), "{prog}");
+        // Two of three positions bound: the positional bucket, over both.
+        let prog = compile(&atoms("U(X,Y,Z), S(X), R(Y)"), &[], &inst);
+        let u_step = prog.steps.iter().find(|s| s.pattern_index == 0).unwrap();
+        assert_eq!(u_step.access, Access::Positional, "{prog}");
+        let cols: Vec<u32> = u_step.bound.iter().map(|&(p, _)| p).collect();
+        assert_eq!(cols, vec![0, 1]);
+        // Ground positions count as bound too; nothing bound is a scan.
+        let prog = compile(&atoms("S(a), T(X,Y)"), &[], &inst);
+        assert_eq!(prog.steps[0].access, Access::Probe, "{prog}");
+        assert_eq!(prog.steps[1].access, Access::FullScan, "{prog}");
     }
 
     #[test]
@@ -397,8 +382,7 @@ mod tests {
         assert_eq!(seeded.vars[0], Sym::new("X"));
         // With X seeded, E(X,Y)'s first column is bound at entry.
         let e_step = seeded.steps.iter().find(|s| s.pattern_index == 0).unwrap();
-        assert_eq!(e_step.bound.len(), 1);
-        assert_eq!(e_step.mask, 0b01);
+        assert!(matches!(e_step.bound.as_slice(), [(0, PatTerm::Var(0))]));
         // Seed variables that do not occur in the pattern get no register.
         let extra = compile(&pat, &[Sym::new("Z"), Sym::new("X")], &inst);
         assert_eq!(extra.seed_regs.len(), 1);

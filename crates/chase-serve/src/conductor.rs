@@ -71,7 +71,7 @@ use chase_obs::{
 };
 
 use crate::session::{
-    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, ServeError, SessionConfig,
+    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, ServeError, SessionConfig, SessionSeries,
     SessionSnapshot, SessionStats,
 };
 use crate::wal::{self, DurabilityConfig};
@@ -143,8 +143,6 @@ const M_QUERY_NS: &str = "chase_query_ns";
 const M_MAILBOX_DEPTH: &str = "chase_mailbox_depth";
 const M_PUBLISH: &str = "chase_snapshot_publish_total";
 const M_PUBLISH_SKIPPED: &str = "chase_snapshot_publish_skipped_total";
-const M_PHASE_NS: &str = "chase_phase_ns";
-const M_EVENTS_DROPPED: &str = "chase_events_dropped_total";
 const M_SESSIONS_REOPENED: &str = "chase_sessions_reopened_total";
 const M_REOPEN_FAILED: &str = "chase_sessions_reopen_failed_total";
 const M_POOL_WORKERS: &str = "chase_pool_workers";
@@ -154,8 +152,8 @@ const M_POOL_MESSAGES: &str = "chase_pool_messages_total";
 const M_POOL_PANICS: &str = "chase_pool_panics_total";
 const M_EVICTIONS: &str = "chase_evictions_total";
 const M_EVICTIONS_RESTORED: &str = "chase_evictions_restored_total";
-const M_REWRITE_DECISIONS: &str = "chase_rewrite_cache_decisions";
-const M_REWRITE_EVICTIONS: &str = "chase_rewrite_cache_evictions_total";
+
+const SERIES_LOCK: &str = "no code panics while holding the series lock";
 
 /// Handles into the conductor-wide [`MetricsRegistry`] plus the session's
 /// engine recorder, shared by the session's dispatcher and every
@@ -259,6 +257,10 @@ struct SessionCell {
     metrics: HandleMetrics,
     /// The latest published snapshot.
     published: RwLock<Published>,
+    /// The session's counter series, refreshed by the dispatcher before it
+    /// acknowledges a message that can move them — what a scrape exports
+    /// instead of locking `core`.
+    series: Mutex<SessionSeries>,
     /// The session's rewriting cache, shared with its [`ChaseSession`] so
     /// the fast read path and the mailbox path rewrite identically.
     rewrites: Arc<RewriteCache>,
@@ -706,6 +708,7 @@ impl Conductor {
                 quiescent,
                 poisoned: session.poisoned().cloned(),
             }),
+            series: Mutex::new(session.series()),
             rewrites: Arc::clone(session.rewrite_cache()),
             durable: session.is_durable(),
             last_touch: AtomicU64::new(self.pool.now_ms()),
@@ -826,13 +829,14 @@ impl Conductor {
     }
 
     /// One server-wide metrics snapshot: the aggregate registry plus every
-    /// *open* session's engine phase histograms (merged into one
-    /// `chase_phase_ns{phase="…"}` family) and event-ring drop counts.
+    /// *open* session's [`ChaseSession::metrics_snapshot`] series, summed
+    /// (phase histograms merge into one `chase_phase_ns{phase="…"}`
+    /// family).
     ///
-    /// Reads only lock-free recorder sinks and the session map — never a
-    /// session mailbox — so a metrics scrape cannot block behind a
-    /// tenant's in-flight apply. Sessions closed before the scrape no
-    /// longer contribute their phase timings or rewrite-cache series.
+    /// Reads the session map, lock-free recorder sinks and each session's
+    /// series as its dispatcher last refreshed them — never a session
+    /// core — so a metrics scrape cannot block behind a tenant's in-flight
+    /// apply. Sessions closed before the scrape no longer contribute.
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
         let cells: Vec<Arc<SessionCell>> = self
             .sessions
@@ -843,13 +847,8 @@ impl Conductor {
             .collect();
         let mut snap = self.metrics.snapshot();
         for cell in cells {
-            let rec = &cell.metrics.recorder;
-            let mut one = RegistrySnapshot::new();
-            rec.export_phases(M_PHASE_NS, &mut one);
-            one.set_counter(M_EVENTS_DROPPED, rec.events_dropped());
-            one.set_gauge(M_REWRITE_DECISIONS, cell.rewrites.len() as i64);
-            one.set_counter(M_REWRITE_EVICTIONS, cell.rewrites.evictions());
-            snap.merge(&one);
+            let series = cell.series.lock().expect(SERIES_LOCK).clone();
+            snap.merge(&series.export(&cell.metrics.recorder, &cell.rewrites));
         }
         snap
     }
@@ -932,7 +931,9 @@ fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
             let _ = reply.send(core.session.stats());
         }
         SessionMsg::Persist { reply } => {
-            let _ = reply.send(core.session.persist());
+            let out = core.session.persist();
+            *cell.series.lock().expect(SERIES_LOCK) = core.session.series();
+            let _ = reply.send(out);
         }
         SessionMsg::InjectPanic => panic!("injected dispatch panic (test hook)"),
     }
@@ -1087,11 +1088,13 @@ fn sweep(
     }
 }
 
-/// Republish the session's read snapshot if anything observable moved.
-/// The [`Instance::version`] comparison is the copy-on-read filter: a
-/// duplicate-only batch leaves the version alone, so readers keep sharing
-/// the old `Arc` and no clone happens.
+/// Republish the session's read surface: its counter series always, its
+/// read snapshot if anything observable moved. The [`Instance::version`]
+/// comparison is the copy-on-read filter: a duplicate-only batch leaves
+/// the version alone, so readers keep sharing the old `Arc` and no clone
+/// happens.
 fn publish(session: &ChaseSession, cell: &SessionCell) {
+    *cell.series.lock().expect(SERIES_LOCK) = session.series();
     let stats = session.stats();
     let version = session.instance().version();
     let poisoned = session.poisoned().cloned();
@@ -1415,10 +1418,13 @@ mod tests {
         // exactly the cap, and every first sight past it evicted one.
         let snap = conductor.metrics_snapshot();
         assert_eq!(
-            snap.gauge(M_REWRITE_DECISIONS),
+            snap.gauge("chase_rewrite_cache_decisions"),
             Some(REWRITE_CACHE_CAP as i64)
         );
-        assert_eq!(snap.counter(M_REWRITE_EVICTIONS), Some(64));
+        assert_eq!(
+            snap.counter("chase_rewrite_cache_evictions_total"),
+            Some(64)
+        );
         assert!(conductor
             .metrics_text()
             .contains("chase_rewrite_cache_evictions_total 64"));

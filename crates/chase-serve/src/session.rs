@@ -996,9 +996,12 @@ impl ChaseSession {
     }
 
     /// The session's metrics as a mergeable registry snapshot: per-phase
-    /// engine latency histograms (`chase_phase_ns{phase="…"}`) plus the
-    /// headline counters from [`ChaseSession::stats`]. The conductor merges
-    /// these across sessions into the server-wide exposition.
+    /// engine latency histograms (`chase_phase_ns{phase="…"}`), the
+    /// headline counters from [`ChaseSession::stats`], the durability
+    /// counters of a durable session (`chase_wal_*`, `chase_snapshot*`) and
+    /// the rewrite cache's size. The conductor exports every open session
+    /// through the same code and merges them into the server-wide
+    /// exposition.
     ///
     /// ```
     /// use chase_core::{ConstraintSet, Instance};
@@ -1012,28 +1015,15 @@ impl ChaseSession {
     /// assert!(inserts.count() > 0, "the transitive step was timed");
     /// ```
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
-        let mut snap = RegistrySnapshot::new();
-        let stats = self.stats();
-        snap.set_counter("chase_session_epochs_total", stats.epoch);
-        snap.set_counter("chase_session_steps_total", stats.total_steps);
-        snap.set_counter("chase_session_plan_recompiles_total", stats.plan_recompiles);
-        snap.set_counter("chase_session_merge_rewritten_total", stats.merge_rewritten);
-        snap.set_counter("chase_session_merge_collapsed_total", stats.merge_collapsed);
-        snap.set_gauge("chase_session_facts", stats.total_facts as i64);
-        let rec = self.state.recorder();
-        rec.export_phases("chase_phase_ns", &mut snap);
-        snap.set_counter("chase_events_dropped_total", rec.events_dropped());
-        if let Some(d) = &self.durable {
-            snap.set_counter("chase_wal_appends_total", d.stats.wal_appends);
-            snap.set_counter("chase_wal_bytes_total", d.stats.wal_bytes);
-            snap.set_counter("chase_wal_fsyncs_total", d.stats.wal_fsyncs);
-            snap.set_counter("chase_wal_replayed_total", d.stats.replayed_records);
-            snap.set_counter("chase_wal_truncated_bytes_total", d.stats.truncated_bytes);
-            snap.set_counter("chase_snapshots_total", d.stats.snapshots_written);
-            snap.set_counter("chase_snapshot_errors_total", d.stats.snapshot_errors);
-            snap.set_gauge("chase_snapshot_epoch", d.stats.snapshot_epoch as i64);
+        self.series().export(self.recorder(), &self.rewrites)
+    }
+
+    /// The session's counter series, copied out for [`SessionSeries::export`].
+    pub(crate) fn series(&self) -> SessionSeries {
+        SessionSeries {
+            stats: self.stats(),
+            durability: self.durability(),
         }
-        snap
     }
 
     /// Snapshot the full engine state — O(instance + pool), no re-chasing
@@ -1106,6 +1096,46 @@ fn render_batch(batch: &[Atom]) -> String {
         out.push_str(". ");
     }
     out
+}
+
+/// The series a session exports besides its recorder's lock-free sinks:
+/// its [`SessionStats`] and, when durable, its [`DurabilityStats`]. The
+/// conductor's dispatcher refreshes a copy after every message, so a
+/// metrics scrape reads it without locking the session.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionSeries {
+    stats: SessionStats,
+    durability: Option<DurabilityStats>,
+}
+
+impl SessionSeries {
+    /// The one per-session exporter: these counters plus the recorder's
+    /// phase histograms and drop count and the rewrite cache's series.
+    pub(crate) fn export(&self, rec: &Recorder, rewrites: &RewriteCache) -> RegistrySnapshot {
+        let mut snap = RegistrySnapshot::new();
+        let stats = &self.stats;
+        snap.set_counter("chase_session_epochs_total", stats.epoch);
+        snap.set_counter("chase_session_steps_total", stats.total_steps);
+        snap.set_counter("chase_session_plan_recompiles_total", stats.plan_recompiles);
+        snap.set_counter("chase_session_merge_rewritten_total", stats.merge_rewritten);
+        snap.set_counter("chase_session_merge_collapsed_total", stats.merge_collapsed);
+        snap.set_gauge("chase_session_facts", stats.total_facts as i64);
+        rec.export_phases("chase_phase_ns", &mut snap);
+        snap.set_counter("chase_events_dropped_total", rec.events_dropped());
+        snap.set_gauge("chase_rewrite_cache_decisions", rewrites.len() as i64);
+        snap.set_counter("chase_rewrite_cache_evictions_total", rewrites.evictions());
+        if let Some(d) = &self.durability {
+            snap.set_counter("chase_wal_appends_total", d.wal_appends);
+            snap.set_counter("chase_wal_bytes_total", d.wal_bytes);
+            snap.set_counter("chase_wal_fsyncs_total", d.wal_fsyncs);
+            snap.set_counter("chase_wal_replayed_total", d.replayed_records);
+            snap.set_counter("chase_wal_truncated_bytes_total", d.truncated_bytes);
+            snap.set_counter("chase_snapshots_total", d.snapshots_written);
+            snap.set_counter("chase_snapshot_errors_total", d.snapshot_errors);
+            snap.set_gauge("chase_snapshot_epoch", d.snapshot_epoch as i64);
+        }
+        snap
+    }
 }
 
 /// Cached rewriting decisions per [`RewriteCache`]. A decision costs one

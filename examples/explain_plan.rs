@@ -23,9 +23,9 @@ fn main() {
             ..ChaseConfig::default()
         },
     );
-    let mut inst = result.instance;
+    let inst = result.instance;
     println!("instance after the Theorem 2 chase: {inst}\n");
-    let matcher = Matcher::planned(&sigma, &mut inst);
+    let matcher = Matcher::planned(&sigma, &inst);
     for (ci, c) in sigma.enumerate() {
         let plans = matcher.plans(ci).expect("planner is on");
         println!("alpha{}: {c}", ci + 1);

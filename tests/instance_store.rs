@@ -5,10 +5,11 @@
 //!   order equals term order (the property that lets canonical selection
 //!   sort ids instead of terms without changing any chase trace);
 //! * columnar `atoms()` iteration returns exactly the deduplicated insert
-//!   stream, in insertion order — the invariant every engine's sharding and
-//!   trace reproducibility rest on;
-//! * registered composite buckets stay consistent with a brute-force scan
-//!   across EGD merges (the id-remap path) and post-merge inserts.
+//!   stream, in insertion order — the invariant every engine's trace
+//!   reproducibility rests on;
+//! * EGD merges (the id-remap path) leave every index, statistic and
+//!   exact-row probe exactly as a from-scratch replay builds them, through
+//!   chained merges and post-merge inserts.
 //!
 //! The vendored proptest stand-in has no collection strategies, so fact
 //! streams are generated from a `u64` seed through a `StdRng`, like the
@@ -59,14 +60,9 @@ fn substituted(atoms: &[Atom], from: Term, to: Term) -> Vec<Atom> {
         .collect()
 }
 
-/// A from-scratch store over `atoms` with the same composite registrations
-/// the tests give the incrementally maintained instance.
+/// A from-scratch store over `atoms`, inserted in order.
 fn replay_oracle(atoms: &[Atom]) -> Instance {
     let mut o = Instance::new();
-    for pred in ["P", "Q", "R"] {
-        o.register_composite(Sym::new(pred), 0b011);
-        o.register_composite(Sym::new(pred), 0b101);
-    }
     for a in atoms {
         o.insert(a.clone());
     }
@@ -75,9 +71,12 @@ fn replay_oracle(atoms: &[Atom]) -> Instance {
 
 /// Compare every observable the planner and the matching paths read between
 /// the incrementally maintained `inst` and the replay `oracle`: the fact
-/// stream, dedup-visible membership, `by_pred`/`by_pos` buckets, composite
-/// buckets (including stale keys mentioning the merged-away `from`), and
-/// the cardinality/distinct statistics the join planner costs with.
+/// stream, `by_pred`/`by_pos` buckets, the cardinality/distinct statistics
+/// the join planner costs with, and the exact-row probe
+/// ([`Instance::find_ids`]) — against a brute-force scan, for every stored
+/// row, the same row with `to` swapped back to `from` (the dedup entry the
+/// merge had to retire), and the row's prefixes and extension (the same
+/// predicate at other arities, which the generator also stores).
 fn same_store(inst: &Instance, oracle: &Instance, merge: (Term, Term)) -> Result<(), String> {
     macro_rules! check {
         ($l:expr, $r:expr, $($what:tt)+) => {{
@@ -103,7 +102,6 @@ fn same_store(inst: &Instance, oracle: &Instance, merge: (Term, Term)) -> Result
     probes.extend(oracle.domain());
     probes.insert(from);
     probes.insert(to);
-    let atoms = oracle.atoms();
     for pred in ["P", "Q", "R"] {
         let p = Sym::new(pred);
         check!(
@@ -130,38 +128,41 @@ fn same_store(inst: &Instance, oracle: &Instance, merge: (Term, Term)) -> Result
                 );
             }
         }
-        check!(
-            inst.registered_composites(p),
-            oracle.registered_composites(p),
-            "registered_composites({pred})"
-        );
-        let norm = |o: Option<&[FactId]>| o.map(<[FactId]>::to_vec).unwrap_or_default();
-        for mask in [0b011u32, 0b101] {
-            let positions: Vec<usize> = (0..32).filter(|i| mask & (1 << i) != 0).collect();
-            for a in atoms.iter().filter(|a| a.pred() == p) {
-                if positions.iter().any(|&i| i >= a.arity()) {
-                    continue;
-                }
-                let key: Vec<Term> = positions.iter().map(|&i| a.terms()[i]).collect();
-                check!(
-                    norm(inst.composite_candidates(p, mask, &key)),
-                    norm(oracle.composite_candidates(p, mask, &key)),
-                    "composite({pred}, {mask:#b}, {key:?})"
-                );
-                // The same key with `to` swapped back to `from` probes the
-                // bucket the merge had to empty out.
-                let stale: Vec<Term> = key
-                    .iter()
-                    .map(|&t| if t == to { from } else { t })
-                    .collect();
-                if stale != key {
-                    check!(
-                        norm(inst.composite_candidates(p, mask, &stale)),
-                        norm(oracle.composite_candidates(p, mask, &stale)),
-                        "stale composite({pred}, {mask:#b}, {stale:?})"
-                    );
-                }
-            }
+    }
+    let ids = |terms: &[Term]| -> Vec<TermId> {
+        terms
+            .iter()
+            .map(|&t| TermId::from_ground(t).expect("ground"))
+            .collect()
+    };
+    let atoms = inst.atoms();
+    for a in &atoms {
+        let stale: Vec<Term> = a
+            .terms()
+            .iter()
+            .map(|&t| if t == to { from } else { t })
+            .collect();
+        let mut rows: Vec<Vec<Term>> = (0..=a.arity()).map(|k| a.terms()[..k].to_vec()).collect();
+        rows.push([a.terms(), &a.terms()[..1]].concat());
+        rows.push(stale);
+        for row in rows {
+            let scanned = atoms
+                .iter()
+                .position(|b| b.pred() == a.pred() && b.terms() == row.as_slice())
+                .map(|f| f as FactId);
+            let key = ids(&row);
+            check!(
+                inst.find_ids(a.pred(), &key),
+                scanned,
+                "find_ids({}, {row:?})",
+                a.pred()
+            );
+            check!(
+                oracle.find_ids(a.pred(), &key),
+                scanned,
+                "oracle find_ids({}, {row:?})",
+                a.pred()
+            );
         }
     }
     Ok(())
@@ -227,84 +228,6 @@ proptest! {
     }
 
     #[test]
-    fn composite_buckets_survive_merges(
-        seed in any::<u64>(),
-        len in 1usize..30,
-        extra_len in 0usize..8,
-        merge_null in 0u32..6,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-        let merge_to = ground(&mut rng);
-        let stream = fact_stream(seed, len);
-        let extra = fact_stream(seed.wrapping_add(1), extra_len);
-        let mut inst = Instance::new();
-        for a in &stream {
-            inst.insert(a.clone());
-        }
-        for pred in ["P", "Q", "R"] {
-            inst.register_composite(Sym::new(pred), 0b011);
-            inst.register_composite(Sym::new(pred), 0b101);
-        }
-        inst.merge_terms(Term::null(merge_null), merge_to);
-        // Sticky registration: inserts after the merge keep indexing.
-        for a in &extra {
-            inst.insert(a.clone());
-        }
-        let atoms = inst.atoms();
-        for pred in ["P", "Q", "R"] {
-            let p = Sym::new(pred);
-            prop_assert_eq!(inst.registered_composites(p), vec![0b011, 0b101]);
-            for mask in [0b011u32, 0b101] {
-                // Every stored fact covered by the mask must be findable
-                // through its own key, in a bucket that exactly equals the
-                // brute-force scan.
-                for a in atoms.iter().filter(|a| a.pred() == p) {
-                    let positions: Vec<usize> =
-                        (0..32).filter(|i| mask & (1 << i) != 0).collect();
-                    if positions.iter().any(|&i| i >= a.arity()) {
-                        continue; // out-of-arity: legitimately unindexed
-                    }
-                    let key: Vec<Term> =
-                        positions.iter().map(|&i| a.terms()[i]).collect();
-                    let bucket = inst
-                        .composite_candidates(p, mask, &key)
-                        .expect("registered mask answers");
-                    let scanned: Vec<FactId> = atoms
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| {
-                            b.pred() == p
-                                && positions
-                                    .iter()
-                                    .enumerate()
-                                    .all(|(k, &i)| b.terms().get(i) == Some(&key[k]))
-                        })
-                        .map(|(i, _)| i as FactId)
-                        .collect();
-                    prop_assert_eq!(
-                        bucket.to_vec(),
-                        scanned,
-                        "composite bucket drifted for {} mask {:#b} key {:?}",
-                        pred,
-                        mask,
-                        &key
-                    );
-                }
-            }
-        }
-        // The merged null is gone from every fact (unless it was merged
-        // into itself, which merge_terms treats as a no-op) — except where
-        // the post-merge extras legitimately reintroduced it.
-        if merge_to != Term::null(merge_null)
-            && !extra
-                .iter()
-                .any(|a| a.terms().contains(&Term::null(merge_null)))
-        {
-            prop_assert!(!inst.domain().contains(&Term::null(merge_null)));
-        }
-    }
-
-    #[test]
     fn incremental_merges_match_the_replay_oracle(
         seed in any::<u64>(),
         len in 1usize..40,
@@ -331,17 +254,13 @@ proptest! {
         for a in fact_stream(seed, len) {
             inst.insert(a);
         }
-        for pred in ["P", "Q", "R"] {
-            inst.register_composite(Sym::new(pred), 0b011);
-            inst.register_composite(Sym::new(pred), 0b101);
-        }
         for &(from, to) in &merges {
             if from == to {
                 continue;
             }
             let pre_atoms = inst.atoms();
             let pre_len = inst.len();
-            let pre_epoch = inst.merge_epoch();
+            let pre_version = inst.version();
             let occurs = pre_atoms.iter().any(|a| a.terms().contains(&from));
             let eff = inst.merge_terms(from, to);
             prop_assert_eq!((eff.from, eff.to), (from, to));
@@ -351,13 +270,13 @@ proptest! {
                 "collapsed must count exactly the rows the merge removed"
             );
             if occurs {
-                prop_assert_eq!(inst.merge_epoch(), pre_epoch + 1);
+                prop_assert_eq!(inst.version(), pre_version + 1, "one bump per effective merge");
             } else {
                 prop_assert!(eff.is_noop(), "no occurrences: merge must be a no-op");
                 prop_assert_eq!(
-                    inst.merge_epoch(),
-                    pre_epoch,
-                    "a no-op merge must not bump merge_epoch"
+                    inst.version(),
+                    pre_version,
+                    "a no-op merge must not bump the version"
                 );
             }
             prop_assert!(

@@ -10,6 +10,7 @@ use chase_core::homomorphism::{find_all_homs, Subst};
 use chase_core::{Atom, ConstraintSet, Instance, Sym, Term};
 use chase_corpus::random::{random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig};
 use chase_engine::{head_rests, Matcher};
+use chase_plan::Access;
 use proptest::prelude::*;
 
 /// Normalized multiset of substitutions (sorted variable bindings, then the
@@ -47,7 +48,7 @@ fn collect_delta(
 /// The whole matcher surface, planned vs unplanned, on one workload.
 fn assert_matchers_agree(
     set: &ConstraintSet,
-    inst: &mut Instance,
+    inst: &Instance,
     delta_len: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let planned = Matcher::planned(set, inst);
@@ -127,8 +128,8 @@ proptest! {
             existential_prob: 0.35,
             seed,
         });
-        let mut inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 4, seed });
-        assert_matchers_agree(&set, &mut inst, delta_len)?;
+        let inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 4, seed });
+        assert_matchers_agree(&set, &inst, delta_len)?;
     }
 
     #[test]
@@ -137,7 +138,7 @@ proptest! {
         facts in 4usize..32,
     ) {
         // Wider bodies over fewer predicates: repeated variables and
-        // multi-way joins stress the ordering and the composite indexes.
+        // multi-way joins stress the ordering and the row probes.
         let set = random_tgds(&RandomTgdConfig {
             constraints: 3,
             predicates: 2,
@@ -147,9 +148,9 @@ proptest! {
             existential_prob: 0.2,
             seed,
         });
-        let mut inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 3, seed });
+        let inst = random_instance(&set, &RandomInstanceConfig { facts, domain: 3, seed });
         let delta_len = facts.min(4);
-        assert_matchers_agree(&set, &mut inst, delta_len)?;
+        assert_matchers_agree(&set, &inst, delta_len)?;
     }
 }
 
@@ -181,9 +182,40 @@ fn corpus_and_null_workloads_agree() {
         ConstraintSet::parse("E(X,Y), E(Y,Z) -> E(X,Z)\nS(X) -> E(X,Y)").unwrap(),
         Instance::parse("E(a,_n0). E(_n0,b). E(b,_n1). S(a). S(_n1).").unwrap(),
     ));
-    for (set, inst) in &mut cases {
+    for (set, inst) in &cases {
         assert_matchers_agree(set, inst, 3).unwrap_or_else(|e| panic!("{e:?}"));
     }
+}
+
+/// A fully bound step (one exact-row probe) and a partly bound arity-3 step
+/// (the smallest positional bucket, filtered position by position), each
+/// pinned against the unplanned searcher — nulls in the data included.
+#[test]
+fn probe_and_partly_bound_steps_agree() {
+    let set = ConstraintSet::parse(
+        "E(X,Y), E(Y,X) -> S(X)\n\
+         S(X), E(X,Y), R(X,Y,Z) -> R(Y,W,X)",
+    )
+    .unwrap();
+    let inst = Instance::parse(
+        "E(a,b). E(b,a). E(b,c). E(c,_n0). E(_n0,c). S(a). S(c). \
+         R(a,b,c). R(a,b,d). R(b,c,a). R(c,_n0,a). R(b,a,c). R(c,_n0,b).",
+    )
+    .unwrap();
+    let planned = Matcher::planned(&set, &inst);
+    let steps: Vec<(Access, usize, usize)> = (0..set.len())
+        .flat_map(|ci| {
+            let p = planned.plans(ci).expect("planner on");
+            std::iter::once(&p.body)
+                .chain(&p.head)
+                .flat_map(|prog| &prog.steps)
+                .map(|s| (s.access, s.terms.len(), s.bound.len()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(steps.contains(&(Access::Probe, 2, 2)), "{steps:?}");
+    assert!(steps.contains(&(Access::Positional, 3, 2)), "{steps:?}");
+    assert_matchers_agree(&set, &inst, 4).unwrap_or_else(|e| panic!("{e:?}"));
 }
 
 /// Plans survive instance growth across statistics epochs: refresh
@@ -192,7 +224,7 @@ fn corpus_and_null_workloads_agree() {
 fn refresh_keeps_equivalence_across_epochs() {
     let set = ConstraintSet::parse("E(X,Y), E(Y,Z), S(Z) -> E(X,Z)").unwrap();
     let mut inst = Instance::parse("E(a,b). S(b).").unwrap();
-    let mut planned = Matcher::planned(&set, &mut inst);
+    let mut planned = Matcher::planned(&set, &inst);
     for i in 0..40 {
         inst.insert(Atom::new(
             "E",
@@ -204,7 +236,7 @@ fn refresh_keeps_equivalence_across_epochs() {
         if i % 8 == 0 {
             inst.insert(Atom::new("S", vec![Term::constant(&format!("v{i}"))]));
         }
-        planned.refresh(&set, &mut inst);
+        planned.refresh(&set, &inst);
         let p = collect_body(&planned, 0, &set, &inst);
         assert_eq!(
             multiset(&p),

@@ -715,6 +715,53 @@ fn conductor_warm_restarts_its_fleet() {
     second.shutdown();
 }
 
+/// The server-wide exposition carries every durable session's WAL,
+/// snapshot and session series (exported by the same code as
+/// `ChaseSession::metrics_snapshot`), current as of each acknowledged
+/// message, and a warm restart exports what the reopen replayed before the
+/// session handles any message.
+#[test]
+fn conductor_metrics_carry_durability_series() {
+    let root = test_dir("conductor-metrics");
+    let cfg = ConductorConfig {
+        durable_root: Some(root.clone()),
+        ..ConductorConfig::default()
+    };
+    let first = Conductor::new(cfg.clone());
+    let h = first
+        .route(
+            first
+                .open(ConstraintSet::parse("E(X,Y) -> E(Y,X)").unwrap())
+                .unwrap(),
+        )
+        .unwrap();
+    h.apply(atoms("E(a,b).")).unwrap();
+    h.apply(atoms("E(b,c).")).unwrap();
+    assert_eq!(h.persist().unwrap(), 2);
+    h.apply(atoms("E(c,d).")).unwrap();
+    let text = first.metrics_text();
+    for line in [
+        "chase_wal_appends_total 3",
+        "chase_wal_fsyncs_total 3",
+        "chase_wal_replayed_total 0",
+        "chase_snapshots_total 1",
+        "chase_snapshot_epoch 2",
+        "chase_session_epochs_total 3",
+        "chase_session_facts 6",
+    ] {
+        assert!(text.lines().any(|l| l == line), "missing `{line}`:\n{text}");
+    }
+    first.shutdown();
+    drop(first);
+
+    // Only the batch logged after the snapshot replays.
+    let text = Conductor::new(cfg).metrics_text();
+    assert!(
+        text.lines().any(|l| l == "chase_wal_replayed_total 1"),
+        "{text}"
+    );
+}
+
 /// A session directory that cannot be reopened (here: a manifest whose
 /// constraint set no longer parses) is skipped and counted, never fatal —
 /// the rest of the fleet still comes up.

@@ -46,8 +46,4 @@ pub use runner::{
     EngineState, ResumeOutcome, StepRecord, StopReason, Strategy,
 };
 pub use step::{apply_step, StepEffect};
-pub use trigger::{
-    active_triggers, active_triggers_with, first_active_trigger, for_each_delta_match,
-    head_newly_satisfied, head_rests, is_active, match_atom, oblivious_triggers,
-    oblivious_triggers_with, Matcher,
-};
+pub use trigger::{active_triggers, first_active_trigger, head_rests, is_active, Matcher};

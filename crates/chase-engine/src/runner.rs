@@ -26,7 +26,7 @@
 //!   re-matched, semi-naively: each new atom is pinned into each compatible
 //!   body slot and the rest of the body is completed through the
 //!   index-driven homomorphism searcher
-//!   ([`crate::trigger::for_each_delta_match`]);
+//!   ([`crate::Matcher::for_each_delta_match`]);
 //! * only pooled triggers of constraints whose *TGD head* predicates
 //!   intersect the delta are re-validated (new atoms are the only way a
 //!   violated TGD trigger can become satisfied);

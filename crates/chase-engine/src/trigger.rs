@@ -11,9 +11,9 @@
 //! backtracking searcher (planner off). Both enumerate the same
 //! homomorphism *sets*; since triggers are identified by their normalized
 //! assignment and selected canonically, every function whose result is a
-//! set or a canonical element is enumeration-order-independent. The legacy
-//! free functions keep their historical (searcher-order) behavior by
-//! delegating to an unplanned matcher.
+//! set or a canonical element is enumeration-order-independent. The free
+//! functions here keep their historical (searcher-order) behavior by
+//! running unplanned.
 
 use chase_core::fx::FxHashSet;
 use chase_core::homomorphism::{for_each_hom, Subst};
@@ -45,19 +45,11 @@ pub fn first_active_trigger(c: &Constraint, inst: &Instance) -> Option<Subst> {
 
 /// All active triggers of `c`, deduplicated, in deterministic order.
 pub fn active_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
-    active_triggers_with(&Matcher::unplanned(), 0, c, inst)
-}
-
-/// [`active_triggers`] through a [`Matcher`] (`ci` is the constraint's index
-/// in the set the matcher was compiled for; ignored when unplanned).
-///
-/// The returned *set* of triggers is matcher-independent; the order within
-/// the vector follows the matcher's enumeration.
-pub fn active_triggers_with(m: &Matcher, ci: usize, c: &Constraint, inst: &Instance) -> Vec<Subst> {
+    let m = Matcher::unplanned();
     let mut out: Vec<Subst> = Vec::new();
     let mut seen: FxHashSet<Vec<(Sym, Term)>> = FxHashSet::default();
-    m.for_each_body_hom(ci, c, inst, &mut |mu| {
-        if m.is_active(ci, c, inst, mu) {
+    m.for_each_body_hom(0, c, inst, &mut |mu| {
+        if m.is_active(0, c, inst, mu) {
             let key = normalize(c, mu);
             if seen.insert(key) {
                 out.push(mu.clone());
@@ -66,55 +58,6 @@ pub fn active_triggers_with(m: &Matcher, ci: usize, c: &Constraint, inst: &Insta
         false
     });
     out
-}
-
-/// All body homomorphisms of `c` (oblivious triggers), deduplicated.
-pub fn oblivious_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
-    oblivious_triggers_with(&Matcher::unplanned(), 0, c, inst)
-}
-
-/// [`oblivious_triggers`] through a [`Matcher`]; see
-/// [`active_triggers_with`] for the `ci` and ordering contract.
-pub fn oblivious_triggers_with(
-    m: &Matcher,
-    ci: usize,
-    c: &Constraint,
-    inst: &Instance,
-) -> Vec<Subst> {
-    let mut out: Vec<Subst> = Vec::new();
-    let mut seen: FxHashSet<Vec<(Sym, Term)>> = FxHashSet::default();
-    m.for_each_body_hom(ci, c, inst, &mut |mu| {
-        let key = normalize(c, mu);
-        if seen.insert(key) {
-            out.push(mu.clone());
-        }
-        false
-    });
-    out
-}
-
-/// Unify one body atom with one ground fact, extending `seed` — re-exported
-/// from `chase_core` so the single-atom semantics live next to the full
-/// searcher they must agree with.
-pub use chase_core::homomorphism::unify_atom as match_atom;
-
-/// Semi-naive delta enumeration: every body homomorphism of `c` into `inst`
-/// that maps at least one body atom onto an atom of `delta` (which must be a
-/// subset of `inst`).
-///
-/// Each body slot is pinned to each delta atom in turn and the remaining
-/// body atoms are completed through the regular index-driven searcher, so
-/// the cost scales with the delta, not the instance. A match using several
-/// delta atoms is reported once per delta atom it uses; callers deduplicate
-/// by normalized assignment (they already must, because distinct
-/// homomorphisms can normalize to the same trigger).
-pub fn for_each_delta_match(
-    c: &Constraint,
-    inst: &Instance,
-    delta: &[Atom],
-    cb: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
-    Matcher::unplanned().for_each_delta_match(0, c, inst, delta, cb)
 }
 
 /// Per-slot "rest of the head": `rests[j]` is the head with atom `j`
@@ -130,27 +73,6 @@ pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
                 .collect()
         })
         .collect()
-}
-
-/// Did adding `added` (already inserted into `inst`) newly satisfy a TGD
-/// head under the pooled trigger `mu`?
-///
-/// Delta-seeded revalidation, symmetric to the body re-match: a *new* head
-/// extension must map at least one head atom onto a delta atom, so exactly
-/// those pairs are tried — each µ-instantiated head atom is unified with
-/// each delta atom (existential variables still free) and the remaining
-/// head atoms (`rests`, from [`head_rests`]) are completed through the
-/// searcher. This keeps the per-trigger cost at a few O(arity) unifications
-/// in the common case instead of a full backtracking extension search per
-/// pooled trigger.
-pub fn head_newly_satisfied(
-    head: &[Atom],
-    rests: &[Vec<Atom>],
-    inst: &Instance,
-    added: &[Atom],
-    mu: &Subst,
-) -> bool {
-    Matcher::unplanned().head_newly_satisfied(0, head, rests, inst, added, mu)
 }
 
 /// Canonical form of an assignment: bindings of the universal variables,
@@ -170,6 +92,27 @@ mod tests {
     use super::*;
     use chase_core::ConstraintSet;
 
+    /// The trigger keys `m` enumerates for constraint `ci` — every body
+    /// homomorphism, or only the active ones — deduplicated and sorted.
+    fn trigger_keys(
+        m: &Matcher,
+        ci: usize,
+        c: &Constraint,
+        inst: &Instance,
+        active_only: bool,
+    ) -> Vec<Vec<(Sym, Term)>> {
+        let mut keys: Vec<Vec<(Sym, Term)>> = Vec::new();
+        m.for_each_body_hom(ci, c, inst, &mut |mu| {
+            if !active_only || m.is_active(ci, c, inst, mu) {
+                keys.push(normalize(c, mu));
+            }
+            false
+        });
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
     #[test]
     fn tgd_trigger_only_when_violated() {
         let set = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
@@ -184,8 +127,9 @@ mod tests {
     fn oblivious_triggers_ignore_satisfaction() {
         let set = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
         let sat = Instance::parse("S(a). E(a,b).").unwrap();
-        assert_eq!(active_triggers(&set[0], &sat).len(), 0);
-        assert_eq!(oblivious_triggers(&set[0], &sat).len(), 1);
+        let m = Matcher::unplanned();
+        assert_eq!(trigger_keys(&m, 0, &set[0], &sat, true).len(), 0);
+        assert_eq!(trigger_keys(&m, 0, &set[0], &sat, false).len(), 1);
     }
 
     #[test]
@@ -221,7 +165,7 @@ mod tests {
         }
         for mu in &mus {
             assert_eq!(
-                head_newly_satisfied(t.head(), &rests, &inst, &added, mu),
+                Matcher::unplanned().head_newly_satisfied(0, t.head(), &rests, &inst, &added, mu),
                 !is_active(c, &inst, mu),
                 "disagreement for {mu}"
             );
@@ -239,27 +183,24 @@ mod tests {
         let inst = Instance::parse("E(a,b). E(b,c). E(a,c). S(a). S(z).").unwrap();
         let planned = Matcher::planned(&set, &inst);
         let unplanned = Matcher::unplanned();
-        let keys = |mus: Vec<Subst>, c: &Constraint| {
-            let mut v: Vec<Vec<(Sym, Term)>> = mus.iter().map(|mu| normalize(c, mu)).collect();
-            v.sort();
-            v
-        };
         for (ci, c) in set.enumerate() {
             assert_eq!(
-                keys(active_triggers_with(&planned, ci, c, &inst), c),
-                keys(active_triggers_with(&unplanned, ci, c, &inst), c),
+                trigger_keys(&planned, ci, c, &inst, true),
+                trigger_keys(&unplanned, ci, c, &inst, true),
                 "active trigger sets differ on constraint {ci}"
             );
             assert_eq!(
-                keys(oblivious_triggers_with(&planned, ci, c, &inst), c),
-                keys(oblivious_triggers_with(&unplanned, ci, c, &inst), c),
+                trigger_keys(&planned, ci, c, &inst, false),
+                trigger_keys(&unplanned, ci, c, &inst, false),
                 "oblivious trigger sets differ on constraint {ci}"
             );
-            // The legacy free functions are the unplanned path.
-            assert_eq!(
-                keys(active_triggers(c, &inst), c),
-                keys(active_triggers_with(&unplanned, ci, c, &inst), c)
-            );
+            // The free function is the unplanned path.
+            let mut free: Vec<_> = active_triggers(c, &inst)
+                .iter()
+                .map(|mu| normalize(c, mu))
+                .collect();
+            free.sort();
+            assert_eq!(free, trigger_keys(&unplanned, ci, c, &inst, true));
         }
     }
 

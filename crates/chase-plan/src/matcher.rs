@@ -242,8 +242,11 @@ impl Matcher {
 
     /// Semi-naive delta enumeration for constraint `ci`: every body
     /// homomorphism mapping at least one body atom onto an atom of `delta`
-    /// (a subset of `inst`), reported once per delta atom it uses — the
-    /// same contract as `chase_engine::trigger::for_each_delta_match`.
+    /// (a subset of `inst`). Each body slot is pinned to each delta atom in
+    /// turn and the rest of the body is completed by the matcher, so the
+    /// cost scales with the delta, not the instance. A match using several
+    /// delta atoms is reported once per delta atom it uses; callers
+    /// deduplicate by normalized assignment.
     pub fn for_each_delta_match(
         &self,
         ci: usize,
@@ -316,10 +319,12 @@ impl Matcher {
     }
 
     /// Did adding `added` (already inserted into `inst`) newly satisfy the
-    /// TGD head of `ci` under the pooled trigger `mu`? Matcher-aware form of
-    /// `chase_engine::trigger::head_newly_satisfied` — `rests[j]` is the
-    /// head with atom `j` removed and is only consulted on the unplanned
-    /// path (the planned path has its own per-slot programs).
+    /// TGD head of `ci` under the pooled trigger `mu`? Delta-seeded, like
+    /// the body re-match: a *new* head extension must map at least one head
+    /// atom onto a delta atom, so only those pairs are tried. `rests[j]`
+    /// (from `chase_engine::head_rests`) is the head with atom `j` removed
+    /// and is only consulted on the unplanned path (the planned path has
+    /// its own per-slot programs).
     pub fn head_newly_satisfied(
         &self,
         ci: usize,

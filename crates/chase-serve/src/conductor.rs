@@ -1507,4 +1507,55 @@ mod tests {
         drop(conductor);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn a_sweep_never_evicts_a_session_with_a_request_in_flight() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        let h = conductor.route(id).unwrap();
+        let sweep_now = || {
+            sweep(
+                &conductor.pool,
+                &conductor.sessions,
+                &conductor.evicted,
+                Duration::ZERO,
+                &conductor.metrics.counter(M_EVICTIONS),
+                &conductor.metrics.gauge(M_SESSIONS_OPEN),
+            )
+        };
+        // Holding the core keeps the posted apply from finishing, so the
+        // session stays scheduled however the worker is timed.
+        let busy = h.cell.core.lock().unwrap();
+        let pending = h.apply_async(atoms("e(a,b)."));
+        sweep_now();
+        assert_eq!(conductor.session_count(), 1, "a busy session was evicted");
+        drop(busy);
+        pending.recv().unwrap().unwrap();
+        // The reply goes out before the dispatch ends: wait for the worker
+        // to release the session.
+        while h.cell.mailbox.lock().unwrap().scheduled {
+            thread::yield_now();
+        }
+        sweep_now();
+        assert_eq!(conductor.session_count(), 0);
+        assert_eq!(conductor.route(id).unwrap_err(), ServeError::Evicted(id));
+    }
+
+    #[test]
+    fn a_request_queued_on_a_session_closed_under_it_gets_session_gone() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        let h = conductor.route(id).unwrap();
+        // Holding the core keeps the stats request from being served
+        // before the close, whether it was posted before or after it.
+        let busy = h.cell.core.lock().unwrap();
+        let waiter = h.clone();
+        let pending = thread::spawn(move || waiter.stats());
+        conductor.close(id).unwrap();
+        drop(busy);
+        assert_eq!(
+            pending.join().unwrap().unwrap_err(),
+            ServeError::SessionGone
+        );
+    }
 }

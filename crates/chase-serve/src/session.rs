@@ -528,6 +528,13 @@ impl SessionBuilder {
                 wal::write_manifest(&dir, &self.set, &self.cfg).map_err(dur_err)?;
                 let (wal, records, _) = Wal::open(&dir).map_err(dur_err)?;
                 debug_assert!(records.is_empty(), "fresh durable dir has a non-empty WAL");
+                // The new `wal.log` entry, and the session directory's own
+                // entry in its parent, must reach disk before any batch is
+                // acknowledged into them.
+                let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+                wal::sync_dir(&dir)
+                    .and_then(|()| wal::sync_dir(parent.unwrap_or(Path::new("."))))
+                    .map_err(dur_err)?;
                 let mut session = build_in_memory(self.set, self.cfg, &self.instance);
                 // A seeded instance is covered by an immediate snapshot so
                 // reopen reconstructs it (seeds never pass through the WAL).

@@ -317,7 +317,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 /// the bytes land in a temporary file, are fsynced, and are renamed into
 /// place, so a crash mid-write leaves either the old set of snapshots or
 /// the old set plus one complete new file — never a half-written one that
-/// parses.
+/// parses. The directory is fsynced after the rename, so once this
+/// returns the snapshot survives a power cut and the log it covers may be
+/// truncated.
 pub(crate) fn write_snapshot(dir: &Path, epoch: u64, instance: &Instance) -> io::Result<PathBuf> {
     let body = instance.to_snapshot_bytes();
     let mut out = Vec::with_capacity(body.len() + 32);
@@ -337,7 +339,14 @@ pub(crate) fn write_snapshot(dir: &Path, epoch: u64, instance: &Instance) -> io:
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
+    sync_dir(dir)?;
     Ok(final_path)
+}
+
+/// Make `dir`'s entries durable: a rename or a file creation reaches
+/// stable storage only once its directory is fsynced.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Decode one snapshot file; `None` when it is unreadable in any way
@@ -591,7 +600,7 @@ fn apply_cfg_line(c: &mut ChaseConfig, key: &str, value: &str) -> Result<(), Str
 }
 
 /// Write the manifest for a fresh durability directory (atomically, like
-/// snapshots: tmp + fsync + rename).
+/// snapshots: tmp + fsync + rename + directory fsync).
 pub(crate) fn write_manifest(
     dir: &Path,
     set: &ConstraintSet,
@@ -603,7 +612,8 @@ pub(crate) fn write_manifest(
         f.write_all(render_manifest(set, cfg).as_bytes())?;
         f.sync_all()?;
     }
-    fs::rename(tmp, dir.join(MANIFEST_FILE))
+    fs::rename(tmp, dir.join(MANIFEST_FILE))?;
+    sync_dir(dir)
 }
 
 /// Read the manifest in `dir`, if one exists. `Ok(None)` = fresh directory;

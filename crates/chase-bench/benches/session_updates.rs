@@ -12,12 +12,18 @@
 //! Both paths produce a universal model of the same accumulated facts
 //! after every epoch (pinned up to core isomorphism by
 //! `tests/session_equivalence.rs`); only the work differs.
+//!
+//! `travel_rail_batch/warm` is the per-step cost at scale: one 1000-fact
+//! `rail` batch into a resident travel session of ~50k chased facts. Every
+//! step's new rail atom must retire the pooled trigger it satisfies, so a
+//! head revalidation that scanned the pool would make the batch quadratic
+//! in its size.
 
 use chase_bench::{print_table, scaled, Row};
 use chase_core::{Atom, ConstraintSet, Instance};
 use chase_corpus::random::{
-    random_instance, random_travel_stream, update_stream, RandomInstanceConfig, RandomTravelConfig,
-    UpdateStreamConfig,
+    random_instance, random_travel_instance, random_travel_stream, update_stream,
+    RandomInstanceConfig, RandomTravelConfig, UpdateStreamConfig,
 };
 use chase_engine::{chase, ChaseConfig, StopReason};
 use chase_serve::{ChaseSession, SessionConfig};
@@ -110,6 +116,42 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
+/// The `travel_rail_batch` case: a session loaded with a ~50k-fact chased
+/// travel instance (~12k in quick mode), loaded the way servebench's
+/// `big_tenant` loads, and a 1000-fact `rail` batch over the same cities.
+fn rail_batch_case() -> (ChaseSession, Vec<Atom>) {
+    let set = ConstraintSet::parse(
+        "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2)\n\
+         rail(C1,C2,D) -> rail(C2,C1,D)",
+    )
+    .expect("travel set parses");
+    let cities = scaled(2500, 600);
+    let base = random_travel_instance(&RandomTravelConfig {
+        cities,
+        flights: scaled(16_000, 4_000),
+        rails: scaled(16_000, 4_000),
+        seed: 11,
+    });
+    let cfg = SessionConfig {
+        use_sqo: false,
+        ..SessionConfig::default()
+    };
+    let mut session = ChaseSession::with_config(set, cfg);
+    // Load in 1000-fact batches, each within the per-batch step budget.
+    for chunk in base.atoms().chunks(1000) {
+        let out = session.apply(chunk.to_vec()).expect("base applies");
+        assert_eq!(out.reason, StopReason::Satisfied, "base must quiesce");
+    }
+    let batch = random_travel_instance(&RandomTravelConfig {
+        cities,
+        flights: 0,
+        rails: 1000,
+        seed: 12,
+    })
+    .atoms();
+    (session, batch)
+}
+
 /// Warm path: one resident session, every batch continued from its delta.
 fn run_warm(set: &ConstraintSet, stream: &[Vec<Atom>]) -> usize {
     let cfg = SessionConfig {
@@ -192,6 +234,17 @@ fn bench(c: &mut Criterion) {
             b.iter(|| run_cold(black_box(&w.set), &w.stream))
         });
     }
+    // Each iteration applies the batch to a fresh clone of the loaded
+    // session, so the timing includes that clone.
+    let (loaded, batch) = rail_batch_case();
+    g.bench_function(BenchmarkId::new("travel_rail_batch", "warm"), |b| {
+        b.iter(|| {
+            let mut session = loaded.clone();
+            let out = session.apply(batch.iter().cloned()).expect("batch applies");
+            assert_eq!(out.reason, StopReason::Satisfied, "batch must quiesce");
+            out.steps
+        })
+    });
     g.finish();
 }
 

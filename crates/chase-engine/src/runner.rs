@@ -27,9 +27,11 @@
 //!   body slot and the rest of the body is completed through the
 //!   index-driven homomorphism searcher
 //!   ([`crate::Matcher::for_each_delta_match`]);
-//! * only pooled triggers of constraints whose *TGD head* predicates
-//!   intersect the delta are re-validated (new atoms are the only way a
-//!   violated TGD trigger can become satisfied);
+//! * only pooled triggers whose *TGD head* some new atom can unify with
+//!   are re-validated (new atoms are the only way a violated TGD trigger
+//!   can become satisfied). The pool indexes each TGD's triggers per head
+//!   atom by their frontier values, so a new atom looks up the few
+//!   triggers it can satisfy instead of scanning the pool;
 //! * triggers found satisfied are memoized in a dead-set so the standard
 //!   chase's "not already satisfied" check never runs twice for the same
 //!   `(constraint, assignment)` pair.
@@ -56,27 +58,28 @@
 //! This replaces the seed engine's per-step full re-enumeration — a
 //! backtracking search over the whole instance for every constraint on every
 //! step, the quadratic blow-up *Stop the Chase* (Meier et al., 2009) calls
-//! out — with work driven by each step's delta. (Not strictly O(delta):
-//! when a delta predicate appears in a constraint's head, revalidation
-//! scans that constraint's pooled triggers, paying a cheap per-trigger
-//! unification pre-filter and a seeded extension search only on unifying
-//! pairs.) The old behaviour is
-//! retained as [`chase_naive`] so tests and benches can compare the two
-//! engines trigger for trigger: both select the canonically least trigger
-//! (smallest constraint index, then smallest normalized assignment), so
-//! their traces are bit-identical whenever the pool is maintained correctly.
+//! out — with work driven by each step's delta: body re-matching starts
+//! from the new atoms, and head revalidation visits only the pooled
+//! triggers in the head-index buckets the new atoms hash to. The old
+//! behaviour is retained as [`chase_naive`] so tests and benches can
+//! compare the two engines trigger for trigger: both select the
+//! canonically least trigger (smallest constraint index, then smallest
+//! normalized assignment), so their traces are bit-identical whenever the
+//! pool is maintained correctly.
 
 use crate::monitor::MonitorGraph;
 use crate::step::{apply_step, StepEffect};
-use crate::trigger::{head_rests, normalize, Matcher};
-use chase_core::fx::{FxHashMap, FxHashSet};
+use crate::trigger::{head_rests, key_order, normalize_in, Matcher};
+use chase_core::fx::{FxHashMap, FxHashSet, FxHasher};
 use chase_core::homomorphism::Subst;
 use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Term};
 use chase_obs::{EventKind, Phase, PhaseTimer, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Standard chase (fire only violated triggers) or oblivious chase (fire
 /// every body match once).
@@ -275,8 +278,94 @@ impl fmt::Display for ChaseResult {
 }
 
 /// Canonical identity of a trigger: the normalized assignment of the
-/// constraint's universal variables (see [`normalize`]).
+/// constraint's universal variables (see [`crate::trigger::normalize`]).
 type TriggerKey = Vec<(Sym, Term)>;
+
+/// One TGD head atom, as the pool's revalidation index sees it.
+///
+/// An added atom can newly satisfy a pooled trigger's head only by unifying
+/// with the trigger's instance of some head atom: same predicate and arity,
+/// the atom's constants in place, and µ's values at its frontier positions.
+/// The slot buckets pooled triggers by a hash of those frontier values, so
+/// an added atom finds every trigger it might satisfy through this atom by
+/// hashing its own values at the same positions.
+#[derive(Clone)]
+struct HeadSlot {
+    pred: Sym,
+    arity: usize,
+    /// `(position, constant)`: what a unifying atom must carry there.
+    consts: Vec<(usize, Term)>,
+    /// `(position, universal variable)`, in position order.
+    frontier: Vec<(usize, Sym)>,
+    /// Frontier-value hash → the pooled keys with those values. A hash
+    /// collision only adds a candidate; revalidation's exact check drops it.
+    buckets: FxHashMap<u64, FxHashSet<TriggerKey>>,
+}
+
+/// Hash a sequence of terms the same way for triggers and atoms.
+fn hash_terms(terms: impl Iterator<Item = Term>) -> u64 {
+    let mut h = FxHasher::default();
+    for t in terms {
+        t.hash(&mut h);
+    }
+    h.finish()
+}
+
+impl HeadSlot {
+    fn new(atom: &Atom, universals: &[Sym]) -> HeadSlot {
+        let mut consts = Vec::new();
+        let mut frontier = Vec::new();
+        for (p, &t) in atom.terms().iter().enumerate() {
+            match t {
+                Term::Var(v) if universals.contains(&v) => frontier.push((p, v)),
+                Term::Var(_) => {}
+                _ => consts.push((p, t)),
+            }
+        }
+        HeadSlot {
+            pred: atom.pred(),
+            arity: atom.arity(),
+            consts,
+            frontier,
+            buckets: FxHashMap::default(),
+        }
+    }
+
+    fn trigger_hash(&self, mu: &Subst) -> u64 {
+        hash_terms(
+            self.frontier
+                .iter()
+                .map(|&(_, v)| mu.var(v).expect("a pooled trigger binds every universal")),
+        )
+    }
+
+    /// The bucket `a` would unify into, or `None` when its predicate,
+    /// arity or constants rule out every trigger.
+    fn atom_hash(&self, a: &Atom) -> Option<u64> {
+        let terms = a.terms();
+        let fits = a.pred() == self.pred
+            && terms.len() == self.arity
+            && self.consts.iter().all(|&(p, t)| terms[p] == t);
+        fits.then(|| hash_terms(self.frontier.iter().map(|&(p, _)| terms[p])))
+    }
+
+    fn add(&mut self, key: &TriggerKey, mu: &Subst) {
+        let h = self.trigger_hash(mu);
+        self.buckets.entry(h).or_default().insert(key.clone());
+    }
+
+    fn remove(&mut self, key: &TriggerKey, mu: &Subst) {
+        let h = self.trigger_hash(mu);
+        let bucket = self
+            .buckets
+            .get_mut(&h)
+            .expect("a pooled trigger is indexed in every head slot");
+        bucket.remove(key);
+        if bucket.is_empty() {
+            self.buckets.remove(&h);
+        }
+    }
+}
 
 /// The currently fireable triggers, one ordered map per constraint.
 ///
@@ -284,53 +373,99 @@ type TriggerKey = Vec<(Sym, Term)>;
 /// compare by interned symbol id, then term) that both engines use for
 /// selection, and `pop_first` hands the fired trigger out by value — no
 /// `Subst` clone on the hot path.
-#[derive(Default, Clone)]
+///
+/// In standard mode every TGD's head atoms also index its pooled triggers
+/// ([`HeadSlot`]), so head revalidation visits only the triggers an added
+/// atom can unify with instead of the whole pool. Every mutation below
+/// keeps the index in step with the maps.
+#[derive(Clone)]
 struct TriggerPool {
     pools: Vec<BTreeMap<TriggerKey, Subst>>,
+    /// Per constraint, one slot per TGD head atom; empty for EGDs and in
+    /// oblivious mode, where nothing revalidates.
+    slots: Vec<Vec<HeadSlot>>,
     total: usize,
 }
 
 impl TriggerPool {
-    fn new(constraints: usize) -> TriggerPool {
+    fn new(set: &ConstraintSet, mode: ChaseMode) -> TriggerPool {
+        let slots = set
+            .enumerate()
+            .map(|(_, c)| match c {
+                Constraint::Tgd(t) if mode == ChaseMode::Standard => t
+                    .head()
+                    .iter()
+                    .map(|a| HeadSlot::new(a, t.universals()))
+                    .collect(),
+                _ => Vec::new(),
+            })
+            .collect();
         TriggerPool {
-            pools: (0..constraints).map(|_| BTreeMap::new()).collect(),
+            pools: (0..set.len()).map(|_| BTreeMap::new()).collect(),
+            slots,
             total: 0,
         }
     }
 
     fn insert(&mut self, ci: usize, key: TriggerKey, mu: Subst) -> bool {
-        let new = self.pools[ci].insert(key, mu).is_none();
-        self.total += usize::from(new);
-        new
+        match self.pools[ci].entry(key) {
+            Entry::Occupied(mut e) => {
+                // Equal keys bind every universal alike, so the frontier
+                // values — and the index — are unchanged.
+                e.insert(mu);
+                false
+            }
+            Entry::Vacant(e) => {
+                for slot in &mut self.slots[ci] {
+                    slot.add(e.key(), &mu);
+                }
+                e.insert(mu);
+                self.total += 1;
+                true
+            }
+        }
     }
 
     fn contains(&self, ci: usize, key: &TriggerKey) -> bool {
         self.pools[ci].contains_key(key)
     }
 
+    /// Account for a trigger just taken out of `pools[ci]`: drop it from
+    /// the index and the total.
+    fn unindex(&mut self, ci: usize, key: &TriggerKey, mu: &Subst) {
+        for slot in &mut self.slots[ci] {
+            slot.remove(key, mu);
+        }
+        self.total -= 1;
+    }
+
     fn remove(&mut self, ci: usize, key: &TriggerKey) -> Option<Subst> {
-        let removed = self.pools[ci].remove(key);
-        self.total -= usize::from(removed.is_some());
-        removed
+        let mu = self.pools[ci].remove(key)?;
+        self.unindex(ci, key, &mu);
+        Some(mu)
     }
 
     fn pop_first(&mut self, ci: usize) -> Option<(TriggerKey, Subst)> {
-        let popped = self.pools[ci].pop_first();
-        self.total -= usize::from(popped.is_some());
-        popped
+        let (key, mu) = self.pools[ci].pop_first()?;
+        self.unindex(ci, &key, &mu);
+        Some((key, mu))
     }
 
     /// Remove and return the `n`-th trigger in global canonical order
     /// (constraint index, then assignment).
     fn take_nth(&mut self, mut n: usize) -> Option<(usize, TriggerKey, Subst)> {
-        for (ci, pool) in self.pools.iter_mut().enumerate() {
-            if n < pool.len() {
-                let key = pool.keys().nth(n).expect("index in range").clone();
-                let mu = pool.remove(&key).expect("key just read");
-                self.total -= 1;
+        for ci in 0..self.pools.len() {
+            let len = self.pools[ci].len();
+            if n < len {
+                let key = self.pools[ci]
+                    .keys()
+                    .nth(n)
+                    .expect("index in range")
+                    .clone();
+                let mu = self.remove(ci, &key).expect("key just read");
                 return Some((ci, key, mu));
             }
-            n -= pool.len();
+            n -= len;
         }
         None
     }
@@ -339,7 +474,30 @@ impl TriggerPool {
         for pool in &mut self.pools {
             pool.clear();
         }
+        for slot in self.slots.iter_mut().flatten() {
+            slot.buckets.clear();
+        }
         self.total = 0;
+    }
+
+    /// The pooled triggers of `ci` whose frontier values at some head atom
+    /// an atom of `added` carries, in canonical key order: a superset of
+    /// the triggers `added` may have newly satisfied (hash collisions and
+    /// existential positions are left to the exact check).
+    fn head_candidates(&self, ci: usize, added: &[Atom]) -> Vec<&TriggerKey> {
+        let mut out: Vec<&TriggerKey> = Vec::new();
+        for slot in &self.slots[ci] {
+            // One visit per bucket, however many added atoms hash to it.
+            let hashes: FxHashSet<u64> = added.iter().filter_map(|a| slot.atom_hash(a)).collect();
+            for h in hashes {
+                if let Some(bucket) = slot.buckets.get(&h) {
+                    out.extend(bucket);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -388,8 +546,9 @@ pub struct EngineState {
     pool: TriggerPool,
     /// Per-constraint body predicates, for delta → constraint dispatch.
     body_preds: Vec<FxHashSet<Sym>>,
-    /// Per-constraint TGD head predicates, for revalidation dispatch.
-    head_preds: Vec<FxHashSet<Sym>>,
+    /// Per-constraint [`key_order`]: trigger keys are built in it, so
+    /// normalizing a match never sorts by name.
+    key_orders: Vec<Vec<Sym>>,
     /// The matching engine every trigger query goes through: compiled
     /// `chase-plan` join programs (planner on) or the classic searcher
     /// (planner off). Refreshed when the instance's statistics epoch
@@ -428,19 +587,11 @@ impl EngineState {
         } else {
             None
         };
-        let collect_preds =
-            |atoms: &[Atom]| -> FxHashSet<Sym> { atoms.iter().map(|a| a.pred()).collect() };
         let body_preds: Vec<FxHashSet<Sym>> = set
             .enumerate()
-            .map(|(_, c)| collect_preds(c.body()))
+            .map(|(_, c)| c.body().iter().map(|a| a.pred()).collect())
             .collect();
-        let head_preds: Vec<FxHashSet<Sym>> = set
-            .enumerate()
-            .map(|(_, c)| match c {
-                Constraint::Tgd(t) => collect_preds(t.head()),
-                Constraint::Egd(_) => FxHashSet::default(),
-            })
-            .collect();
+        let key_orders: Vec<Vec<Sym>> = set.enumerate().map(|(_, c)| key_order(c)).collect();
         let inst = instance.clone();
         let recorder = chase_obs::global().clone();
         let matcher = if cfg.use_planner {
@@ -455,9 +606,9 @@ impl EngineState {
             monitor,
             fired: vec![FxHashSet::default(); set.len()],
             dead: vec![FxHashSet::default(); set.len()],
-            pool: TriggerPool::new(set.len()),
+            pool: TriggerPool::new(set, cfg.mode),
             body_preds,
-            head_preds,
+            key_orders,
             matcher,
             merge_rewritten: 0,
             merge_collapsed: 0,
@@ -743,6 +894,7 @@ impl<'a> Run<'a> {
             dead,
             pool,
             matcher,
+            key_orders,
             ..
         } = &mut **st;
         pool.clear();
@@ -752,7 +904,7 @@ impl<'a> Run<'a> {
         let matcher = &*matcher;
         for (ci, c) in set.enumerate() {
             matcher.for_each_body_hom(ci, c, inst, &mut |mu| {
-                let key = normalize(c, mu);
+                let key = normalize_in(&key_orders[ci], mu);
                 let fires = match cfg.mode {
                     ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
                     ChaseMode::Oblivious => !fired[ci].contains(&key),
@@ -780,10 +932,11 @@ impl<'a> Run<'a> {
             let dead = &self.st.dead;
             let fired = &self.st.fired;
             let mode = self.cfg.mode;
+            let order = &self.st.key_orders[ci];
             self.st
                 .matcher
                 .for_each_delta_match(ci, c, &self.st.inst, delta, &mut |mu| {
-                    let key = normalize(c, mu);
+                    let key = normalize_in(order, mu);
                     let known = pool.contains(ci, &key)
                         || match mode {
                             ChaseMode::Standard => dead[ci].contains(&key),
@@ -813,20 +966,25 @@ impl<'a> Run<'a> {
             return;
         }
         let delta_preds: FxHashSet<Sym> = added.iter().map(|a| a.pred()).collect();
-        // Revalidate pooled triggers that the new atoms may have satisfied:
-        // a violated TGD trigger becomes satisfied only when an atom with one
-        // of its head predicates appears. (Oblivious triggers and EGD
-        // triggers never die from added atoms.)
+        // Revalidate pooled triggers that the new atoms may have satisfied.
+        // A violated TGD trigger becomes satisfied only when a new atom
+        // unifies with one of its instantiated head atoms, which pins the
+        // atom's values at that head atom's frontier positions. The pool's
+        // head index hands out every trigger whose frontier values some new
+        // atom carries, and the exact check below decides. (Oblivious
+        // triggers and EGD triggers never die from added atoms.)
         if self.cfg.mode == ChaseMode::Standard {
             let _t = self.sampled_phase(Phase::HeadRevalidate);
             for ci in 0..self.set.len() {
-                if self.st.head_preds[ci].is_disjoint(&delta_preds) {
-                    continue;
-                }
                 let Constraint::Tgd(t) = &self.set[ci] else {
                     continue;
                 };
                 let head = t.head();
+                let pool = &self.st.pool;
+                let candidates = pool.head_candidates(ci, added);
+                if candidates.is_empty() {
+                    continue;
+                }
                 // Per-slot head rests feed only the unplanned revalidation
                 // path; the planned matcher has its own compiled head-rest
                 // programs, so skip the atom clones when the planner is on.
@@ -836,12 +994,13 @@ impl<'a> Run<'a> {
                     head_rests(head)
                 };
                 let (inst, matcher) = (&self.st.inst, &self.st.matcher);
-                let now_dead: Vec<TriggerKey> = self.st.pool.pools[ci]
-                    .iter()
-                    .filter(|(_, mu)| {
+                let now_dead: Vec<TriggerKey> = candidates
+                    .into_iter()
+                    .filter(|&key| {
+                        let mu = &pool.pools[ci][key];
                         matcher.head_newly_satisfied(ci, head, &rests, inst, added, mu)
                     })
-                    .map(|(key, _)| key.clone())
+                    .cloned()
                     .collect();
                 for key in now_dead {
                     self.st.pool.remove(ci, &key);
@@ -957,7 +1116,7 @@ impl<'a> Run<'a> {
         self.st
             .matcher
             .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
-                let key = normalize(c, mu);
+                let key = normalize_in(&self.st.key_orders[ci], mu);
                 if best.as_ref().is_none_or(|(bk, _)| key < *bk) && self.fires(ci, c, mu, &key) {
                     best = Some((key, mu.clone()));
                 }
@@ -975,7 +1134,7 @@ impl<'a> Run<'a> {
             self.st
                 .matcher
                 .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
-                    let key = normalize(c, mu);
+                    let key = normalize_in(&self.st.key_orders[ci], mu);
                     if !per.contains_key(&key) && self.fires(ci, c, mu, &key) {
                         per.insert(key, mu.clone());
                     }

@@ -78,13 +78,25 @@ pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
 /// Canonical form of an assignment: bindings of the universal variables,
 /// sorted by variable name. Two triggers are "the same" iff they agree here.
 pub fn normalize(c: &Constraint, mu: &Subst) -> Vec<(Sym, Term)> {
-    let mut v: Vec<(Sym, Term)> = c
-        .universals()
-        .into_iter()
-        .filter_map(|u| mu.var(u).map(|t| (u, t)))
-        .collect();
-    v.sort_by_key(|(s, _)| s.as_str());
-    v
+    normalize_in(&key_order(c), mu)
+}
+
+/// The order [`normalize`] lists a constraint's bindings in: its universal
+/// variables sorted by name. Each name comparison reads the process-wide
+/// interner, so hot paths compute this once per constraint and build keys
+/// with [`normalize_in`].
+pub(crate) fn key_order(c: &Constraint) -> Vec<Sym> {
+    let mut order = c.universals();
+    order.sort_by_key(|s| s.as_str());
+    order
+}
+
+/// [`normalize`] with the constraint's [`key_order`] precomputed.
+pub(crate) fn normalize_in(order: &[Sym], mu: &Subst) -> Vec<(Sym, Term)> {
+    order
+        .iter()
+        .filter_map(|&u| mu.var(u).map(|t| (u, t)))
+        .collect()
 }
 
 #[cfg(test)]

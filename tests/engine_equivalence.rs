@@ -17,7 +17,9 @@ use chase_corpus::families;
 use chase_corpus::random::{
     random_egd_mix, random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig,
 };
-use chase_engine::{chase, chase_naive, ChaseConfig, ChaseMode, Strategy};
+use chase_engine::{
+    chase, chase_naive, chase_resume, ChaseConfig, ChaseMode, EngineState, Strategy,
+};
 use chase_termination::{phase_schedule, PhaseSchedule, PrecedenceConfig, Recognition};
 use proptest::prelude::*;
 
@@ -501,4 +503,169 @@ fn egd_workloads_agree() {
         };
         assert_equivalent(&set, &inst, &cfg).unwrap_or_else(|e| panic!("{e:?}"));
     }
+}
+
+/// Warm multi-batch runs against the naive reference. The state ingests
+/// each batch with `EngineState::insert_batch` and continues with
+/// `chase_resume`; the reference chases the same pre-resume instance from
+/// scratch with `chase_naive`. Small step budgets leave a backlog of
+/// pooled triggers when the next batch arrives, so the batch's atoms (and
+/// later steps' atoms) must find, through the pool's head index, exactly
+/// the pooled triggers they satisfy. A final round-robin resume drains the
+/// backlog: a trigger that revalidation missed fires there although
+/// satisfied, and the traces part. Every case runs under several budgets
+/// and strategies, planner on and off.
+///
+/// Constraint 0 is a filler, `Wait(X) -> Waited(X)`, and every batch brings
+/// four fresh `Wait` facts. A cycle that visits the filler four times
+/// first spends budgets of 1–3 steps on it alone, so `sigma`'s triggers
+/// stay pooled while every later batch arrives.
+fn assert_warm_batches_agree(sigma: &str, batches: &[&str]) {
+    let set = chase_core::ConstraintSet::parse(&format!("Wait(X) -> Waited(X)\n{sigma}")).unwrap();
+    let n = set.len();
+    let budgets = [Some(1), Some(2), Some(3), Some(200)];
+    let strategies = [
+        Strategy::RoundRobin,
+        Strategy::FixedCycle((0..n).rev().collect()),
+        Strategy::Random { seed: 5 },
+        Strategy::FixedCycle([0, 0, 0, 0].into_iter().chain(1..n).collect()),
+    ];
+    for use_planner in [true, false] {
+        let drain = ChaseConfig {
+            max_steps: Some(200),
+            keep_trace: true,
+            use_planner,
+            ..ChaseConfig::default()
+        };
+        for strategy in &strategies {
+            for max_steps in budgets {
+                let cfg = ChaseConfig {
+                    strategy: strategy.clone(),
+                    max_steps,
+                    ..drain.clone()
+                };
+                let label =
+                    format!("{sigma} / {strategy:?} / {max_steps:?} / planner {use_planner}");
+                let mut st = EngineState::new(&chase_core::Instance::new(), &set, &cfg);
+                let resume_agrees = |st: &mut EngineState, cfg: &ChaseConfig, at: &str| {
+                    let before = st.instance().clone();
+                    let warm = chase_resume(st, &set, cfg);
+                    let naive = chase_naive(&before, &set, cfg);
+                    assert_eq!(warm.reason, naive.reason, "{at}: stop reason");
+                    assert_eq!(warm.steps, naive.steps, "{at}: steps");
+                    assert_eq!(warm.fresh_nulls, naive.fresh_nulls, "{at}: nulls");
+                    assert_eq!(
+                        format!("{:?}", warm.trace),
+                        format!("{:?}", naive.trace),
+                        "{at}: trace"
+                    );
+                    assert_eq!(st.instance(), &naive.instance, "{at}: instance");
+                };
+                for (b, text) in batches.iter().enumerate() {
+                    let text =
+                        format!("{text} Wait(w{b}a). Wait(w{b}b). Wait(w{b}c). Wait(w{b}d).");
+                    let atoms = chase_core::Instance::parse(&text).unwrap().atoms();
+                    st.insert_batch(&set, &cfg, atoms).unwrap();
+                    resume_agrees(&mut st, &cfg, &format!("{label} / batch {b}"));
+                }
+                resume_agrees(&mut st, &drain, &format!("{label} / drain"));
+                assert!(st.quiescent(), "{label}: the drain left triggers pooled");
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_batches_agree_with_a_head_constant() {
+    assert_warm_batches_agree(
+        "E(X,Y) -> R(X,c)",
+        &[
+            "E(a,k). E(b,k). E(d,k). E(e,k). E(f,k).",
+            "R(d,c). R(e,z). R(c,e).",
+            "E(g,k). E(h,k). R(f,c). R(h,c).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_with_a_repeated_frontier_variable() {
+    assert_warm_batches_agree(
+        "E(X,Y) -> R(X,X)",
+        &[
+            "E(a,k). E(b,k). E(d,k). E(e,k).",
+            "R(d,d). R(e,a). R(a,e).",
+            "E(f,k). R(e,e). R(f,f).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_with_one_frontier_variable_in_two_head_atoms() {
+    assert_warm_batches_agree(
+        "E(X,Y) -> R(X,Z), S(X)",
+        &[
+            "E(a,k). E(b,k). E(d,k). E(e,k).",
+            "S(d). R(e,q).",
+            "R(d,q). S(e). E(f,k). S(f). R(f,f).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_with_a_head_atom_without_frontier_variables() {
+    // `T(Y)` has no frontier position: every pooled trigger shares one
+    // bucket, and any T atom satisfies them all.
+    assert_warm_batches_agree(
+        "U(X) -> V(X)\nS(X) -> T(Y)",
+        &[
+            "U(a). U(b). S(a). S(b). S(c).",
+            "T(k). U(d).",
+            "S(d). U(e).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_with_a_multi_atom_existential_head() {
+    // A pooled trigger dies only when the delta completes the whole join
+    // `R(x,n), T(n,y)` through some witness n, old or new.
+    assert_warm_batches_agree(
+        "E(X,Y) -> R(X,Z), T(Z,Y)",
+        &[
+            "E(a,b). E(c,d). E(e,f). E(g,h).",
+            "R(c,w). T(w,d). R(e,v). T(u,f).",
+            "T(v,f). R(g,g). E(i,j). R(i,m). T(m,j).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_with_one_predicate_at_two_arities() {
+    // Σ fixes R's arity, but base facts may use R at another arity too:
+    // `R(a,a)` must not satisfy the head `R(X)` under X ↦ a.
+    assert_warm_batches_agree(
+        "F(X) -> G(X)\nE(X,Y) -> R(X)",
+        &[
+            "E(a,k). E(b,k). E(d,k). F(a). F(b). F(d).",
+            "R(a,a). R(b). R(d,d,d). R(d).",
+            "E(e,k). F(e). R(e,e). R(a).",
+        ],
+    );
+}
+
+#[test]
+fn warm_batches_agree_through_merges_that_remap_pooled_triggers() {
+    // Nulls invented for E are merged into F's constants, remapping the
+    // pooled `E(X,Y) -> R(Y,X)` triggers that bind them (remove, then
+    // insert under the new key). The later R atoms then satisfy them only
+    // under their remapped frontier values.
+    assert_warm_batches_agree(
+        "S(X) -> E(X,Y)\nE(X,Y), F(X,Z) -> Y = Z\nE(X,Y) -> R(Y,X)",
+        &[
+            "S(a). S(b). S(d).",
+            "F(a,p). F(b,q).",
+            "R(p,a). F(d,r).",
+            "R(q,b). R(r,d). S(e). F(e,p).",
+        ],
+    );
 }

@@ -18,15 +18,21 @@
 //! step's new rail atom must retire the pooled trigger it satisfies, so a
 //! head revalidation that scanned the pool would make the batch quadratic
 //! in its size.
+//!
+//! `travel_rail_batch/handle` is the per-request cost at the same scale:
+//! one 16-fact `rail` batch through a `Conductor`'s `SessionHandle::apply`,
+//! which publishes the session's read snapshot before it returns. The
+//! publish catches the snapshot up with the batch's facts, so a publish
+//! that cloned the whole instance would dominate this case.
 
 use chase_bench::{print_table, scaled, Row};
-use chase_core::{Atom, ConstraintSet, Instance};
+use chase_core::{Atom, ConstraintSet, Instance, Term};
 use chase_corpus::random::{
     random_instance, random_travel_instance, random_travel_stream, update_stream,
     RandomInstanceConfig, RandomTravelConfig, UpdateStreamConfig,
 };
 use chase_engine::{chase, ChaseConfig, StopReason};
-use chase_serve::{ChaseSession, SessionConfig};
+use chase_serve::{ChaseSession, Conductor, ConductorConfig, SessionConfig, SessionHandle};
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -116,10 +122,11 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// The `travel_rail_batch` case: a session loaded with a ~50k-fact chased
-/// travel instance (~12k in quick mode), loaded the way servebench's
-/// `big_tenant` loads, and a 1000-fact `rail` batch over the same cities.
-fn rail_batch_case() -> (ChaseSession, Vec<Atom>) {
+/// The `travel_rail_batch` load: the travel Σ, a travel instance that
+/// chases to ~50k facts (~12k in quick mode), and its city count. Both
+/// cases load it the way servebench's `big_tenant` loads, in 1000-fact
+/// batches, each within the per-batch step budget.
+fn travel_load() -> (ConstraintSet, Vec<Atom>, usize) {
     let set = ConstraintSet::parse(
         "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2)\n\
          rail(C1,C2,D) -> rail(C2,C1,D)",
@@ -132,13 +139,23 @@ fn rail_batch_case() -> (ChaseSession, Vec<Atom>) {
         rails: scaled(16_000, 4_000),
         seed: 11,
     });
-    let cfg = SessionConfig {
+    (set, base.atoms(), cities)
+}
+
+/// SQO off: the benches run no queries, so they measure pure re-chase.
+fn bench_session_config() -> SessionConfig {
+    SessionConfig {
         use_sqo: false,
         ..SessionConfig::default()
-    };
-    let mut session = ChaseSession::with_config(set, cfg);
-    // Load in 1000-fact batches, each within the per-batch step budget.
-    for chunk in base.atoms().chunks(1000) {
+    }
+}
+
+/// The `travel_rail_batch/warm` case: a loaded session and a 1000-fact
+/// `rail` batch over the same cities.
+fn rail_batch_case() -> (ChaseSession, Vec<Atom>) {
+    let (set, base, cities) = travel_load();
+    let mut session = ChaseSession::with_config(set, bench_session_config());
+    for chunk in base.chunks(1000) {
         let out = session.apply(chunk.to_vec()).expect("base applies");
         assert_eq!(out.reason, StopReason::Satisfied, "base must quiesce");
     }
@@ -152,13 +169,41 @@ fn rail_batch_case() -> (ChaseSession, Vec<Atom>) {
     (session, batch)
 }
 
+/// The `travel_rail_batch/handle` case: the same load served by a
+/// conductor, plus the city count the per-iteration batches draw from.
+fn rail_handle_case() -> (Conductor, SessionHandle, usize) {
+    let (set, base, cities) = travel_load();
+    let conductor = Conductor::new(ConductorConfig {
+        session: bench_session_config(),
+        ..ConductorConfig::default()
+    });
+    let id = conductor.open(set).expect("session opens");
+    let handle = conductor.route(id).expect("session routes");
+    for chunk in base.chunks(1000) {
+        let out = handle.apply(chunk.to_vec()).expect("base applies");
+        assert_eq!(out.reason, StopReason::Satisfied, "base must quiesce");
+    }
+    (conductor, handle, cities)
+}
+
+/// The `n`-th 16-fact `rail` batch of the handle case. Its distance
+/// constant is new to the session, so every fact is new and every apply
+/// publishes.
+fn rail_handle_batch(n: usize, cities: usize) -> Vec<Atom> {
+    let d = Term::constant(&format!("h{n}"));
+    let city = |c: usize| Term::constant(&format!("city{c}"));
+    (0..16)
+        .map(|j| {
+            let a = (n * 16 + j) * 7919 % cities;
+            let b = (a + 1 + j) % cities;
+            Atom::new("rail", vec![city(a), city(b), d])
+        })
+        .collect()
+}
+
 /// Warm path: one resident session, every batch continued from its delta.
 fn run_warm(set: &ConstraintSet, stream: &[Vec<Atom>]) -> usize {
-    let cfg = SessionConfig {
-        use_sqo: false, // no queries here; measure pure re-chase
-        ..SessionConfig::default()
-    };
-    let mut session = ChaseSession::with_config(set.clone(), cfg);
+    let mut session = ChaseSession::with_config(set.clone(), bench_session_config());
     let mut steps = 0;
     for batch in stream {
         let out = session.apply(batch.iter().cloned()).expect("batch applies");
@@ -242,6 +287,20 @@ fn bench(c: &mut Criterion) {
             let mut session = loaded.clone();
             let out = session.apply(batch.iter().cloned()).expect("batch applies");
             assert_eq!(out.reason, StopReason::Satisfied, "batch must quiesce");
+            out.steps
+        })
+    });
+    // The session grows by 32 facts per iteration, a rounding error on the
+    // loaded ~50k.
+    let (_conductor, handle, cities) = rail_handle_case();
+    let mut n = 0;
+    g.bench_function(BenchmarkId::new("travel_rail_batch", "handle"), |b| {
+        b.iter(|| {
+            n += 1;
+            let out = handle
+                .apply(rail_handle_batch(n, cities))
+                .expect("batch applies");
+            assert_eq!(out.new_facts, 16, "every fact is new");
             out.steps
         })
     });

@@ -441,18 +441,59 @@ impl Instance {
     /// The mutation version: bumped once per new fact inserted and once per
     /// effective merge, never decremented.
     ///
-    /// Equal versions across two observations mean the fact set (and every
-    /// index over it) was not modified in between — which makes a cached
-    /// clone of the instance taken at version `v` still exact while
-    /// `version()` still reads `v`. The `chase-serve` conductor uses this
-    /// as its copy-on-read staleness check: a session's dispatcher republishes
-    /// its shared read snapshot only when the version moved, so duplicate
-    /// batches and read-only traffic never pay an O(instance) copy.
+    /// Within one lineage — one instance and the clones it mutates from —
+    /// equal versions across two observations mean the fact set (and every
+    /// index over it) was not modified in between, which makes a cached
+    /// clone taken at version `v` still exact while `version()` still reads
+    /// `v`. Across lineages it means nothing: a clone carries its parent's
+    /// version forward, so two branches mutated from one clone can reach the
+    /// same version with different facts. The `chase-serve` conductor uses
+    /// the version as its copy-on-read staleness check (and
+    /// [`Instance::catch_up`] as its publish path), and republishes by full
+    /// clone whenever a restore switches the session's lineage.
     ///
-    /// The counter is observational only: nothing inside `chase-core` keys off it, and a clone carries its
-    /// parent's version forward.
+    /// Nothing inside `chase-core` keys off the counter except
+    /// [`Instance::catch_up`].
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Bring `self` up to `src` in O(delta) when `self` is an earlier state
+    /// of `src` with only inserts since; returns whether it did.
+    ///
+    /// Replays `src`'s facts `self.len()..src.len()` through
+    /// [`Instance::insert_ids`] and copies the fresh-null counter, so the
+    /// result is structurally identical to `src.clone()`: same fact ids,
+    /// tables, index buckets, dedup chains and version. The inserts-only
+    /// case is detected in O(1): each new fact bumps both the version and
+    /// the length by one, while an effective merge bumps the version and
+    /// adds no fact, so the two deltas agree exactly when no merge
+    /// happened. Otherwise (a merge since, or `self` ahead of `src`) this
+    /// returns `false` and leaves `self` untouched.
+    ///
+    /// The arithmetic cannot tell lineages apart: the caller guarantees
+    /// that `self` was a clone of `src` (or of an ancestor state `src` was
+    /// mutated from), never of a different branch.
+    pub fn catch_up(&mut self, src: &Instance) -> bool {
+        let (Some(versions), Some(facts)) = (
+            src.version.checked_sub(self.version),
+            src.len().checked_sub(self.len()),
+        ) else {
+            return false;
+        };
+        if versions != facts as u64 {
+            return false;
+        }
+        let mut ids = Vec::new();
+        for loc in &src.locs[self.len()..] {
+            let tbl = &src.tables[loc.table as usize];
+            ids.clear();
+            ids.extend(tbl.cols.iter().map(|col| col[loc.row as usize]));
+            let new = self.insert_ids(src.table_preds[loc.table as usize], &ids);
+            debug_assert!(new, "catch-up replayed a fact the earlier state held");
+        }
+        self.next_null = src.next_null;
+        true
     }
 
     /// The statistics epoch: the bit length of the fact count.
@@ -1137,6 +1178,98 @@ mod tests {
         assert_eq!(i.version(), 3);
         // Clones carry the version forward.
         assert_eq!(i.clone().version(), 3);
+    }
+
+    /// Structural equality, stronger than the set equality of `==`: the
+    /// same facts under the same ids, the same tables, index buckets,
+    /// statistics and dedup chains, the same version and null counter.
+    fn assert_same_store(a: &Instance, b: &Instance) {
+        assert_eq!(a.atoms(), b.atoms());
+        assert_eq!(a.version(), b.version());
+        assert_eq!(a.clone().fresh_null(), b.clone().fresh_null());
+        assert_eq!(a.table_preds, b.table_preds);
+        assert_eq!(a.tables.len(), b.tables.len());
+        for (ta, tb) in a.tables.iter().zip(&b.tables) {
+            assert_eq!((&ta.cols, ta.rows), (&tb.cols, tb.rows));
+        }
+        assert_eq!(a.by_pred, b.by_pred);
+        assert_eq!(a.by_pos, b.by_pos);
+        assert_eq!(a.distinct, b.distinct);
+        assert_eq!(a.dedup, b.dedup);
+        assert_eq!(a.dedup_overflow, b.dedup_overflow);
+        for f in 0..a.len() as FactId {
+            let view = a.fact(f);
+            let ids: Vec<TermId> = (0..view.arity()).map(|p| view.term_id(p)).collect();
+            assert_eq!(b.find_ids(view.pred(), &ids), Some(f));
+        }
+    }
+
+    #[test]
+    fn catch_up_from_an_earlier_clone_equals_a_fresh_clone() {
+        let mut src = Instance::parse("E(a,b). S(a).").unwrap();
+        // A merge before the clone is fine: the clone starts after it.
+        src.merge_terms(Term::constant("b"), Term::constant("a"));
+        let mut stages = vec![src.clone()];
+        // Plain inserts, a duplicate, and a labeled null.
+        src.insert(ca("E", &["b", "c"]));
+        src.insert(ca("E", &["b", "c"]));
+        src.insert(Atom::new("E", vec![Term::Null(3), Term::constant("a")]));
+        stages.push(src.clone());
+        // A predicate first seen in the delta, then the same predicate at a
+        // second arity: two new tables.
+        src.insert(ca("P", &["a"]));
+        src.insert(ca("P", &["a", "b"]));
+        src.insert(ca("P", &["c"]));
+        stages.push(src.clone());
+        // A fresh-null bump that adds no fact, then one that does.
+        src.reserve_nulls(10);
+        stages.push(src.clone());
+        let n = src.fresh_null();
+        src.insert(Atom::new("S", vec![n]));
+        src.fresh_null();
+        for stage in &stages {
+            let mut published = stage.clone();
+            assert!(published.catch_up(&src));
+            assert_same_store(&published, &src.clone());
+        }
+        // Caught up already: a no-op that still reports success.
+        let mut same = src.clone();
+        assert!(same.catch_up(&src));
+        assert_same_store(&same, &src);
+        // Catching up stage by stage lands on the same store.
+        let mut stepped = stages[0].clone();
+        for stage in &stages[1..] {
+            assert!(stepped.catch_up(stage));
+        }
+        assert!(stepped.catch_up(&src));
+        assert_same_store(&stepped, &src);
+    }
+
+    #[test]
+    fn catch_up_refuses_after_a_merge_or_when_ahead() {
+        let mut src = Instance::parse("E(a,b). E(c,b). S(c).").unwrap();
+        let early = src.clone();
+        // An insert, an effective merge that collapses it, another insert:
+        // the length moved by one, the version by three.
+        src.insert(Atom::new("E", vec![Term::Null(0), Term::constant("b")]));
+        src.merge_terms(Term::Null(0), Term::constant("a"));
+        src.insert(ca("S", &["d"]));
+        let mut published = early.clone();
+        assert!(!published.catch_up(&src));
+        assert_same_store(&published, &early);
+        // A merge that collapses nothing is refused too.
+        let mut merged = early.clone();
+        merged.insert(Atom::new("T", vec![Term::Null(5)]));
+        merged.merge_terms(Term::Null(5), Term::constant("z"));
+        let mut published = early.clone();
+        assert!(!published.catch_up(&merged));
+        assert_same_store(&published, &early);
+        // `self` ahead of `src`.
+        let mut ahead = early.clone();
+        ahead.insert(ca("S", &["e"]));
+        let before = ahead.clone();
+        assert!(!ahead.catch_up(&early));
+        assert_same_store(&ahead, &before);
     }
 
     #[test]

@@ -21,8 +21,14 @@
 //! After every mutating message the dispatcher *publishes* an
 //! `Arc<`[`Instance`]`>` snapshot of the chased instance — but only when
 //! [`Instance::version`] actually moved, so duplicate-only batches never
-//! pay the copy (**copy-on-read**: readers share the published `Arc`,
-//! writers replace it). [`SessionHandle::query`] evaluates on the *calling*
+//! touch it (**copy-on-read**: readers share the published `Arc`). A TGD
+//! step only appends facts, so when no reader holds the snapshot and no
+//! EGD merged since the last publish, the dispatcher catches it up in
+//! place with the facts appended since ([`Instance::catch_up`], O(delta)).
+//! Only when a reader still holds it, a merge rewrote terms, or a restore
+//! switched lineage does it publish a full clone instead (counted in
+//! `chase_snapshot_publish_cloned_total`), dropping the retired snapshot
+//! outside the lock. [`SessionHandle::query`] evaluates on the *calling*
 //! thread against that published snapshot whenever it is quiescent, so a
 //! certain-answer read admitted while a large apply is chasing inside a
 //! worker returns immediately with exactly the pre-batch state — it never
@@ -143,6 +149,7 @@ const M_QUERY_NS: &str = "chase_query_ns";
 const M_MAILBOX_DEPTH: &str = "chase_mailbox_depth";
 const M_PUBLISH: &str = "chase_snapshot_publish_total";
 const M_PUBLISH_SKIPPED: &str = "chase_snapshot_publish_skipped_total";
+const M_PUBLISH_CLONED: &str = "chase_snapshot_publish_cloned_total";
 const M_SESSIONS_REOPENED: &str = "chase_sessions_reopened_total";
 const M_REOPEN_FAILED: &str = "chase_sessions_reopen_failed_total";
 const M_POOL_WORKERS: &str = "chase_pool_workers";
@@ -167,11 +174,15 @@ struct HandleMetrics {
     query_ns: Arc<Histogram>,
     /// Messages currently queued across every session mailbox.
     mailbox_depth: Gauge,
-    /// Snapshot publications that actually replaced the published state.
+    /// Snapshot publications that moved the published state (caught up in
+    /// place or replaced by a clone).
     publishes: Counter,
     /// Publications filtered out by the version compare (the other half of
     /// the republish ratio).
     publish_skipped: Counter,
+    /// Publications that replaced the snapshot by a full clone instead of
+    /// catching it up in place.
+    publish_cloned: Counter,
     /// The session's engine recorder (phase histograms + event ring),
     /// readable without touching the dispatcher.
     recorder: Recorder,
@@ -700,6 +711,7 @@ impl Conductor {
                 mailbox_depth: self.metrics.gauge(M_MAILBOX_DEPTH),
                 publishes: self.metrics.counter(M_PUBLISH),
                 publish_skipped: self.metrics.counter(M_PUBLISH_SKIPPED),
+                publish_cloned: self.metrics.counter(M_PUBLISH_CLONED),
                 recorder: session.recorder().clone(),
             },
             published: RwLock::new(Published {
@@ -888,13 +900,13 @@ fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
             let out = core.session.apply(batch);
             // Publish before replying: once the client sees the ack it
             // is guaranteed to read its own writes from the snapshot.
-            publish(&core.session, cell);
+            publish(&core.session, cell, false);
             let _ = reply.send(out);
         }
         SessionMsg::Query { q, opts, reply } => {
             let out = core.session.query((&q, opts));
             // The query may have quiesced a budget-stopped chase.
-            publish(&core.session, cell);
+            publish(&core.session, cell, false);
             let _ = reply.send(out);
         }
         SessionMsg::Snapshot { reply } => {
@@ -924,7 +936,9 @@ fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
                 }
                 None => Err(ServeError::UnknownSnapshot(snapshot)),
             };
-            publish(&core.session, cell);
+            // A restored state is another lineage: its version says nothing
+            // about the published one, so it is always republished by clone.
+            publish(&core.session, cell, out.is_ok());
             let _ = reply.send(out);
         }
         SessionMsg::Stats { reply } => {
@@ -1091,33 +1105,47 @@ fn sweep(
 /// Republish the session's read surface: its counter series always, its
 /// read snapshot if anything observable moved. The [`Instance::version`]
 /// comparison is the copy-on-read filter: a duplicate-only batch leaves
-/// the version alone, so readers keep sharing the old `Arc` and no clone
-/// happens.
-fn publish(session: &ChaseSession, cell: &SessionCell) {
+/// the version alone, so readers keep sharing the old `Arc` and nothing is
+/// copied.
+///
+/// A moved snapshot that no reader holds is caught up in place
+/// ([`Instance::catch_up`], O(delta)) under the write lock. Otherwise —
+/// a reader still holds it, an EGD merge happened since, or `restored`
+/// says the session switched lineage — a full clone is built outside the
+/// lock, swapped in, and the retired snapshot dropped after the lock is
+/// released; `chase_snapshot_publish_cloned_total` counts these.
+fn publish(session: &ChaseSession, cell: &SessionCell, restored: bool) {
     *cell.series.lock().expect(SERIES_LOCK) = session.series();
     let stats = session.stats();
-    let version = session.instance().version();
+    let instance = session.instance();
+    let version = instance.version();
     let poisoned = session.poisoned().cloned();
-    let current = cell.published.read().unwrap();
-    let stale = current.version != version
-        || current.quiescent != stats.quiescent
-        || current.poisoned != poisoned;
-    if !stale {
+    let mut current = cell.published.write().unwrap();
+    let moved = restored || current.version != version;
+    if !moved && current.quiescent == stats.quiescent && current.poisoned == poisoned {
+        drop(current);
         cell.metrics.publish_skipped.inc();
         return;
     }
-    let fresh_instance = if current.version != version {
-        Arc::new(session.instance().clone())
-    } else {
-        Arc::clone(&current.instance)
-    };
+    let mut retired = None;
+    if moved {
+        // `get_mut` fails while any reader holds a clone of the `Arc`, so a
+        // reader never sees the snapshot it holds mutate.
+        let caught_up = !restored
+            && Arc::get_mut(&mut current.instance).is_some_and(|mine| mine.catch_up(instance));
+        if !caught_up {
+            drop(current);
+            let fresh = Arc::new(instance.clone());
+            current = cell.published.write().unwrap();
+            retired = Some(std::mem::replace(&mut current.instance, fresh));
+            cell.metrics.publish_cloned.inc();
+        }
+    }
+    current.version = version;
+    current.quiescent = stats.quiescent;
+    current.poisoned = poisoned;
     drop(current);
-    *cell.published.write().unwrap() = Published {
-        instance: fresh_instance,
-        version,
-        quiescent: stats.quiescent,
-        poisoned,
-    };
+    drop(retired);
     cell.metrics.publishes.inc();
     cell.metrics.recorder.event(
         EventKind::SnapshotPublish,
@@ -1244,6 +1272,152 @@ mod tests {
         let q = ConjunctiveQuery::parse("q(X) <- e(c,X)").unwrap();
         assert!(h.query(&q, QueryOpts::default()).unwrap().is_empty());
         assert_eq!(h.restore(99).unwrap_err(), ServeError::UnknownSnapshot(99));
+    }
+
+    #[test]
+    fn restore_onto_a_same_version_branch_republishes() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        let h = conductor.route(id).unwrap();
+        let s0 = h.snapshot().unwrap();
+        h.apply(atoms("e(a,b).")).unwrap();
+        let t = h.snapshot().unwrap();
+        h.restore(s0).unwrap();
+        h.apply(atoms("e(c,d).")).unwrap();
+        // Both branches sit at version 2: the version compare alone would
+        // keep serving the `e(c,d)` branch.
+        h.restore(t).unwrap();
+        assert_eq!(h.dump().unwrap(), "e(a,b). e(b,a).");
+        let q = ConjunctiveQuery::parse("q(X) <- e(a,X)").unwrap();
+        assert_eq!(
+            h.query(&q, QueryOpts::default()).unwrap(),
+            vec![vec![Term::constant("b")]]
+        );
+    }
+
+    /// Structural equality through the public API: the same facts under
+    /// the same ids, the same index buckets, statistics and dedup hits, the
+    /// same version and fresh-null counter.
+    fn assert_same_store(published: &Instance, session: &Instance) {
+        assert_eq!(published.atoms(), session.atoms());
+        assert_eq!(published.version(), session.version());
+        assert_eq!(published.clone().fresh_null(), session.clone().fresh_null());
+        for f in 0..session.len() as u32 {
+            let view = session.fact(f);
+            let pred = view.pred();
+            let ids: Vec<_> = (0..view.arity()).map(|p| view.term_id(p)).collect();
+            assert_eq!(published.find_ids(pred, &ids), Some(f));
+            assert_eq!(published.pred_bucket(pred), session.pred_bucket(pred));
+            for (p, &id) in ids.iter().enumerate() {
+                assert_eq!(
+                    published.pos_bucket(pred, p, id),
+                    session.pos_bucket(pred, p, id)
+                );
+                assert_eq!(published.distinct_at(pred, p), session.distinct_at(pred, p));
+            }
+        }
+    }
+
+    #[test]
+    fn the_published_snapshot_is_the_session_instance_after_every_ack() {
+        let conductor = Conductor::new(ConductorConfig {
+            step_budget: Some(40),
+            ..ConductorConfig::default()
+        });
+        // Symmetric edges (inserts only), plus invented nulls an EGD merges
+        // into constants once the matching `k` fact arrives.
+        let id = conductor
+            .open(sigma(
+                "e(X,Y) -> e(Y,X)\np(X) -> f(X,Y)\nf(X,Y), k(X,Z) -> Y = Z",
+            ))
+            .unwrap();
+        let h = conductor.route(id).unwrap();
+        let check = || {
+            let published = h.cell.published.read().unwrap().clone();
+            let core = h.cell.core.lock().unwrap();
+            assert_same_store(&published.instance, core.session.instance());
+            assert_eq!(published.version, core.session.instance().version());
+            assert_eq!(published.quiescent, core.session.stats().quiescent);
+        };
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut roll = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let q = ConjunctiveQuery::parse("q(X,Y) <- e(X,Y)").unwrap();
+        let mut sent: Vec<String> = Vec::new();
+        let mut snapshots = Vec::new();
+        let mut held: Option<(Published, Vec<Atom>)> = None;
+        let mut fresh = 0;
+        // An empty session is published as vacuously quiescent: start past
+        // that.
+        h.apply(atoms("e(v0,v0).")).unwrap();
+        check();
+        for _ in 0..300 {
+            match roll(8) {
+                0 => {
+                    let batch: String = (0..=roll(3))
+                        .map(|_| {
+                            fresh += 1;
+                            format!("e(v{fresh},v{}).", roll(fresh))
+                        })
+                        .collect();
+                    h.apply(atoms(&batch)).unwrap();
+                    sent.push(batch);
+                }
+                // Duplicates only (on the current branch, at least).
+                1 if !sent.is_empty() => {
+                    h.apply(atoms(&sent[roll(sent.len() as u64) as usize]))
+                        .unwrap();
+                }
+                2 => {
+                    h.apply(atoms(&format!("p(x{}).", roll(20)))).unwrap();
+                }
+                // Merges `x`'s invented null into `cx` (one constant per
+                // `x`, so no merge ever fails).
+                3 => {
+                    let x = roll(20);
+                    h.apply(atoms(&format!("k(x{x},c{x})."))).unwrap();
+                }
+                // Past the step budget, then a query that quiesces.
+                4 => {
+                    let batch: String = (0..60)
+                        .map(|_| {
+                            fresh += 1;
+                            format!("e(w{fresh},w{}).", fresh + 1)
+                        })
+                        .collect();
+                    let out = h.apply(atoms(&batch)).unwrap();
+                    assert!(matches!(out.reason, StopReason::StepLimit(_)));
+                    check();
+                    h.query(&q, QueryOpts::default()).unwrap();
+                }
+                5 => snapshots.push(h.snapshot().unwrap()),
+                6 if !snapshots.is_empty() => {
+                    h.restore(snapshots[roll(snapshots.len() as u64) as usize])
+                        .unwrap();
+                }
+                // A reader holding the snapshot across publishes forces the
+                // fallback, and never sees its snapshot change.
+                _ => match held.take() {
+                    Some((published, atoms)) => assert_eq!(published.instance.atoms(), atoms),
+                    None => {
+                        let published = h.cell.published.read().unwrap().clone();
+                        let atoms = published.instance.atoms();
+                        held = Some((published, atoms));
+                    }
+                },
+            }
+            check();
+        }
+        let snap = conductor.metrics_snapshot();
+        let (publishes, cloned) = (
+            snap.counter(M_PUBLISH).unwrap(),
+            snap.counter(M_PUBLISH_CLONED).unwrap(),
+        );
+        assert!(0 < cloned && cloned < publishes, "{cloned} of {publishes}");
     }
 
     #[test]

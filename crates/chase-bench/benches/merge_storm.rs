@@ -12,10 +12,11 @@
 //! every epoch, paying full re-matching for every merge ever applied.
 
 use chase_bench::{print_table, scaled, Row};
-use chase_core::{Atom, ConstraintSet, Instance};
-use chase_corpus::random::{merge_storm_stream, MergeStormConfig};
+use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, Instance};
+use chase_corpus::random::{merge_storm_sigma, merge_storm_stream, MergeStormConfig};
 use chase_engine::{chase, ChaseConfig, StopReason};
 use chase_serve::{ChaseSession, SessionConfig};
+use chase_sqo::minimal_rewritings;
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -152,6 +153,46 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new(w.name, "cold"), &w, |b, w| {
             b.iter(|| run_cold(black_box(&w.set), &w.stream))
+        });
+    }
+    g.finish();
+    bench_sqo_first_sight(c);
+}
+
+/// A session's first sight of a query: the rewriting search behind
+/// `SessionConfig::use_sqo`, under the session's default budget and plan
+/// limit. `val_ent_a0` is the merge-storm read template whose universal
+/// plan has 8 atoms; `travel_rail_fly` is the travel rail-then-fly one.
+fn bench_sqo_first_sight(c: &mut Criterion) {
+    let defaults = SessionConfig::default();
+    let cases = [
+        (
+            "val_ent_a0",
+            merge_storm_sigma(3),
+            "q(E) <- Val0(E,v1), Ent(E), A0(E,V)",
+        ),
+        (
+            "travel_rail_fly",
+            ConstraintSet::parse(
+                "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2); rail(C1,C2,D) -> rail(C2,C1,D)",
+            )
+            .expect("travel sigma parses"),
+            "q(Z) <- rail(c,Y,D), fly(Y,Z,E)",
+        ),
+    ];
+    let mut g = c.benchmark_group("merge_storm/sqo_first_sight");
+    for (name, set, text) in &cases {
+        let q = ConjunctiveQuery::parse(text).expect("query parses");
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                minimal_rewritings(
+                    black_box(&q),
+                    set,
+                    &defaults.sqo_chase,
+                    defaults.sqo_max_plan_atoms,
+                )
+                .expect("the plan chase terminates")
+            })
         });
     }
     g.finish();

@@ -1605,6 +1605,53 @@ mod tests {
     }
 
     #[test]
+    fn first_sights_count_each_distinct_query_text_once() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor
+            .open(sigma(
+                "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2); rail(C1,C2,D) -> rail(C2,C1,D)",
+            ))
+            .unwrap();
+        let h = conductor.route(id).unwrap();
+        h.apply(atoms("rail(c0,c1,d). fly(c1,c2,e). fly(c0,c2,d)."))
+            .unwrap();
+        // 12 anchors x 4 templates: 48 distinct texts, as in a read pool.
+        let texts: Vec<String> = (0..12)
+            .flat_map(|c| {
+                [
+                    "q(Y) <- fly(@,Y,D)",
+                    "q(Y) <- fly(@,Y,D), hasAirport(Y)",
+                    "q(Y) <- rail(@,Y,D), rail(Y,@,D)",
+                    "q(Z) <- rail(@,Y,D), fly(Y,Z,E)",
+                ]
+                .map(|t| t.replace('@', &format!("c{c}")))
+            })
+            .collect();
+        let first_sights = |conductor: &Conductor| {
+            let snap = conductor.metrics_snapshot();
+            (
+                snap.counter("chase_rewrite_first_sight_total"),
+                snap.counter("chase_rewrite_first_sight_ns_total"),
+            )
+        };
+        assert_eq!(first_sights(&conductor), (Some(0), Some(0)));
+        let ask = |text: &String| {
+            let q = ConjunctiveQuery::parse(text).unwrap();
+            h.query(&q, QueryOpts::default()).unwrap();
+        };
+        texts.iter().for_each(ask);
+        let (count, ns) = first_sights(&conductor);
+        assert_eq!(count, Some(48));
+        assert!(ns > Some(0));
+        // Repeats are cache hits: neither counter moves.
+        texts.iter().for_each(ask);
+        assert_eq!(first_sights(&conductor), (Some(48), ns));
+        assert!(conductor
+            .metrics_text()
+            .contains("chase_rewrite_first_sight_total 48"));
+    }
+
+    #[test]
     fn a_panicking_dispatch_poisons_only_its_session() {
         let conductor = Conductor::new(ConductorConfig {
             workers: 1,

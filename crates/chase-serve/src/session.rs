@@ -33,6 +33,7 @@ use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Session configuration: the engine configuration used for every warm
 /// re-chase, plus the query-rewriting policy.
@@ -50,8 +51,13 @@ pub struct SessionConfig {
     /// (freezing and chasing the query — guarded, because that chase need
     /// not terminate even when the data chase does).
     pub sqo_chase: ChaseConfig,
-    /// Refuse exhaustive subquery enumeration above this universal-plan
-    /// size (see `chase_sqo::equivalent_subqueries`).
+    /// The largest universal plan (in atoms) whose subqueries are searched
+    /// for a rewriting; larger plans are refused and the query runs as
+    /// written. The search goes level by level, one body size at a time,
+    /// and stops at the first size holding a Σ-equivalent subquery, so its
+    /// cost is the subsets up to that size, not all `2^n`. Plans wider than
+    /// `chase_sqo::rewrite::MAX_MASK_ATOMS` (64) are refused whatever this
+    /// says (see `chase_sqo::minimal_rewritings`).
     pub sqo_max_plan_atoms: usize,
 }
 
@@ -1131,6 +1137,9 @@ impl SessionSeries {
         snap.set_counter("chase_events_dropped_total", rec.events_dropped());
         snap.set_gauge("chase_rewrite_cache_decisions", rewrites.len() as i64);
         snap.set_counter("chase_rewrite_cache_evictions_total", rewrites.evictions());
+        let (first_sights, first_sight_ns) = rewrites.first_sights();
+        snap.set_counter("chase_rewrite_first_sight_total", first_sights);
+        snap.set_counter("chase_rewrite_first_sight_ns_total", first_sight_ns);
         if let Some(d) = &self.durability {
             snap.set_counter("chase_wal_appends_total", d.wal_appends);
             snap.set_counter("chase_wal_bytes_total", d.wal_bytes);
@@ -1168,6 +1177,9 @@ pub(crate) struct RewriteCache {
     decisions: Mutex<HashMap<String, Option<ConjunctiveQuery>>>,
     /// Decisions dropped to stay within [`REWRITE_CACHE_CAP`].
     evictions: AtomicU64,
+    /// Decisions computed (cache misses), and the nanoseconds they took.
+    first_sights: AtomicU64,
+    first_sight_ns: AtomicU64,
 }
 
 impl RewriteCache {
@@ -1179,6 +1191,8 @@ impl RewriteCache {
             max_plan_atoms: cfg.sqo_max_plan_atoms,
             decisions: Mutex::new(HashMap::new()),
             evictions: AtomicU64::new(0),
+            first_sights: AtomicU64::new(0),
+            first_sight_ns: AtomicU64::new(0),
         }
     }
 
@@ -1195,8 +1209,12 @@ impl RewriteCache {
         }
         // Computed without the lock: a first sight runs a chase, and reads
         // of other queries must not queue behind it. Racing computations
-        // of one key agree, so either insert is fine.
+        // of one key agree, so either insert is fine (and both count).
+        let started = Instant::now();
         let choice = choose_rewriting(q, &self.set, &self.chase, self.max_plan_atoms);
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.first_sights.fetch_add(1, Ordering::Relaxed);
+        self.first_sight_ns.fetch_add(ns, Ordering::Relaxed);
         let mut decisions = self.decisions();
         if decisions.len() >= REWRITE_CACHE_CAP && !decisions.contains_key(&key) {
             if let Some(victim) = decisions.keys().next().cloned() {
@@ -1222,6 +1240,15 @@ impl RewriteCache {
     /// Decisions evicted so far to stay within [`REWRITE_CACHE_CAP`].
     pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Decisions computed so far (every cache miss, unsampled), and their
+    /// total wall time in nanoseconds.
+    pub(crate) fn first_sights(&self) -> (u64, u64) {
+        (
+            self.first_sights.load(Ordering::Relaxed),
+            self.first_sight_ns.load(Ordering::Relaxed),
+        )
     }
 }
 

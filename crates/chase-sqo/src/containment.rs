@@ -59,20 +59,20 @@ pub fn contained_under(
         return Some(false);
     }
     let (chased, head) = chased_canonical(q1, set, cfg)?;
-    // q2's answers on the chased canonical instance must include q1's
-    // frozen head. Nulls act as plain domain values here, so a direct
-    // seeded homomorphism search does the job.
-    let mut found = false;
-    chase_core::homomorphism::for_each_hom(q2.body(), &chased, &Subst::new(), false, &mut |h| {
-        let tuple: Vec<Term> = q2.head_args().iter().map(|&t| h.apply(t)).collect();
-        if tuple == head {
-            found = true;
-            true
-        } else {
-            false
-        }
-    });
-    Some(found)
+    Some(answers_include(q2, &chased, &head))
+}
+
+/// Is `head` among `q`'s answers on `inst`? With `inst` the chased
+/// canonical instance of some `q1` and `head` its frozen head, this is
+/// `q1 ⊑Σ q`. Nulls act as plain domain values here, so a direct
+/// homomorphism search does the job.
+pub(crate) fn answers_include(q: &ConjunctiveQuery, inst: &Instance, head: &[Term]) -> bool {
+    chase_core::homomorphism::for_each_hom(q.body(), inst, &Subst::new(), false, &mut |h| {
+        q.head_args()
+            .iter()
+            .zip(head)
+            .all(|(&t, &want)| h.apply(t) == want)
+    })
 }
 
 /// Is `q1 ≡Σ q2`? `None` when either direction's chase was cut off.

@@ -13,10 +13,14 @@
 //! 2. chase it under the constraint set into the **universal plan**
 //!    ([`universal_plan`]) — guarded by budgets/monitors because the chase
 //!    need not terminate,
-//! 3. enumerate subqueries of the universal plan that remain equivalent
-//!    under the constraints ([`rewrite::equivalent_subqueries`],
-//!    [`rewrite::minimal_rewritings`]), yielding join-elimination and
-//!    join-introduction rewritings like the paper's q2'' and q2'''.
+//! 3. backchase: search the universal plan's subqueries level by level,
+//!    smallest bodies first, for those that remain equivalent under the
+//!    constraints ([`rewrite::equivalent_subqueries`] searches every level,
+//!    [`rewrite::minimal_rewritings`] stops at the first level that holds
+//!    one), yielding join-elimination and join-introduction rewritings
+//!    like the paper's q2'' and q2'''. The query's chase from step 2
+//!    decides one direction of each candidate's equivalence; only the
+//!    candidate itself is chased for the other.
 //!
 //! Containment and equivalence under constraints live in [`containment`].
 //!

@@ -6,8 +6,8 @@
 //! is join **elimination** (the paper's q2''), keeping implied atoms absent
 //! from the original is join **introduction** (q2''').
 
-use crate::containment::{chased_canonical, equivalent_under};
-use chase_core::{ConjunctiveQuery, ConstraintSet, CoreError, Instance};
+use crate::containment::{answers_include, chased_canonical, contained_under};
+use chase_core::{ConjunctiveQuery, ConstraintSet, CoreError, Instance, Term};
 use chase_engine::ChaseConfig;
 use std::fmt;
 
@@ -17,8 +17,8 @@ pub enum SqoError {
     /// The chase of the frozen query did not terminate within its budget;
     /// use the data-dependent analyses of Section 4 before retrying.
     NonTerminatingChase,
-    /// The universal plan has too many atoms for exhaustive subset
-    /// enumeration.
+    /// The universal plan has more atoms than the subset search accepts
+    /// (the caller's `max_plan_atoms`, or [`MAX_MASK_ATOMS`]).
     PlanTooLarge(usize),
     /// Query construction failed.
     Core(CoreError),
@@ -76,65 +76,144 @@ pub fn universal_plan(
     Ok(ConjunctiveQuery::thaw(&chased, q.head_pred(), &head)?)
 }
 
+/// The widest universal plan the subset search accepts, whatever the
+/// caller's `max_plan_atoms`: candidate subqueries are bit masks over the
+/// plan's atoms.
+pub const MAX_MASK_ATOMS: usize = u64::BITS as usize;
+
 /// All subqueries of the universal plan of `q` that are equivalent to `q`
-/// under `Σ`, smallest bodies first (ties in deterministic subset order).
+/// under `Σ`, smallest bodies first, each size in ascending subset-mask
+/// order (bit `i` = the plan's `i`-th atom).
 ///
-/// `max_plan_atoms` bounds the exhaustive subset enumeration (the plan for a
-/// hand-written query is small; refuse absurd inputs instead of hanging).
+/// The plan is searched level by level, one body size at a time, and the
+/// query is chased only once: that chase is the universal plan's own.
+/// `q ⊑Σ cand` is a homomorphism search into that one chased instance,
+/// with no further chase; only when it holds is the candidate's frozen body
+/// chased, for `cand ⊑Σ q`. A candidate whose chase is cut off by `cfg`'s
+/// budget is not equivalent.
+///
+/// The search is exhaustive over `2^n − 1` subsets, so `max_plan_atoms`
+/// bounds the plan size `n` (the plan for a hand-written query is small;
+/// refuse absurd inputs instead of hanging). A plan wider than
+/// [`MAX_MASK_ATOMS`] is refused whatever `max_plan_atoms` says.
 pub fn equivalent_subqueries(
     q: &ConjunctiveQuery,
     set: &ConstraintSet,
     cfg: &ChaseConfig,
     max_plan_atoms: usize,
 ) -> Result<Vec<ConjunctiveQuery>, SqoError> {
-    let plan = universal_plan(q, set, cfg)?;
-    let atoms = plan.body().to_vec();
-    if atoms.len() > max_plan_atoms {
-        return Err(SqoError::PlanTooLarge(atoms.len()));
-    }
-    // Head variables must keep occurring in the kept atoms.
-    let head_vars: Vec<_> = plan.head_args().iter().filter_map(|t| t.as_var()).collect();
-    let mut masks: Vec<u32> = (1..(1u32 << atoms.len())).collect();
-    masks.sort_by_key(|m| m.count_ones());
-    let mut out = Vec::new();
-    for mask in masks {
-        let body: Vec<_> = atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, a)| a.clone())
-            .collect();
-        let covered = head_vars
-            .iter()
-            .all(|v| body.iter().any(|a| a.vars().contains(v)));
-        if !covered {
-            continue;
-        }
-        let cand = match ConjunctiveQuery::new(q.head_pred(), plan.head_args().to_vec(), body) {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        if equivalent_under(&cand, q, set, cfg) == Some(true) {
-            out.push(cand);
-        }
-    }
-    Ok(out)
+    let search = Backchase::new(q, set, cfg, max_plan_atoms)?;
+    Ok((1..=search.width()).flat_map(|k| search.level(k)).collect())
 }
 
-/// The minimum-size equivalent rewritings of `q` under `Σ` (all subqueries
-/// of the universal plan with the fewest body atoms).
+/// The minimum-size equivalent rewritings of `q` under `Σ`: the first
+/// nonempty level of [`equivalent_subqueries`]' search, in the same order.
+///
+/// The search stops at the end of that level, so it never looks at a
+/// subset larger than the smallest rewriting. That level is usually no
+/// higher than `|q|`, since `q`'s own atoms sit in the plan. Errors are
+/// those of [`equivalent_subqueries`]: an oversized plan is refused up
+/// front, even when a small rewriting exists.
 pub fn minimal_rewritings(
     q: &ConjunctiveQuery,
     set: &ConstraintSet,
     cfg: &ChaseConfig,
     max_plan_atoms: usize,
 ) -> Result<Vec<ConjunctiveQuery>, SqoError> {
-    let all = equivalent_subqueries(q, set, cfg, max_plan_atoms)?;
-    let min = match all.iter().map(|c| c.body().len()).min() {
-        Some(m) => m,
-        None => return Ok(Vec::new()),
-    };
-    Ok(all.into_iter().filter(|c| c.body().len() == min).collect())
+    let search = Backchase::new(q, set, cfg, max_plan_atoms)?;
+    Ok((1..=search.width())
+        .map(|k| search.level(k))
+        .find(|level| !level.is_empty())
+        .unwrap_or_default())
+}
+
+/// The backchase over one universal plan: `q`, its chased canonical
+/// instance and frozen head, and the plan thawed from them.
+struct Backchase<'a> {
+    q: &'a ConjunctiveQuery,
+    set: &'a ConstraintSet,
+    cfg: &'a ChaseConfig,
+    chased: Instance,
+    head: Vec<Term>,
+    plan: ConjunctiveQuery,
+}
+
+impl<'a> Backchase<'a> {
+    fn new(
+        q: &'a ConjunctiveQuery,
+        set: &'a ConstraintSet,
+        cfg: &'a ChaseConfig,
+        max_plan_atoms: usize,
+    ) -> Result<Backchase<'a>, SqoError> {
+        let (chased, head) = chased_canonical(q, set, cfg).ok_or(SqoError::NonTerminatingChase)?;
+        let plan = ConjunctiveQuery::thaw(&chased, q.head_pred(), &head)?;
+        let n = plan.body().len();
+        if n > max_plan_atoms.min(MAX_MASK_ATOMS) {
+            return Err(SqoError::PlanTooLarge(n));
+        }
+        Ok(Backchase {
+            q,
+            set,
+            cfg,
+            chased,
+            head,
+            plan,
+        })
+    }
+
+    /// Atoms in the plan.
+    fn width(&self) -> usize {
+        self.plan.body().len()
+    }
+
+    /// The equivalent subqueries with exactly `k` atoms, in ascending mask
+    /// order.
+    fn level(&self, k: usize) -> Vec<ConjunctiveQuery> {
+        masks_of_popcount(self.width(), k)
+            .filter_map(|mask| self.candidate(mask))
+            .filter(|cand| {
+                answers_include(cand, &self.chased, &self.head)
+                    && contained_under(cand, self.q, self.set, self.cfg) == Some(true)
+            })
+            .collect()
+    }
+
+    /// The plan's atoms selected by `mask` under the plan's head, or `None`
+    /// when they drop a head variable.
+    fn candidate(&self, mask: u64) -> Option<ConjunctiveQuery> {
+        let atoms = self.plan.body();
+        let body: Vec<_> = (0..atoms.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| atoms[i].clone())
+            .collect();
+        let covered = self
+            .plan
+            .head_args()
+            .iter()
+            .filter_map(|t| t.as_var())
+            .all(|v| body.iter().any(|a| a.vars().contains(&v)));
+        if !covered {
+            return None;
+        }
+        ConjunctiveQuery::new(self.q.head_pred(), self.plan.head_args().to_vec(), body).ok()
+    }
+}
+
+/// The `n`-bit masks with exactly `k` bits set (`1 ≤ k ≤ n ≤ 64`), in
+/// ascending order, generated lazily by Gosper's next-same-popcount step.
+fn masks_of_popcount(n: usize, k: usize) -> impl Iterator<Item = u64> {
+    debug_assert!(1 <= k && k <= n && n <= MAX_MASK_ATOMS);
+    let first = u64::MAX >> (MAX_MASK_ATOMS - k);
+    let last = first << (n - k);
+    std::iter::successors(Some(first), move |&m| {
+        // Below `last`, the lowest run of ones never reaches bit 63, so
+        // `m + low` cannot overflow.
+        (m != last).then(|| {
+            let low = m & m.wrapping_neg();
+            let carried = m + low;
+            (((carried ^ m) >> 2) / low) | carried
+        })
+    })
 }
 
 /// Convenience: does `inst` (a frozen-query canonical database) have the
@@ -203,6 +282,53 @@ mod tests {
         assert_eq!(
             universal_plan(&query, &set, &cfg),
             Err(SqoError::NonTerminatingChase)
+        );
+    }
+
+    #[test]
+    fn masks_come_level_by_level_in_ascending_order() {
+        for n in 1..=10 {
+            let mut sorted: Vec<u64> = (1..(1u64 << n)).collect();
+            sorted.sort_by_key(|m| m.count_ones());
+            let lazy: Vec<u64> = (1..=n).flat_map(|k| masks_of_popcount(n, k)).collect();
+            assert_eq!(lazy, sorted, "n = {n}");
+        }
+        // The widest levels stop at their last mask instead of overflowing.
+        assert_eq!(masks_of_popcount(64, 64).collect::<Vec<_>>(), [u64::MAX]);
+        let top: Vec<u64> = masks_of_popcount(64, 1).collect();
+        assert_eq!((top.len(), top[63]), (64, 1 << 63));
+        assert_eq!(masks_of_popcount(64, 63).count(), 64);
+    }
+
+    fn star(arms: usize) -> ConjunctiveQuery {
+        let body: Vec<String> = (1..=arms).map(|i| format!("E(X,Y{i})")).collect();
+        q(&format!("q(X) <- {}", body.join(", ")))
+    }
+
+    #[test]
+    fn a_forty_atom_plan_reduces_to_one_atom() {
+        let minimal = minimal_rewritings(
+            &star(40),
+            &ConstraintSet::new(),
+            &ChaseConfig::default(),
+            64,
+        )
+        .unwrap();
+        assert_eq!(minimal.len(), 40, "every single arm is a rewriting");
+        assert!(minimal.iter().all(|r| r.body().len() == 1));
+    }
+
+    #[test]
+    fn a_plan_wider_than_the_mask_is_refused_whatever_the_limit() {
+        let cfg = ChaseConfig::default();
+        let set = ConstraintSet::new();
+        assert_eq!(
+            minimal_rewritings(&star(65), &set, &cfg, usize::MAX),
+            Err(SqoError::PlanTooLarge(65))
+        );
+        assert_eq!(
+            equivalent_subqueries(&star(65), &set, &cfg, usize::MAX),
+            Err(SqoError::PlanTooLarge(65))
         );
     }
 

@@ -15,7 +15,7 @@ use chase_bench::{print_table, scaled, Row};
 use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, Instance};
 use chase_corpus::random::{merge_storm_sigma, merge_storm_stream, MergeStormConfig};
 use chase_engine::{chase, ChaseConfig, StopReason};
-use chase_serve::{ChaseSession, SessionConfig};
+use chase_serve::{ChaseSession, Conductor, ConductorConfig, QueryOpts, SessionConfig};
 use chase_sqo::minimal_rewritings;
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -163,6 +163,9 @@ fn bench(c: &mut Criterion) {
 /// `SessionConfig::use_sqo`, under the session's default budget and plan
 /// limit. `val_ent_a0` is the merge-storm read template whose universal
 /// plan has 8 atoms; `travel_rail_fly` is the travel rail-then-fly one.
+/// `second_session` is what `val_ent_a0` costs a tenant whose Σ another
+/// session of the same conductor already asked it under: open a session,
+/// query it through its handle (a hit in the shared rewrite store), close.
 fn bench_sqo_first_sight(c: &mut Criterion) {
     let defaults = SessionConfig::default();
     let cases = [
@@ -195,6 +198,21 @@ fn bench_sqo_first_sight(c: &mut Criterion) {
             })
         });
     }
+    let conductor = Conductor::new(ConductorConfig::default());
+    let (_, sigma, text) = &cases[0];
+    let q = ConjunctiveQuery::parse(text).expect("query parses");
+    let ask = |conductor: &Conductor| {
+        let id = conductor.open(sigma.clone()).expect("a free session slot");
+        let handle = conductor.route(id).expect("the session just opened");
+        let answers = handle.query(&q, QueryOpts::default()).expect("query");
+        conductor.close(id).expect("the session is open");
+        answers
+    };
+    // The first session stays open: its store lives while a session views it.
+    let first = conductor.open(sigma.clone()).expect("a free session slot");
+    let handle = conductor.route(first).expect("the session just opened");
+    handle.query(&q, QueryOpts::default()).expect("query");
+    g.bench_function("second_session", |b| b.iter(|| black_box(ask(&conductor))));
     g.finish();
 }
 

@@ -35,7 +35,9 @@
 //! queues behind the write. Publication happens *before* the apply's reply
 //! is released, so a client that saw its apply acknowledged is guaranteed
 //! to read its own writes. Both read paths route through the session's one
-//! rewriting cache, so they rewrite a query identically.
+//! rewriting cache, so they rewrite a query identically; sessions on an
+//! equal Σ and rewriting policy share that cache's decisions, so each
+//! query text pays its first-sight rewriting once per Σ.
 //!
 //! ## Eviction
 //!
@@ -77,8 +79,8 @@ use chase_obs::{
 };
 
 use crate::session::{
-    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, ServeError, SessionConfig, SessionSeries,
-    SessionSnapshot, SessionStats,
+    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, RewriteStores, ServeError, SessionConfig,
+    SessionSeries, SessionSnapshot, SessionStats,
 };
 use crate::wal::{self, DurabilityConfig};
 
@@ -114,6 +116,12 @@ pub struct ConductorConfig {
     /// the next touch; non-durable sessions are discarded and answer
     /// [`ServeError::Evicted`] thereafter. `None` (default) never evicts.
     pub evict_after: Option<Duration>,
+    /// Server-side snapshots ([`SessionHandle::snapshot`]) one session may
+    /// hold; each is a full copy of its state. Past the cap a snapshot
+    /// request fails with [`ServeError::SnapshotCapacity`], counted in
+    /// `chase_snapshot_requests_rejected_total`, and the snapshots already
+    /// held stay restorable.
+    pub max_snapshots: usize,
 }
 
 impl Default for ConductorConfig {
@@ -127,6 +135,7 @@ impl Default for ConductorConfig {
             workers: default_workers(),
             dispatch_budget: 32,
             evict_after: None,
+            max_snapshots: 64,
         }
     }
 }
@@ -159,6 +168,10 @@ const M_POOL_MESSAGES: &str = "chase_pool_messages_total";
 const M_POOL_PANICS: &str = "chase_pool_panics_total";
 const M_EVICTIONS: &str = "chase_evictions_total";
 const M_EVICTIONS_RESTORED: &str = "chase_evictions_restored_total";
+const M_SNAPSHOTS_REJECTED: &str = "chase_snapshot_requests_rejected_total";
+const M_REWRITE_CACHES: &str = "chase_rewrite_caches";
+const M_REWRITE_ORPHANS: &str = "chase_rewrite_cache_orphans";
+const M_REWRITE_DECISIONS: &str = "chase_rewrite_cache_decisions";
 
 const SERIES_LOCK: &str = "no code panics while holding the series lock";
 
@@ -183,6 +196,8 @@ struct HandleMetrics {
     /// Publications that replaced the snapshot by a full clone instead of
     /// catching it up in place.
     publish_cloned: Counter,
+    /// Snapshot requests refused by the per-session snapshot cap.
+    snapshots_rejected: Counter,
     /// The session's engine recorder (phase histograms + event ring),
     /// readable without touching the dispatcher.
     recorder: Recorder,
@@ -219,7 +234,9 @@ enum SessionMsg {
         reply: Sender<Result<Vec<Vec<Term>>, ServeError>>,
     },
     /// Take a snapshot into the session-side store; replies with its id.
-    Snapshot { reply: Sender<u64> },
+    Snapshot {
+        reply: Sender<Result<u64, ServeError>>,
+    },
     /// Rewind to a stored snapshot.
     Restore {
         snapshot: u64,
@@ -242,7 +259,9 @@ enum SessionMsg {
 /// holder is whichever worker is dispatching it.
 struct SessionCore {
     session: ChaseSession,
+    /// At most [`ConductorConfig::max_snapshots`] entries.
     snapshots: HashMap<u64, SessionSnapshot>,
+    max_snapshots: usize,
     next_snapshot: u64,
 }
 
@@ -435,11 +454,16 @@ impl SessionHandle {
     }
 
     /// Take a server-side snapshot; returns its id for [`SessionHandle::restore`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::SnapshotCapacity`] when the session already holds
+    /// [`ConductorConfig::max_snapshots`] snapshots.
     pub fn snapshot(&self) -> Result<u64, ServeError> {
         let (reply, rx) = mpsc::channel();
         self.post(SessionMsg::Snapshot { reply })
             .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)
+        rx.recv().map_err(|_| ServeError::SessionGone)?
     }
 
     /// Rewind the session to a snapshot taken earlier on it.
@@ -519,6 +543,9 @@ pub struct Conductor {
     metrics: MetricsRegistry,
     /// Pool scheduling state, shared with every handle.
     pool: Arc<PoolShared>,
+    /// One rewrite-decision store per (Σ, rewriting policy) among the
+    /// sessions, so tenants on equal constraints share first sights.
+    rewrites: RewriteStores,
     /// Worker + janitor threads, joined at shutdown.
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -579,6 +606,7 @@ impl Conductor {
             next_id: AtomicU64::new(1),
             metrics,
             pool,
+            rewrites: RewriteStores::default(),
             threads: Mutex::new(threads),
         };
         conductor.reopen_durable_sessions();
@@ -696,7 +724,10 @@ impl Conductor {
 
     /// Wire a built (or reopened) session into a pooled cell — the shared
     /// tail of [`Conductor::open`], warm restart, and post-eviction reopen.
-    fn spawn(&self, session: ChaseSession) -> SessionHandle {
+    /// The session joins the rewrite store of its Σ and policy here, before
+    /// any snapshot or handle shares its cache.
+    fn spawn(&self, mut session: ChaseSession) -> SessionHandle {
+        session.share_rewrites(&self.rewrites);
         // An empty unpoisoned instance is vacuously quiescent even before
         // the trigger pool exists; a reopened non-quiescent state (snapshot
         // without replay) must route queries through the dispatcher's
@@ -712,6 +743,7 @@ impl Conductor {
                 publishes: self.metrics.counter(M_PUBLISH),
                 publish_skipped: self.metrics.counter(M_PUBLISH_SKIPPED),
                 publish_cloned: self.metrics.counter(M_PUBLISH_CLONED),
+                snapshots_rejected: self.metrics.counter(M_SNAPSHOTS_REJECTED),
                 recorder: session.recorder().clone(),
             },
             published: RwLock::new(Published {
@@ -727,6 +759,7 @@ impl Conductor {
             core: Mutex::new(SessionCore {
                 session,
                 snapshots: HashMap::new(),
+                max_snapshots: self.cfg.max_snapshots,
                 next_snapshot: 1,
             }),
         });
@@ -843,7 +876,11 @@ impl Conductor {
     /// One server-wide metrics snapshot: the aggregate registry plus every
     /// *open* session's [`ChaseSession::metrics_snapshot`] series, summed
     /// (phase histograms merge into one `chase_phase_ns{phase="…"}`
-    /// family).
+    /// family). The rewrite stores add their count
+    /// (`chase_rewrite_caches`) and the decisions closed sessions left
+    /// behind (`chase_rewrite_cache_orphans`, also counted in
+    /// `chase_rewrite_cache_decisions`, where each open session counts the
+    /// decisions it computed, so every decision is counted once).
     ///
     /// Reads the session map, lock-free recorder sinks and each session's
     /// series as its dispatcher last refreshed them — never a session
@@ -858,6 +895,10 @@ impl Conductor {
             .map(|h| Arc::clone(&h.cell))
             .collect();
         let mut snap = self.metrics.snapshot();
+        let orphans = self.rewrites.orphans() as i64;
+        snap.set_gauge(M_REWRITE_CACHES, self.rewrites.len() as i64);
+        snap.set_gauge(M_REWRITE_ORPHANS, orphans);
+        snap.set_gauge(M_REWRITE_DECISIONS, orphans);
         for cell in cells {
             let series = cell.series.lock().expect(SERIES_LOCK).clone();
             snap.merge(&series.export(&cell.metrics.recorder, &cell.rewrites));
@@ -910,10 +951,18 @@ fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
             let _ = reply.send(out);
         }
         SessionMsg::Snapshot { reply } => {
-            let id = core.next_snapshot;
-            core.next_snapshot += 1;
-            core.snapshots.insert(id, core.session.snapshot());
-            let _ = reply.send(id);
+            let out = if core.snapshots.len() >= core.max_snapshots {
+                cell.metrics.snapshots_rejected.inc();
+                Err(ServeError::SnapshotCapacity {
+                    max_snapshots: core.max_snapshots,
+                })
+            } else {
+                let id = core.next_snapshot;
+                core.next_snapshot += 1;
+                core.snapshots.insert(id, core.session.snapshot());
+                Ok(id)
+            };
+            let _ = reply.send(out);
         }
         SessionMsg::Restore { snapshot, reply } => {
             let out = match core.snapshots.get(&snapshot) {
@@ -1649,6 +1698,238 @@ mod tests {
         assert!(conductor
             .metrics_text()
             .contains("chase_rewrite_first_sight_total 48"));
+    }
+
+    /// Figure 9's travel Σ and a seeded travel instance over 16 cities: the
+    /// shape of servebench's `tenant_churn` tenants, small.
+    const TRAVEL: &str =
+        "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2); rail(C1,C2,D) -> rail(C2,C1,D)";
+
+    fn travel_facts(seed: u64) -> Vec<Atom> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut roll = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let text: String = (0..80)
+            .map(|i| {
+                let pred = if i % 2 == 0 { "fly" } else { "rail" };
+                let (a, b, d) = (roll(16), roll(16), roll(4));
+                format!("{pred}(city{a},city{b},d{d}). ")
+            })
+            .collect();
+        atoms(&text)
+    }
+
+    /// servebench's `tenant_churn` read pool (12 anchors × 4 templates)
+    /// followed by its probes, the first of which every set-up sends.
+    fn travel_reads() -> Vec<ConjunctiveQuery> {
+        let templates = [
+            "q(Y) <- fly(@,Y,D)",
+            "q(Y) <- fly(@,Y,D), hasAirport(Y)",
+            "q(Y) <- rail(@,Y,D), rail(Y,@,D)",
+            "q(Z) <- rail(@,Y,D), fly(Y,Z,E)",
+        ];
+        let probes = [
+            "q(X) <- hasAirport(X)",
+            "q(X,Y,D) <- rail(X,Y,D)",
+            "q(X,Y,D) <- fly(X,Y,D)",
+        ];
+        (0..12)
+            .flat_map(|c| templates.map(|t| t.replace('@', &format!("city{c}"))))
+            .chain(probes.map(String::from))
+            .map(|text| ConjunctiveQuery::parse(&text).unwrap())
+            .collect()
+    }
+
+    fn first_sight_total(conductor: &Conductor) -> u64 {
+        let snap = conductor.metrics_snapshot();
+        snap.counter("chase_rewrite_first_sight_total").unwrap()
+    }
+
+    #[test]
+    fn sessions_on_one_sigma_share_first_sights_and_answer_like_private_ones() {
+        let reads = travel_reads();
+        let shared = Conductor::new(ConductorConfig::default());
+        let privates: Vec<Conductor> = (0..8)
+            .map(|_| Conductor::new(ConductorConfig::default()))
+            .collect();
+        let open = |conductor: &Conductor, tenant: u64| {
+            let id = conductor.open(sigma(TRAVEL)).unwrap();
+            let h = conductor.route(id).unwrap();
+            h.apply(travel_facts(tenant)).unwrap();
+            h
+        };
+        let pairs: Vec<(SessionHandle, SessionHandle)> = privates
+            .iter()
+            .zip(0..)
+            .map(|(private, t)| (open(&shared, t), open(private, t)))
+            .collect();
+        // One set-up's reads: the pool, then the first probe.
+        for (a, b) in &pairs {
+            for q in &reads[..49] {
+                let (x, y) = (
+                    a.query(q, QueryOpts::default()),
+                    b.query(q, QueryOpts::default()),
+                );
+                assert_eq!(x.unwrap(), y.unwrap(), "{q}");
+                assert_eq!(
+                    a.cell.rewrites.rewrite(q),
+                    b.cell.rewrites.rewrite(q),
+                    "{q}"
+                );
+            }
+        }
+        assert_eq!(first_sight_total(&shared), 49);
+        for private in &privates {
+            assert_eq!(first_sight_total(private), 49);
+        }
+        // The other probes, and every read once more, agree too.
+        for (a, b) in &pairs {
+            for q in &reads {
+                let (x, y) = (
+                    a.query(q, QueryOpts::default()),
+                    b.query(q, QueryOpts::default()),
+                );
+                assert_eq!(x.unwrap(), y.unwrap(), "{q}");
+            }
+        }
+        assert_eq!(first_sight_total(&shared), reads.len() as u64);
+        let snap = shared.metrics_snapshot();
+        assert_eq!(snap.gauge(M_REWRITE_CACHES), Some(1));
+        assert_eq!(snap.gauge(M_REWRITE_DECISIONS), Some(reads.len() as i64));
+        // A session on another Σ gets a store of its own.
+        let other = shared
+            .open(sigma("rail(C1,C2,D) -> rail(C2,C1,D)"))
+            .unwrap();
+        let other = shared.route(other).unwrap();
+        other.query(&reads[2], QueryOpts::default()).unwrap();
+        assert_eq!(first_sight_total(&shared), reads.len() as u64 + 1);
+        assert_eq!(shared.metrics_snapshot().gauge(M_REWRITE_CACHES), Some(2));
+    }
+
+    #[test]
+    fn a_flooding_tenant_evicts_only_its_own_decisions_and_closed_ones_stay_bounded() {
+        use crate::session::REWRITE_CACHE_CAP;
+        let conductor = Conductor::new(ConductorConfig {
+            max_sessions: 8,
+            ..ConductorConfig::default()
+        });
+        let reads = travel_reads();
+        let a = conductor
+            .route(conductor.open(sigma(TRAVEL)).unwrap())
+            .unwrap();
+        a.apply(travel_facts(1)).unwrap();
+        let warm = |h: &SessionHandle| {
+            for q in &reads[..48] {
+                h.query(q, QueryOpts::default()).unwrap();
+            }
+        };
+        warm(&a);
+        assert_eq!(a.cell.rewrites.first_sights().0, 48);
+        let b_id = conductor.open(sigma(TRAVEL)).unwrap();
+        let b = conductor.route(b_id).unwrap();
+        for i in 0..2 * REWRITE_CACHE_CAP {
+            let q = ConjunctiveQuery::parse(&format!("q{i}(X) <- rail(city{},X,D)", i % 16));
+            b.query(&q.unwrap(), QueryOpts::default()).unwrap();
+        }
+        assert_eq!(b.cell.rewrites.len(), REWRITE_CACHE_CAP);
+        assert_eq!(b.cell.rewrites.evictions(), REWRITE_CACHE_CAP as u64);
+        warm(&a);
+        assert_eq!(
+            a.cell.rewrites.first_sights().0,
+            48,
+            "B evicted A's decisions"
+        );
+        let decisions = |conductor: &Conductor| {
+            let snap = conductor.metrics_snapshot();
+            snap.gauge(M_REWRITE_DECISIONS).unwrap() as usize
+        };
+        assert_eq!(decisions(&conductor), 48 + REWRITE_CACHE_CAP);
+        // Closing B orphans its decisions: A still reads them.
+        drop(b);
+        conductor.close(b_id).unwrap();
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(
+            snap.gauge(M_REWRITE_ORPHANS),
+            Some(REWRITE_CACHE_CAP as i64)
+        );
+        assert_eq!(decisions(&conductor), 48 + REWRITE_CACHE_CAP);
+        let q = ConjunctiveQuery::parse("q2047(X) <- rail(city15,X,D)").unwrap();
+        a.query(&q, QueryOpts::default()).unwrap();
+        assert_eq!(
+            a.cell.rewrites.first_sights().0,
+            48,
+            "the orphan was dropped"
+        );
+        // A second flooder's orphans push out the first's: the list keeps
+        // the cap, not the cap per closed session.
+        let c_id = conductor.open(sigma(TRAVEL)).unwrap();
+        let c = conductor.route(c_id).unwrap();
+        for i in 0..REWRITE_CACHE_CAP {
+            let q = ConjunctiveQuery::parse(&format!("r{i}(X) <- fly(city{},X,D)", i % 16));
+            c.query(&q.unwrap(), QueryOpts::default()).unwrap();
+        }
+        drop(c);
+        conductor.close(c_id).unwrap();
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(
+            snap.gauge(M_REWRITE_ORPHANS),
+            Some(REWRITE_CACHE_CAP as i64)
+        );
+        assert_eq!(decisions(&conductor), 48 + REWRITE_CACHE_CAP);
+        // A thousand sessions on distinct Σs come and go: the registry
+        // holds a store per open session at most, and the decisions stay
+        // within the cap per open session plus one for the orphans.
+        for i in 0..1000 {
+            let id = conductor
+                .open(sigma(&format!("e{i}(X,Y) -> e{i}(Y,X)")))
+                .unwrap();
+            let h = conductor.route(id).unwrap();
+            let q = ConjunctiveQuery::parse(&format!("q(X) <- e{i}(X,Y), e{i}(Y,X)"));
+            h.query(&q.unwrap(), QueryOpts::default()).unwrap();
+            assert!(conductor.rewrites.len() <= conductor.session_count());
+            drop(h);
+            conductor.close(id).unwrap();
+            assert!(conductor.rewrites.len() <= conductor.session_count());
+            let bound = REWRITE_CACHE_CAP * (conductor.session_count() + 1);
+            assert!(decisions(&conductor) <= bound);
+        }
+        assert_eq!(conductor.rewrites.len(), 1);
+        // The orphans of every dead store went with it.
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(
+            snap.gauge(M_REWRITE_ORPHANS),
+            Some(REWRITE_CACHE_CAP as i64 - 1)
+        );
+    }
+
+    #[test]
+    fn a_snapshot_flood_is_capped_and_earlier_snapshots_still_restore() {
+        let conductor = Conductor::new(ConductorConfig {
+            max_snapshots: 3,
+            ..ConductorConfig::default()
+        });
+        let h = conductor
+            .route(conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap())
+            .unwrap();
+        h.apply(atoms("e(a,b).")).unwrap();
+        let first = h.snapshot().unwrap();
+        h.snapshot().unwrap();
+        h.snapshot().unwrap();
+        for _ in 0..5 {
+            assert_eq!(
+                h.snapshot().unwrap_err(),
+                ServeError::SnapshotCapacity { max_snapshots: 3 }
+            );
+        }
+        h.apply(atoms("e(c,d).")).unwrap();
+        h.restore(first).unwrap();
+        assert_eq!(h.stats().unwrap().total_facts, 2);
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(snap.counter(M_SNAPSHOTS_REJECTED), Some(5));
     }
 
     #[test]

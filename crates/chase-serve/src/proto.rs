@@ -574,7 +574,8 @@ pub enum ErrorCode {
     Parse,
     /// The session hit a terminal stop earlier ([`ServeError::Poisoned`]).
     Poisoned,
-    /// The global session cap is reached ([`ServeError::Capacity`]).
+    /// A cap is reached: the global session cap ([`ServeError::Capacity`])
+    /// or a session's snapshot cap ([`ServeError::SnapshotCapacity`]).
     Capacity,
     /// No such session id ([`ServeError::UnknownSession`]).
     UnknownSession,
@@ -631,7 +632,9 @@ impl From<&ServeError> for ErrorCode {
         match e {
             ServeError::Poisoned(_) => ErrorCode::Poisoned,
             ServeError::Core(_) | ServeError::StrategyOutOfRange { .. } => ErrorCode::Internal,
-            ServeError::Capacity { .. } => ErrorCode::Capacity,
+            ServeError::Capacity { .. } | ServeError::SnapshotCapacity { .. } => {
+                ErrorCode::Capacity
+            }
             ServeError::UnknownSession(_) => ErrorCode::UnknownSession,
             ServeError::UnknownSnapshot(_) => ErrorCode::UnknownSnapshot,
             ServeError::SessionGone => ErrorCode::SessionGone,

@@ -26,13 +26,13 @@ use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, CoreError, Instance, Ter
 use chase_engine::{chase_resume, ChaseConfig, ChaseMode, EngineState, StopReason};
 use chase_obs::{Phase, Recorder, RegistrySnapshot};
 use chase_sqo::minimal_rewritings;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Instant;
 
 /// Session configuration: the engine configuration used for every warm
@@ -44,8 +44,12 @@ pub struct SessionConfig {
     pub chase: ChaseConfig,
     /// Route queries through `chase-sqo` rewriting when beneficial (a
     /// strictly smaller Σ-equivalent body exists). Rewriting decisions are
-    /// cached per query text (up to a fixed cap), so the universal-plan
-    /// chase runs once per distinct query, not once per call.
+    /// cached per query text (up to a fixed cap per session), so the
+    /// universal-plan chase runs once per distinct query, not once per
+    /// call. Under a [`Conductor`](crate::Conductor), every session with an
+    /// equal constraint set and equal `use_sqo`, `sqo_chase` and
+    /// `sqo_max_plan_atoms` shares one cache, so a query text costs that
+    /// chase once per Σ, not once per tenant.
     pub use_sqo: bool,
     /// Budgeted configuration for the rewriting pipeline's own chases
     /// (freezing and chasing the query — guarded, because that chase need
@@ -248,6 +252,13 @@ pub enum ServeError {
     UnknownSession(u64),
     /// No snapshot with this id exists on the addressed session.
     UnknownSnapshot(u64),
+    /// The conductor refused a snapshot: the session already holds the
+    /// per-session cap of server-side snapshots. The snapshots it holds
+    /// stay restorable.
+    SnapshotCapacity {
+        /// The configured cap.
+        max_snapshots: usize,
+    },
     /// The session is gone (closed, evicted, or poisoned by a panic in its
     /// dispatcher); it can no longer be addressed.
     SessionGone,
@@ -283,6 +294,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::UnknownSession(id) => write!(f, "no session {id}"),
             ServeError::UnknownSnapshot(id) => write!(f, "no snapshot {id}"),
+            ServeError::SnapshotCapacity { max_snapshots } => {
+                write!(f, "snapshot cap reached ({max_snapshots} per session)")
+            }
             ServeError::SessionGone => write!(f, "session is gone"),
             ServeError::Durability(msg) => write!(f, "durability: {msg}"),
             ServeError::Evicted(id) => write!(
@@ -360,7 +374,9 @@ pub struct ChaseSession {
     /// The constraint set plus the per-query rewriting decisions under it.
     /// Shared by every fork and snapshot of the session (and by the
     /// conductor's read path): decisions depend only on Σ and the SQO
-    /// policy, which never change under a session.
+    /// policy, which never change under a session. Under a conductor the
+    /// decisions themselves sit in a store shared with every session on an
+    /// equal Σ and policy.
     rewrites: Arc<RewriteCache>,
     /// The durability attachment (WAL handle, snapshot thresholds,
     /// counters), present on sessions built with [`SessionBuilder::durable`]
@@ -816,7 +832,7 @@ impl ChaseSession {
 
     /// The constraint set the session chases under.
     pub fn constraints(&self) -> &ConstraintSet {
-        &self.rewrites.set
+        &self.rewrites.store.set
     }
 
     /// The session configuration.
@@ -918,7 +934,7 @@ impl ChaseSession {
         if let Some(r) = self.state.poisoned() {
             return Err(ServeError::Poisoned(r.clone()));
         }
-        let set = &self.rewrites.set;
+        let set = &self.rewrites.store.set;
         let added = self.state.insert_batch(set, &self.cfg.chase, batch)?;
         let out = chase_resume(&mut self.state, set, &self.cfg.chase);
         self.epoch += 1;
@@ -986,7 +1002,7 @@ impl ChaseSession {
             return Err(ServeError::Poisoned(r.clone()));
         }
         if !self.state.quiescent() {
-            let out = chase_resume(&mut self.state, &self.rewrites.set, &self.cfg.chase);
+            let out = chase_resume(&mut self.state, &self.rewrites.store.set, &self.cfg.chase);
             self.last_reason = Some(out.reason.clone());
             if let Some(r) = self.state.poisoned() {
                 return Err(ServeError::Poisoned(r.clone()));
@@ -998,6 +1014,23 @@ impl ChaseSession {
     /// The rewriting cache the session, its forks and snapshots share.
     pub(crate) fn rewrite_cache(&self) -> &Arc<RewriteCache> {
         &self.rewrites
+    }
+
+    /// Read and fill the rewriting decisions of every other session
+    /// registered in `stores` under an equal Σ and rewriting policy,
+    /// instead of a private cache. Decisions depend on nothing else, so
+    /// answers cannot change; only first sights are saved.
+    ///
+    /// # Panics
+    /// Panics if the cache is already shared (with a fork, a snapshot, or
+    /// a handle) or holds a decision: switching it then would split what
+    /// they see.
+    pub(crate) fn share_rewrites(&mut self, stores: &RewriteStores) {
+        assert!(
+            Arc::strong_count(&self.rewrites) == 1 && self.rewrites.len() == 0,
+            "a session joins a shared rewrite store before anything reads its cache"
+        );
+        self.rewrites = Arc::new(stores.view(&self.rewrites.store));
     }
 
     /// The telemetry recorder the session's engine reports into. All
@@ -1154,42 +1187,103 @@ impl SessionSeries {
     }
 }
 
-/// Cached rewriting decisions per [`RewriteCache`]. A decision costs one
-/// universal-plan chase to recompute, so an evicted entry is a slower
-/// query, never a wrong one; the cap keeps a tenant that sends endless
-/// distinct query texts from growing the cache without bound.
+/// Rewriting decisions one [`RewriteCache`] view may own, and the size of
+/// a conductor's orphan list. A decision costs one universal-plan chase to
+/// recompute, so an evicted entry is a slower query, never a wrong one;
+/// the cap keeps a tenant that sends endless distinct query texts from
+/// growing the cache without bound.
 pub(crate) const REWRITE_CACHE_CAP: usize = 1024;
 
-/// A session's `chase-sqo` rewriting decisions, keyed by query text: the
-/// strictly smaller Σ-equivalent rewriting chosen for a query, or `None`
-/// when rewriting is not beneficial (or its chase was cut off). It owns Σ
-/// and the rewriting policy, so a decision depends on nothing else and may
-/// be shared, through an `Arc`, by everything that answers queries for the
-/// session: the session itself, its forks and snapshots, and every
-/// conductor handle.
-pub(crate) struct RewriteCache {
+/// `chase-sqo` rewriting decisions keyed by query text: the strictly
+/// smaller Σ-equivalent rewriting chosen for a query, or `None` when
+/// rewriting is not beneficial (or its chase was cut off). Keyed by
+/// client-sent text, so the map keeps the default (collision-resistant)
+/// hasher.
+type Decisions = HashMap<Arc<str>, Option<ConjunctiveQuery>>;
+
+/// Drop the decision cached under `key` if it is the entry `key` was
+/// inserted with (the same allocation), not a later one for the same text.
+fn forget(decisions: &mut Decisions, key: &Arc<str>) {
+    if decisions
+        .get_key_value(&**key)
+        .is_some_and(|(cached, _)| Arc::ptr_eq(cached, key))
+    {
+        decisions.remove(&**key);
+    }
+}
+
+/// The rewriting decisions under one Σ and one rewriting policy. A
+/// decision depends on nothing else — never on a tenant's data — so every
+/// session with an equal Σ and policy may share one store: a
+/// [`Conductor`](crate::Conductor) shares them through its
+/// [`RewriteStores`]. Each session reads and fills its store through a
+/// [`RewriteCache`] view of its own.
+struct RewriteStore {
     set: ConstraintSet,
     enabled: bool,
     chase: ChaseConfig,
     max_plan_atoms: usize,
-    /// Keyed by client-sent text, so it keeps the default (collision-
-    /// resistant) hasher.
-    decisions: Mutex<HashMap<String, Option<ConjunctiveQuery>>>,
-    /// Decisions dropped to stay within [`REWRITE_CACHE_CAP`].
+    decisions: Mutex<Decisions>,
+}
+
+impl RewriteStore {
+    /// Would `self` and `other` make the same decision for every query?
+    fn decides_like(&self, other: &RewriteStore) -> bool {
+        self.enabled == other.enabled
+            && self.max_plan_atoms == other.max_plan_atoms
+            && self.chase == other.chase
+            && self.set == other.set
+    }
+
+    /// The decisions. A poisoned lock is recovered (every update is one
+    /// map insert or remove), so a view's `Drop` never panics here.
+    fn decisions(&self) -> MutexGuard<'_, Decisions> {
+        self.decisions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One session's view of a [`RewriteStore`]: shared, through an `Arc`, by
+/// everything that answers queries for the session — the session itself,
+/// its forks and snapshots, and every conductor handle. A decision the
+/// view computes is charged to it: at [`REWRITE_CACHE_CAP`] it evicts its
+/// own oldest decision, never one another session computed, so a tenant
+/// flooding the store with distinct texts only churns its own share.
+pub(crate) struct RewriteCache {
+    store: Arc<RewriteStore>,
+    /// Where the view's decisions go when it is dropped: its conductor's
+    /// orphan list, or nowhere when no other session can reach the store.
+    orphans: Option<Arc<Orphans>>,
+    /// The decisions this view computed and still owns (their keys in the
+    /// store), oldest first.
+    owned: Mutex<VecDeque<Arc<str>>>,
+    /// Owned decisions dropped to stay within [`REWRITE_CACHE_CAP`].
     evictions: AtomicU64,
-    /// Decisions computed (cache misses), and the nanoseconds they took.
+    /// Decisions computed (misses in the store), and the nanoseconds they
+    /// took.
     first_sights: AtomicU64,
     first_sight_ns: AtomicU64,
 }
 
 impl RewriteCache {
+    /// A session's private view, on a store of its own.
     fn new(set: ConstraintSet, cfg: &SessionConfig) -> RewriteCache {
-        RewriteCache {
+        let store = RewriteStore {
             set,
             enabled: cfg.use_sqo,
             chase: cfg.sqo_chase.clone(),
             max_plan_atoms: cfg.sqo_max_plan_atoms,
-            decisions: Mutex::new(HashMap::new()),
+            decisions: Mutex::default(),
+        };
+        RewriteCache::on(Arc::new(store), None)
+    }
+
+    fn on(store: Arc<RewriteStore>, orphans: Option<Arc<Orphans>>) -> RewriteCache {
+        RewriteCache {
+            store,
+            orphans,
+            owned: Mutex::default(),
             evictions: AtomicU64::new(0),
             first_sights: AtomicU64::new(0),
             first_sight_ns: AtomicU64::new(0),
@@ -1200,55 +1294,171 @@ impl RewriteCache {
     /// first sight; `None` = evaluate `q` itself. Only sound on instances
     /// that satisfy Σ (callers check quiescence).
     pub(crate) fn rewrite(&self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
-        if !self.enabled {
+        let store = &*self.store;
+        if !store.enabled {
             return None;
         }
         let key = q.to_string();
-        if let Some(hit) = self.decisions().get(&key) {
+        if let Some(hit) = store.decisions().get(key.as_str()) {
             return hit.clone();
         }
         // Computed without the lock: a first sight runs a chase, and reads
         // of other queries must not queue behind it. Racing computations
-        // of one key agree, so either insert is fine (and both count).
+        // of one key agree, so the first insert stands (and both count).
         let started = Instant::now();
-        let choice = choose_rewriting(q, &self.set, &self.chase, self.max_plan_atoms);
+        let choice = choose_rewriting(q, &store.set, &store.chase, store.max_plan_atoms);
         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.first_sights.fetch_add(1, Ordering::Relaxed);
         self.first_sight_ns.fetch_add(ns, Ordering::Relaxed);
-        let mut decisions = self.decisions();
-        if decisions.len() >= REWRITE_CACHE_CAP && !decisions.contains_key(&key) {
-            if let Some(victim) = decisions.keys().next().cloned() {
-                decisions.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut decisions = store.decisions();
+        if !decisions.contains_key(key.as_str()) {
+            let mut owned = self.owned();
+            if owned.len() >= REWRITE_CACHE_CAP {
+                if let Some(victim) = owned.pop_front() {
+                    forget(&mut decisions, &victim);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
             }
+            let key: Arc<str> = key.into();
+            decisions.insert(Arc::clone(&key), choice.clone());
+            owned.push_back(key);
         }
-        decisions.insert(key, choice.clone());
         choice
     }
 
-    fn decisions(&self) -> MutexGuard<'_, HashMap<String, Option<ConjunctiveQuery>>> {
-        self.decisions
+    fn owned(&self) -> MutexGuard<'_, VecDeque<Arc<str>>> {
+        self.owned
             .lock()
-            .expect("no code panics while holding the rewrite cache lock")
+            .expect("no code panics while holding a rewrite view's lock")
     }
 
-    /// Decisions currently cached.
+    /// Decisions this view owns (computed, and not yet evicted).
     pub(crate) fn len(&self) -> usize {
-        self.decisions().len()
+        self.owned().len()
     }
 
-    /// Decisions evicted so far to stay within [`REWRITE_CACHE_CAP`].
+    /// Owned decisions evicted so far to stay within [`REWRITE_CACHE_CAP`].
     pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Decisions computed so far (every cache miss, unsampled), and their
-    /// total wall time in nanoseconds.
+    /// Decisions this view computed so far (every miss in the store,
+    /// unsampled), and their total wall time in nanoseconds.
     pub(crate) fn first_sights(&self) -> (u64, u64) {
         (
             self.first_sights.load(Ordering::Relaxed),
             self.first_sight_ns.load(Ordering::Relaxed),
         )
+    }
+}
+
+impl Drop for RewriteCache {
+    /// A closed session's decisions stay in the store, as orphans, for the
+    /// sessions still open on it.
+    fn drop(&mut self) {
+        if let Some(orphans) = &self.orphans {
+            let owned = self.owned.get_mut().unwrap_or_else(PoisonError::into_inner);
+            orphans.adopt(&self.store, std::mem::take(owned));
+        }
+    }
+}
+
+/// A closed session's decision kept in its store.
+struct Orphan {
+    store: Weak<RewriteStore>,
+    key: Arc<str>,
+}
+
+/// The decisions of closed sessions, across every store of one conductor:
+/// at most [`REWRITE_CACHE_CAP`], the oldest dropped first. With each open
+/// session owning at most the cap, a conductor's stores hold at most
+/// `REWRITE_CACHE_CAP × (open sessions + 1)` decisions.
+#[derive(Default)]
+struct Orphans(Mutex<VecDeque<Orphan>>);
+
+impl Orphans {
+    /// The list, less the orphans of stores no session views any more
+    /// (those were freed with their store). A poisoned lock is recovered
+    /// (the list is valid after every step), so a view's `Drop` never
+    /// panics here.
+    fn live(&self) -> MutexGuard<'_, VecDeque<Orphan>> {
+        let mut list = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        list.retain(|o| o.store.strong_count() > 0);
+        list
+    }
+
+    /// Take over a dropped view's decisions in `store`, then drop the
+    /// oldest orphans past the cap.
+    fn adopt(&self, store: &Arc<RewriteStore>, owned: VecDeque<Arc<str>>) {
+        if owned.is_empty() {
+            return;
+        }
+        let evicted: Vec<Orphan> = {
+            let mut list = self.live();
+            list.extend(owned.into_iter().map(|key| Orphan {
+                store: Arc::downgrade(store),
+                key,
+            }));
+            let excess = list.len().saturating_sub(REWRITE_CACHE_CAP);
+            list.drain(..excess).collect()
+        };
+        // Outside the list's lock: a store's lock is never taken under it.
+        for o in evicted {
+            if let Some(store) = o.store.upgrade() {
+                forget(&mut store.decisions(), &o.key);
+            }
+        }
+    }
+
+    /// Orphaned decisions held right now.
+    fn len(&self) -> usize {
+        self.live().len()
+    }
+}
+
+/// A conductor's registry of [`RewriteStore`]s: one per (Σ, rewriting
+/// policy) among its sessions, held weakly — a store lives exactly as long
+/// as some session views it — plus the orphan list they share.
+#[derive(Default)]
+pub(crate) struct RewriteStores {
+    stores: Mutex<Vec<Weak<RewriteStore>>>,
+    orphans: Arc<Orphans>,
+}
+
+impl RewriteStores {
+    /// A view on the live store that decides like `mine`, or on `mine`
+    /// itself, registered, when none does.
+    fn view(&self, mine: &Arc<RewriteStore>) -> RewriteCache {
+        let mut stores = self.stores();
+        let found = stores
+            .iter()
+            .filter_map(Weak::upgrade)
+            .find(|s| s.decides_like(mine));
+        let store = found.unwrap_or_else(|| {
+            stores.push(Arc::downgrade(mine));
+            Arc::clone(mine)
+        });
+        RewriteCache::on(store, Some(Arc::clone(&self.orphans)))
+    }
+
+    /// The registry, pruned of stores no session views any more.
+    fn stores(&self) -> MutexGuard<'_, Vec<Weak<RewriteStore>>> {
+        let mut stores = self
+            .stores
+            .lock()
+            .expect("no code panics while holding the rewrite registry lock");
+        stores.retain(|w| w.strong_count() > 0);
+        stores
+    }
+
+    /// Stores alive right now.
+    pub(crate) fn len(&self) -> usize {
+        self.stores().len()
+    }
+
+    /// Decisions of closed sessions still held for the open ones.
+    pub(crate) fn orphans(&self) -> usize {
+        self.orphans.len()
     }
 }
 
@@ -1479,11 +1689,73 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 2); // u and w
                                 // The rewriting decision was cached and is a strict shrink.
-        let cached = with_sqo.rewrites.decisions()[&q.to_string()].clone();
+        let cached = with_sqo.rewrites.store.decisions()[q.to_string().as_str()].clone();
         assert_eq!(cached.unwrap().body().len(), 1);
         // Second query hits the cache (no way to observe the chase from
         // here, but the cached entry must be stable).
         assert_eq!(with_sqo.query(&q).unwrap(), a);
+    }
+
+    #[test]
+    fn only_an_equal_sigma_and_policy_share_a_rewrite_store() {
+        let stores = RewriteStores::default();
+        let joined = |text: &str, cfg: SessionConfig| {
+            let mut s = ChaseSession::with_config(ConstraintSet::parse(text).unwrap(), cfg);
+            s.share_rewrites(&stores);
+            s
+        };
+        let shares =
+            |x: &ChaseSession, y: &ChaseSession| Arc::ptr_eq(&x.rewrites.store, &y.rewrites.store);
+        let travel =
+            "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2); rail(C1,C2,D) -> rail(C2,C1,D)";
+        let a = joined(travel, SessionConfig::default());
+        // An equal set, written differently.
+        let b = joined(
+            "fly(C1,C2,D)->hasAirport(C1),hasAirport(C2);rail(C1,C2,D)->rail(C2,C1,D)",
+            SessionConfig::default(),
+        );
+        assert!(shares(&a, &b));
+        // The same constraints in another order are another set (engine
+        // state is indexed by position), and a policy field apart is
+        // another policy.
+        let others = [
+            joined(
+                "rail(C1,C2,D) -> rail(C2,C1,D); fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2)",
+                SessionConfig::default(),
+            ),
+            joined(
+                travel,
+                SessionConfig {
+                    sqo_max_plan_atoms: 6,
+                    ..SessionConfig::default()
+                },
+            ),
+            joined(
+                travel,
+                SessionConfig {
+                    sqo_chase: ChaseConfig::with_max_steps(50),
+                    ..SessionConfig::default()
+                },
+            ),
+            joined(
+                travel,
+                SessionConfig {
+                    use_sqo: false,
+                    ..SessionConfig::default()
+                },
+            ),
+        ];
+        for other in &others {
+            assert!(!shares(&a, other));
+        }
+        assert_eq!(stores.len(), 5);
+        // A fork shares the session's view; a store lives while any
+        // session views it.
+        let fork = a.fork();
+        drop((a, b, others));
+        assert_eq!(stores.len(), 1);
+        drop(fork);
+        assert_eq!(stores.len(), 0);
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! every epoch, paying full re-matching for every merge ever applied.
 
 use chase_bench::{print_table, scaled, Row};
-use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, Instance};
+use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, Instance, Term};
 use chase_corpus::random::{merge_storm_sigma, merge_storm_stream, MergeStormConfig};
 use chase_engine::{chase, ChaseConfig, StopReason};
 use chase_serve::{ChaseSession, Conductor, ConductorConfig, QueryOpts, SessionConfig};
 use chase_sqo::minimal_rewritings;
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Workload {
     name: &'static str,
@@ -144,6 +144,96 @@ fn print_shape() {
     );
 }
 
+/// Episode counts of the `long_history` group. The larger has 8x the
+/// history, so a chase linear in it reads ~8–9x the smaller's; a merge path
+/// that scans the whole store or memo per merge makes it ~40x.
+const HISTORY_EPISODES: [usize; 2] = [16, 128];
+
+/// `episodes` consecutive merge-storm episodes in `durable_merge`'s shape
+/// (24 entities × 3 attributes × 8 values, 8 batches an episode), each
+/// with its entities renamed apart by an episode prefix, so one session's
+/// history keeps growing without repeating a fact or conflicting on a
+/// value.
+fn long_history(episodes: usize) -> (ConstraintSet, Vec<Vec<Atom>>) {
+    let mut stream = Vec::new();
+    for e in 0..episodes {
+        let (_, batches) = merge_storm_stream(&MergeStormConfig {
+            entities: 24,
+            attributes: 3,
+            values: 8,
+            batches: 8,
+            seed: 1_000 + e as u64,
+        });
+        let prefix = format!("p{e}");
+        for batch in batches {
+            stream.push(
+                batch
+                    .into_iter()
+                    .map(|a| {
+                        let mut terms = a.terms().to_vec();
+                        terms[0] = Term::constant(&format!("{prefix}{}", terms[0]));
+                        Atom::new(a.pred(), terms)
+                    })
+                    .collect(),
+            );
+        }
+    }
+    (merge_storm_sigma(3), stream)
+}
+
+/// Feed one fresh session the whole stream; returns the chase time summed
+/// over its applies.
+fn run_history(set: &ConstraintSet, stream: &[Vec<Atom>]) -> Duration {
+    let cfg = SessionConfig {
+        use_sqo: false,
+        ..SessionConfig::default()
+    };
+    let mut session = ChaseSession::with_config(set.clone(), cfg);
+    let mut chase = Duration::ZERO;
+    for batch in stream {
+        let t0 = Instant::now();
+        let out = session.apply(batch.iter().cloned()).expect("batch applies");
+        chase += t0.elapsed();
+        assert_eq!(out.reason, StopReason::Satisfied, "workload must quiesce");
+    }
+    chase
+}
+
+fn print_history_shape() {
+    let [short, long] = HISTORY_EPISODES.map(|episodes| {
+        let (set, stream) = long_history(episodes);
+        // Best of three: the ratio is the claim, so damp one-off noise.
+        (0..3)
+            .map(|_| run_history(&set, &stream))
+            .min()
+            .expect("three runs")
+    });
+    let ms = |d: Duration| format!("{:.1} ms", d.as_secs_f64() * 1e3);
+    print_table(
+        "S2 — long merge history: one warm session's chase at 16 and 128 episodes",
+        &["16 episodes", "128 episodes", "128/16"],
+        &[Row::new(
+            ms(short),
+            vec![
+                ms(long),
+                format!("{:.1}x", long.as_secs_f64() / short.as_secs_f64().max(1e-9)),
+            ],
+        )],
+    );
+}
+
+fn bench_long_history(c: &mut Criterion) {
+    let mut g = c.benchmark_group("merge_storm/long_history");
+    g.sample_size(10);
+    for episodes in HISTORY_EPISODES {
+        let (set, stream) = long_history(episodes);
+        g.bench_function(episodes.to_string(), |b| {
+            b.iter(|| run_history(black_box(&set), &stream))
+        });
+    }
+    g.finish();
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("merge_storm");
     g.sample_size(10);
@@ -156,6 +246,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
+    bench_long_history(c);
     bench_sqo_first_sight(c);
 }
 
@@ -218,6 +309,7 @@ fn bench_sqo_first_sight(c: &mut Criterion) {
 
 fn main() {
     print_shape();
+    print_history_shape();
     let mut c = Criterion::default().configure_from_args();
     bench(&mut c);
     c.final_summary();

@@ -25,7 +25,8 @@
 //! rewritten in place, and every index and statistic is patched
 //! incrementally — rows that collapse onto already-present rows are removed
 //! and the surviving fact ids compacted, reproducing exactly the state a
-//! from-scratch replay of the rewritten insert stream would build. The
+//! from-scratch replay of the rewritten insert stream would build. Only the
+//! facts after the first removed id move, so only they are re-keyed. The
 //! returned [`MergeEffect`] names the rewritten rows so engines can treat
 //! a merge like any other delta.
 //!
@@ -637,13 +638,20 @@ impl Instance {
     /// A **delta pass**: the rows containing `from` are located through the
     /// `(pred, pos, from)` buckets of the positional index, only those rows
     /// are rewritten in place, and dedup, `by_pred`, `by_pos` and the
-    /// cardinality/distinct statistics are patched
-    /// incrementally — O(occurrences + removed-id compaction), not
-    /// O(instance). Rewritten rows that collapse onto an already-present
-    /// row (and present rows absorbed by an earlier rewritten row) are
-    /// removed and the remaining fact ids compacted, so the resulting store
-    /// is indistinguishable from replaying the whole rewritten insert
-    /// stream from scratch.
+    /// cardinality/distinct statistics are patched incrementally.
+    /// Rewritten rows that collapse onto an already-present row (and
+    /// present rows absorbed by an earlier rewritten row) are removed and
+    /// the remaining fact ids compacted, so the resulting store is
+    /// indistinguishable from replaying the whole rewritten insert stream
+    /// from scratch.
+    ///
+    /// Cost: O(touched rows · arity) to rewrite, plus — only when some row
+    /// is removed — O(s · arity · log b) to compact, where `s` is the number
+    /// of facts after the first removed id and `b` the largest index bucket
+    /// such a fact sits in. Facts before the first removed id keep their
+    /// ids and rows, so their index entries are never visited. A merge that
+    /// removes nothing never renumbers; one that removes an early fact
+    /// still re-keys the whole suffix behind it.
     ///
     /// A merge whose `from` occurs in no fact (including a variable or
     /// `from == to`) is a true no-op: no index is touched and
@@ -824,9 +832,10 @@ impl Instance {
             }
         }
 
-        // Physically drop the removed rows: compact their tables column by
-        // column, then renumber every surviving fact id above the first
-        // removal — locations, all index buckets, and the dedup values.
+        // Physically drop the removed rows. A fact before `removed[0]` was
+        // inserted before every removed row, so its id, its table row and
+        // every index entry naming it stay put: only the suffix from the
+        // first removal moves, and only it is compacted and re-keyed.
         if !removed.is_empty() {
             for &r in &removed {
                 let loc = self.locs[r as usize];
@@ -837,19 +846,20 @@ impl Instance {
                     self.by_pred.remove(&pred);
                 }
             }
+            // A table's rows are in id order, so walking `removed` in id
+            // order lists each table's removed rows ascending.
             let mut rows_by_table: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
             for &r in &removed {
                 let loc = self.locs[r as usize];
                 rows_by_table.entry(loc.table).or_default().push(loc.row);
             }
-            for (&t, rows) in rows_by_table.iter_mut() {
-                rows.sort_unstable();
+            for (&t, rows) in &rows_by_table {
                 let tbl = &mut self.tables[t as usize];
                 let nrows = tbl.rows as usize;
                 for col in &mut tbl.cols {
-                    let mut next_gone = 0;
-                    let mut w = 0;
-                    for r in 0..nrows {
+                    let start = rows[0] as usize;
+                    let (mut next_gone, mut w) = (0, start);
+                    for r in start..nrows {
                         if next_gone < rows.len() && rows[next_gone] as usize == r {
                             next_gone += 1;
                             continue;
@@ -861,43 +871,64 @@ impl Instance {
                 }
                 tbl.rows -= rows.len() as u32;
             }
-            let mut new_locs = Vec::with_capacity(self.locs.len() - removed.len());
-            let mut next_gone = 0;
-            for (f, loc) in self.locs.iter().enumerate() {
+            // Shift `locs` down in place and re-key each moved fact from its
+            // old id to its new one, in ascending id order: every bucket
+            // entry below the fact is either untouched (below the first
+            // removal) or already re-keyed to an id below the new one, and
+            // every entry above it still holds an old id above the old one,
+            // so each bucket stays sorted while it is patched and a binary
+            // search finds the old id.
+            let first = removed[0] as usize;
+            let (mut next_gone, mut w) = (0, first);
+            for f in first..self.locs.len() {
                 if next_gone < removed.len() && removed[next_gone] as usize == f {
                     next_gone += 1;
                     continue;
                 }
-                let mut l = *loc;
-                if let Some(rows) = rows_by_table.get(&l.table) {
-                    l.row -= rows.partition_point(|&r| r < l.row) as u32;
+                let mut loc = self.locs[f];
+                if let Some(rows) = rows_by_table.get(&loc.table) {
+                    loc.row -= rows.partition_point(|&r| r < loc.row) as u32;
                 }
-                new_locs.push(l);
-            }
-            self.locs = new_locs;
-            let first = removed[0];
-            let renumber = |bucket: &mut Vec<FactId>| {
-                if bucket.last().is_none_or(|&l| l < first) {
-                    return; // wholly below the first removal: unchanged
+                self.locs[w] = loc;
+                let (old, new) = (f as FactId, w as FactId);
+                w += 1;
+                let pred = self.table_preds[loc.table as usize];
+                ids.clear();
+                ids.extend(
+                    self.tables[loc.table as usize]
+                        .cols
+                        .iter()
+                        .map(|c| c[loc.row as usize]),
+                );
+                let rekey = |bucket: &mut Vec<FactId>| {
+                    let i = bucket.binary_search(&old).expect("moved fact is indexed");
+                    bucket[i] = new;
+                };
+                rekey(self.by_pred.get_mut(&pred).expect("moved fact is indexed"));
+                for (p, &id) in ids.iter().enumerate() {
+                    rekey(
+                        self.by_pos
+                            .get_mut(&(pred, p as u32, id))
+                            .expect("moved fact is indexed"),
+                    );
                 }
-                for id in bucket.iter_mut() {
-                    *id -= removed.partition_point(|&r| r < *id) as u32;
-                }
-            };
-            for bucket in self.by_pred.values_mut() {
-                renumber(bucket);
-            }
-            for bucket in self.by_pos.values_mut() {
-                renumber(bucket);
-            }
-            for id in self.dedup.values_mut() {
-                *id -= removed.partition_point(|&r| r < *id) as u32;
-            }
-            for chain in self.dedup_overflow.values_mut() {
-                for id in chain.iter_mut() {
-                    *id -= removed.partition_point(|&r| r < *id) as u32;
+                let hash = row_hash(pred, &ids);
+                match self.dedup.get_mut(&hash) {
+                    Some(slot) if *slot == old => *slot = new,
+                    _ => {
+                        let chain = self
+                            .dedup_overflow
+                            .get_mut(&hash)
+                            .expect("moved fact is deduplicated");
+                        let slot = chain
+                            .iter_mut()
+                            .find(|f| **f == old)
+                            .expect("moved fact is deduplicated");
+                        *slot = new;
+                    }
                 }
             }
+            self.locs.truncate(w);
         }
 
         if let Some(n) = to_id.as_null() {

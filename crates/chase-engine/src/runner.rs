@@ -45,6 +45,15 @@
 //! rewritten rows seed the same semi-naive re-matching and head
 //! revalidation a TGD delta uses — no pool rebuild, no memo wipe.
 //!
+//! The dead and fired memos are `KeyMemo`s: the key set plus, for each
+//! labeled null, the member keys that bind it. A merge only ever renames a
+//! null, so the memo remap visits just the keys listed under `from`,
+//! skipping entries already renamed away through another null they bind,
+//! and never scans the whole memo. A key that binds no null (every key of
+//! a null-free workload) is never listed: inserting it costs one hash and
+//! no clone, as in a plain set; under a Σ without EGDs no key is listed at
+//! all. The pool is still scanned for keys that mention `from`.
+//!
 //! All matching work — pool rebuilds, semi-naive delta re-matching, head
 //! revalidation, and the naive reference's full re-enumeration — goes
 //! through a [`Matcher`]: with `ChaseConfig::use_planner` (the default) each
@@ -80,6 +89,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::time::Instant;
 
 /// Standard chase (fire only violated triggers) or oblivious chase (fire
 /// every body match once).
@@ -534,14 +544,14 @@ pub struct EngineState {
     monitor: Option<MonitorGraph>,
     /// Oblivious mode: triggers that already fired, keyed per constraint so
     /// membership probes borrow the key instead of cloning it.
-    fired: Vec<FxHashSet<TriggerKey>>,
+    fired: Vec<KeyMemo>,
     /// Standard mode, delta engine: triggers known to be satisfied, keyed
     /// per constraint. This is monotone — added atoms never un-satisfy a
     /// TGD trigger and never change an EGD trigger's bindings — so
     /// membership means the "not already satisfied" check can be skipped
     /// for good. EGD merges remap the keys through `from ↦ to` (a
     /// satisfied trigger stays satisfied under the renaming).
-    dead: Vec<FxHashSet<TriggerKey>>,
+    dead: Vec<KeyMemo>,
     /// The incrementally maintained active-trigger queue (delta engine only).
     pool: TriggerPool,
     /// Per-constraint body predicates, for delta → constraint dispatch.
@@ -592,6 +602,9 @@ impl EngineState {
             .map(|(_, c)| c.body().iter().map(|a| a.pred()).collect())
             .collect();
         let key_orders: Vec<Vec<Sym>> = set.enumerate().map(|(_, c)| key_order(c)).collect();
+        let renames = set
+            .enumerate()
+            .any(|(_, c)| matches!(c, Constraint::Egd(_)));
         let inst = instance.clone();
         let recorder = chase_obs::global().clone();
         let matcher = if cfg.use_planner {
@@ -604,8 +617,8 @@ impl EngineState {
             steps: 0,
             fresh_nulls: 0,
             monitor,
-            fired: vec![FxHashSet::default(); set.len()],
-            dead: vec![FxHashSet::default(); set.len()],
+            fired: vec![KeyMemo::new(renames); set.len()],
+            dead: vec![KeyMemo::new(renames); set.len()],
             pool: TriggerPool::new(set, cfg.mode),
             body_preds,
             key_orders,
@@ -786,35 +799,104 @@ fn remap_subst(mu: &Subst, from: Term, to: Term) -> Subst {
     nu
 }
 
-/// Rewrite every key in a memo set through `from ↦ to`. Renamed keys can
-/// collide with existing members; set union is exactly what the dead and
-/// fired memo semantics want (both facts — "satisfied" / "already fired" —
-/// hold for the collided key either way).
-fn remap_key_set(memo: &mut FxHashSet<TriggerKey>, from: Term, to: Term) {
-    let stale: Vec<TriggerKey> = memo
-        .iter()
-        .filter(|k| key_mentions(k, from))
-        .cloned()
-        .collect();
-    for key in stale {
-        memo.remove(&key);
-        memo.insert(remap_key(&key, from, to));
+/// A per-constraint memo of trigger keys — the dead set (standard mode)
+/// or the fired set (oblivious mode) — that an EGD merge can rename in
+/// O(keys binding the merged-away null) instead of a scan of every key.
+///
+/// `by_null` lists, under each null, the member keys that bind it. It is
+/// append-only between remaps and may hold stale entries: a key binding
+/// two nulls is listed under both, and once a merge of one renames it, its
+/// entry under the other names a key that is no longer a member. A remap
+/// skips such entries by checking membership. Keys binding no null are
+/// never listed, so inserting one costs one hash and no clone, as in a
+/// plain set. Under a Σ without EGDs nothing is ever renamed, so `by_null`
+/// is `None` and no key is listed at all.
+#[derive(Clone)]
+struct KeyMemo {
+    keys: FxHashSet<TriggerKey>,
+    by_null: Option<FxHashMap<u32, Vec<TriggerKey>>>,
+}
+
+impl KeyMemo {
+    /// An empty memo; `renames` says whether Σ has an EGD, the only way a
+    /// key's null is ever renamed.
+    fn new(renames: bool) -> KeyMemo {
+        KeyMemo {
+            keys: FxHashSet::default(),
+            by_null: renames.then(FxHashMap::default),
+        }
+    }
+
+    fn contains(&self, key: &TriggerKey) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// Add `key`; `false` if it was already a member.
+    fn insert(&mut self, key: TriggerKey) -> bool {
+        let Some(by_null) = &mut self.by_null else {
+            return self.keys.insert(key);
+        };
+        if !key.iter().any(|&(_, t)| t.is_null()) || self.keys.contains(&key) {
+            return self.keys.insert(key);
+        }
+        for (i, &(_, t)) in key.iter().enumerate() {
+            // List the key once per distinct null: at its first binding.
+            if let Some(n) = t
+                .as_null()
+                .filter(|_| key[..i].iter().all(|&(_, u)| u != t))
+            {
+                by_null.entry(n).or_default().push(key.clone());
+            }
+        }
+        self.keys.insert(key)
+    }
+
+    /// Rename every member key binding `from` through `from ↦ to`. Renamed
+    /// keys can collide with existing members; set union is exactly what
+    /// the dead and fired memo semantics want (both facts — "satisfied" /
+    /// "already fired" — hold for the collided key either way).
+    ///
+    /// Only a null is ever merged away (the paper's EGD rule replaces a
+    /// null), so a constant `from` binds no listed key and renames nothing.
+    fn remap(&mut self, from: Term, to: Term) {
+        debug_assert!(from.is_null(), "an EGD merge renames a null, not {from}");
+        let by_null = self
+            .by_null
+            .as_mut()
+            .expect("only a constraint set with an EGD merges");
+        let Some(listed) = from.as_null().and_then(|n| by_null.remove(&n)) else {
+            return;
+        };
+        for key in listed {
+            // Stale: already renamed away through another null it binds.
+            if self.keys.remove(&key) {
+                self.insert(remap_key(&key, from, to));
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        if let Some(by_null) = &mut self.by_null {
+            by_null.clear();
+        }
     }
 }
 
 /// Sampling mask for the *per-step* telemetry sites — the
-/// [`Phase::HeadRevalidate`], [`Phase::DeltaMatch`] and [`Phase::Insert`]
-/// timers plus the [`EventKind::StepFired`] event. Timing every step costs
-/// a handful of clock reads per chase step, which dominates micro-chases
-/// (the CI overhead gate caps the recording-on vs -off median delta on
-/// `ex4_strategies` at 5%); instead, one step in 64 records the full
+/// [`Phase::HeadRevalidate`], [`Phase::DeltaMatch`] and (TGD steps only)
+/// [`Phase::Insert`] timers plus the [`EventKind::StepFired`] event.
+/// Timing every step costs a handful of clock reads per chase step, which
+/// dominates micro-chases (the CI overhead gate caps the recording-on vs
+/// -off median delta on `ex4_strategies` at 5%); instead, one step in 64
+/// records the full
 /// decomposition and the rest skip even the clock reads. The gate is keyed
 /// on the deterministic step counter, so sampling is write-only and
 /// reproducible — it can never perturb trigger selection — and step 0
 /// always samples, so even a two-fact session surfaces nonzero phase
-/// percentiles. The rare, heavy sites ([`Phase::MergeRepair`],
-/// [`Phase::PoolMaintain`], [`Phase::PlanCompile`] and all other events)
-/// record every occurrence.
+/// percentiles. The rare, heavy sites ([`Phase::MergeRepair`], one sample
+/// per effective EGD merge; [`Phase::PoolMaintain`], [`Phase::PlanCompile`]
+/// and all other events) record every occurrence.
 const OBS_SAMPLE_MASK: u64 = 63;
 
 impl<'a> Run<'a> {
@@ -1046,10 +1128,10 @@ impl<'a> Run<'a> {
     ///    the remapped head instantiation can coincide with an unchanged
     ///    fact, and an EGD's sides can have become equal — and not already
     ///    dead (or fired, oblivious mode) under its new name.
-    /// 2. **Re-match.** The surviving rewritten rows are the merge's
-    ///    delta: they get the exact maintenance a TGD step's added atoms
-    ///    get ([`Run::apply_delta`] — head revalidation of pooled
-    ///    triggers, then semi-naive body re-matching).
+    /// 2. **Re-match.** The surviving rewritten rows, returned, are the
+    ///    merge's delta: the caller gives them the exact maintenance a TGD
+    ///    step's added atoms get ([`Run::apply_delta`] — head revalidation
+    ///    of pooled triggers, then semi-naive body re-matching).
     ///
     /// Soundness rests on two facts. A body match mentions a rewritten row
     /// iff its assignment binds `from` (the merged-away null cannot occur
@@ -1057,10 +1139,9 @@ impl<'a> Run<'a> {
     /// stale pool entry. And any body match new after the merge embeds at
     /// least one row content that is new to the store — a subset of the
     /// rewritten rows — so delta seeding discovers it.
-    fn apply_merge_delta(&mut self, m: &MergeEffect) {
-        let repair = self.st.recorder.phase(Phase::MergeRepair);
+    fn apply_merge_delta(&mut self, m: &MergeEffect) -> Vec<Atom> {
         for ci in 0..self.set.len() {
-            remap_key_set(&mut self.st.dead[ci], m.from, m.to);
+            self.st.dead[ci].remap(m.from, m.to);
             let stale: Vec<TriggerKey> = self.st.pool.pools[ci]
                 .keys()
                 .filter(|k| key_mentions(k, m.from))
@@ -1096,15 +1177,10 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        let added: Vec<Atom> = m
-            .rewritten
+        m.rewritten
             .iter()
             .map(|&f| self.st.inst.atom_at(f))
-            .collect();
-        // The delta re-match below times itself; close the repair phase
-        // first so the two don't double-count.
-        drop(repair);
-        self.apply_delta(&added);
+            .collect()
     }
 
     /// Next fireable trigger for constraint `ci` under the naive reference:
@@ -1166,11 +1242,17 @@ impl<'a> Run<'a> {
         // counter moves, so the insert timer and the StepFired event
         // describe the same (sampled) step.
         let sampled = self.step_sampled();
-        let insert = if sampled {
+        let is_tgd = matches!(c, Constraint::Tgd(_));
+        let insert = if sampled && is_tgd {
             self.st.recorder.phase(Phase::Insert)
         } else {
             PhaseTimer::disarmed()
         };
+        // An EGD step is timed unsampled instead: an effective merge
+        // records one `merge_repair` sample spanning the store merge and the
+        // memo/pool remap below (but not the delta re-match, which times
+        // itself).
+        let merge_t0 = (!is_tgd && self.st.recorder.is_enabled()).then(Instant::now);
         let effect = apply_step(&mut self.st.inst, c, &mu);
         drop(insert);
         self.st.steps += 1;
@@ -1212,11 +1294,16 @@ impl<'a> Run<'a> {
                     // naive and delta traces keep moving together.
                     if self.cfg.mode == ChaseMode::Oblivious {
                         for memo in &mut self.st.fired {
-                            remap_key_set(memo, m.from, m.to);
+                            memo.remap(m.from, m.to);
                         }
                     }
-                    if !self.naive {
-                        self.apply_merge_delta(&m);
+                    let rematch = (!self.naive).then(|| self.apply_merge_delta(&m));
+                    if let Some(t0) = merge_t0 {
+                        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        self.st.recorder.record_phase(Phase::MergeRepair, ns);
+                    }
+                    if let Some(rematch) = rematch {
+                        self.apply_delta(&rematch);
                     }
                 }
                 self.st.merge_rewritten += m.rewritten.len();
@@ -1883,5 +1970,110 @@ mod tests {
             "E(a,b). E(b,c). E(c,d).",
             &ChaseConfig::default(),
         );
+    }
+
+    fn memo_key(binds: &[(&str, Term)]) -> TriggerKey {
+        binds.iter().map(|&(v, t)| (Sym::new(v), t)).collect()
+    }
+
+    fn listed(memo: &KeyMemo) -> &FxHashMap<u32, Vec<TriggerKey>> {
+        memo.by_null.as_ref().expect("a memo under a Σ with an EGD")
+    }
+
+    #[test]
+    fn key_memo_renames_a_two_null_key_through_either_null_first() {
+        let (n0, n1, c) = (Term::null(0), Term::null(1), Term::constant("c"));
+        let k = memo_key(&[("X", n0), ("Y", n1)]);
+        for (first, second) in [((n0, c), (n1, c)), ((n1, c), (n0, c))] {
+            let mut memo = KeyMemo::new(true);
+            assert!(memo.insert(k.clone()));
+            assert!(!memo.insert(k.clone()), "a member is not re-added");
+            memo.remap(first.0, first.1);
+            let half = remap_key(&k, first.0, first.1);
+            assert!(memo.contains(&half) && !memo.contains(&k));
+            // `k` is still listed under the other null: a stale entry the
+            // second remap must skip.
+            memo.remap(second.0, second.1);
+            let full = memo_key(&[("X", c), ("Y", c)]);
+            assert!(memo.contains(&full) && !memo.contains(&half));
+            assert_eq!(memo.keys.len(), 1);
+            assert!(listed(&memo).is_empty(), "each null's list leaves with it");
+        }
+        // Null into null: the renamed key binds `_n1` twice, listed once.
+        let mut memo = KeyMemo::new(true);
+        memo.insert(k.clone());
+        memo.remap(n0, n1);
+        assert!(memo.contains(&memo_key(&[("X", n1), ("Y", n1)])));
+        assert_eq!(listed(&memo)[&1].len(), 2, "the stale `k` plus its rename");
+        memo.remap(n1, c);
+        assert_eq!(memo.keys.len(), 1);
+        assert!(memo.contains(&memo_key(&[("X", c), ("Y", c)])));
+    }
+
+    #[test]
+    fn key_memo_remap_onto_a_member_is_a_union() {
+        let (n0, n1, c) = (Term::null(0), Term::null(1), Term::constant("c"));
+        let mut memo = KeyMemo::new(true);
+        memo.insert(memo_key(&[("X", n0)]));
+        memo.insert(memo_key(&[("X", c)]));
+        memo.remap(n0, c);
+        assert_eq!(memo.keys.len(), 1);
+        assert!(memo.contains(&memo_key(&[("X", c)])));
+        assert!(listed(&memo).is_empty());
+        // Onto a member that binds a null: it stays listed once.
+        memo.insert(memo_key(&[("X", n0)]));
+        memo.insert(memo_key(&[("X", n1)]));
+        memo.remap(n0, n1);
+        assert_eq!(memo.keys.len(), 2);
+        assert!(memo.contains(&memo_key(&[("X", n1)])));
+        assert_eq!(listed(&memo)[&1], vec![memo_key(&[("X", n1)])]);
+    }
+
+    #[test]
+    fn key_memo_lists_no_null_free_key_and_nothing_without_an_egd() {
+        let (c, d) = (Term::constant("c"), Term::constant("d"));
+        let mut memo = KeyMemo::new(true);
+        assert!(memo.insert(memo_key(&[("X", c), ("Y", d)])));
+        assert!(listed(&memo).is_empty());
+        memo.remap(Term::null(0), c);
+        assert!(memo.contains(&memo_key(&[("X", c), ("Y", d)])));
+        assert_eq!(memo.keys.len(), 1);
+        // Under a Σ without EGDs nothing is renamed: not even a key that
+        // binds a null is listed.
+        let mut memo = KeyMemo::new(false);
+        assert!(memo.insert(memo_key(&[("X", Term::null(0))])));
+        assert!(memo.by_null.is_none());
+        let set = ConstraintSet::parse("S(X) -> E(X,Y), S(Y)").unwrap();
+        let st = EngineState::new(&Instance::new(), &set, &ChaseConfig::default());
+        assert!(st.dead.iter().chain(&st.fired).all(|m| m.by_null.is_none()));
+    }
+
+    /// Against a scan of a plain set: random keys over a few nulls and
+    /// constants, a random chain of merges, inserts in between.
+    #[test]
+    fn key_memo_agrees_with_a_rescan_of_every_key() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let term = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                Term::constant(&format!("k{}", rng.gen_range(0..3u32)))
+            } else {
+                Term::null(rng.gen_range(0..12u32))
+            }
+        };
+        let mut memo = KeyMemo::new(true);
+        let mut oracle: FxHashSet<TriggerKey> = FxHashSet::default();
+        for round in 0..60 {
+            for _ in 0..8 {
+                let k = memo_key(&[("X", term(&mut rng)), ("Y", term(&mut rng))]);
+                assert_eq!(memo.insert(k.clone()), oracle.insert(k));
+            }
+            let (from, to) = (Term::null(rng.gen_range(0..12u32)), term(&mut rng));
+            if from == to {
+                continue;
+            }
+            memo.remap(from, to);
+            oracle = oracle.iter().map(|k| remap_key(k, from, to)).collect();
+            assert_eq!(memo.keys, oracle, "round {round}: {from} -> {to}");
+        }
     }
 }

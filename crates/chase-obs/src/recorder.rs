@@ -22,9 +22,11 @@ pub enum Phase {
     DeltaMatch,
     /// Re-checking head satisfaction of pooled triggers (Standard mode).
     HeadRevalidate,
-    /// Applying a step's head: inserting facts / allocating nulls.
+    /// Applying a TGD step's head: inserting facts / allocating nulls.
     Insert,
-    /// Repairing pools and facts after an EGD merge.
+    /// One effective EGD merge: rewriting the store's facts and indexes,
+    /// then remapping the trigger memos and pool (not the delta re-match,
+    /// which is [`Phase::DeltaMatch`]).
     MergeRepair,
     /// Building or pruning the trigger pool.
     PoolMaintain,

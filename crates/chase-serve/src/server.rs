@@ -644,37 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn a_paused_frame_is_answered_and_a_stalled_one_gets_an_error_frame() {
-        let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_read_timeout(Some(FRAME_DEADLINE * 5)).unwrap();
-        let mut frame = Vec::new();
-        Request::Metrics.write_to(&mut frame, 7).unwrap();
-        // A pause longer than the poll interval but inside the deadline
-        // is a slow client: the frame is answered normally.
-        stream.write_all(&frame[..6]).unwrap();
-        thread::sleep(Duration::from_millis(150));
-        stream.write_all(&frame[6..]).unwrap();
-        let (corr, resp) = Response::read_from(&mut stream).unwrap().unwrap();
-        assert_eq!(corr, 7);
-        assert!(matches!(resp, Response::Metrics { .. }), "{resp:?}");
-        // A stall past the deadline gets one error frame, then a hang-up.
-        stream.write_all(&frame[..6]).unwrap();
-        thread::sleep(FRAME_DEADLINE + POLL_INTERVAL * 3);
-        let (corr, resp) = Response::read_from(&mut stream).unwrap().unwrap();
-        assert_eq!(corr, 0);
-        match resp {
-            Response::Error { code, message } => {
-                assert_eq!(code, ErrorCode::Internal);
-                assert!(message.contains("deadline"), "{message}");
-            }
-            other => panic!("expected an error frame, got {other:?}"),
-        }
-        assert_eq!(Response::read_from(&mut stream).unwrap(), None);
-        server.shutdown();
-    }
-
-    #[test]
     fn server_surfaces_parse_and_capacity_errors() {
         let server = serve(
             "127.0.0.1:0",

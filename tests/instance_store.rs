@@ -319,3 +319,115 @@ proptest! {
         prop_assert!(cmp.is_ok(), "after post-merge inserts: {}", cmp.unwrap_err());
     }
 }
+
+/// The rows a from-scratch replay of `pre` under `from ↦ to` drops: every
+/// position whose rewritten content repeats an earlier one, ascending,
+/// each with whether the row held `from` (a collapsing rewritten row) or
+/// not (an untouched row absorbed by an earlier rewritten one).
+fn replay_removals(pre: &[Atom], from: Term, to: Term) -> Vec<(usize, bool)> {
+    let mut seen: BTreeSet<Atom> = BTreeSet::new();
+    let mut removed = Vec::new();
+    for (f, a) in substituted(pre, from, to).into_iter().enumerate() {
+        if !seen.insert(a) {
+            removed.push((f, pre[f].terms().contains(&from)));
+        }
+    }
+    removed
+}
+
+#[test]
+fn a_long_merge_chain_matches_the_replay_oracle_after_every_merge() {
+    // A few hundred facts over four tables — `P/2`, `Q/2`, `Q/3` (one
+    // predicate at two arities) and `R/1` — then dozens of chained merges,
+    // each checked against a from-scratch replay. Planted rows make sure
+    // the chain includes a merge that absorbs an untouched row mid-store
+    // with many later rows, one that removes rows from two tables, and
+    // one that touches both arities of `Q`; the walk below asserts each of
+    // those really happened.
+    let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
+    let c = |i: u32| Term::constant(&format!("lc{i}"));
+    let pick = |rng: &mut StdRng| {
+        if rng.gen_bool(0.4) {
+            c(rng.gen_range(0..16u32))
+        } else {
+            Term::null(rng.gen_range(0..48u32))
+        }
+    };
+    let mut stream: Vec<Atom> = Vec::new();
+    for i in 0..300 {
+        // Planted rows, at fixed stream positions.
+        match i {
+            20 => stream.push(Atom::new("P", vec![Term::null(102), c(90)])),
+            30 => stream.push(Atom::new("Q", vec![Term::null(102), c(91), c(92)])),
+            40 => stream.push(Atom::new("Q", vec![Term::null(104), c(93)])),
+            100 => stream.push(Atom::new("P", vec![Term::null(100), c(94)])),
+            150 => stream.push(Atom::new("P", vec![c(95), c(94)])),
+            200 => stream.push(Atom::new("P", vec![Term::null(101), c(90)])),
+            210 => stream.push(Atom::new("Q", vec![Term::null(101), c(91), c(92)])),
+            220 => stream.push(Atom::new("Q", vec![Term::null(103), c(93)])),
+            230 => stream.push(Atom::new("Q", vec![Term::null(103), c(93), c(96)])),
+            _ => {}
+        }
+        let (pred, arity) = [("P", 2), ("Q", 2), ("Q", 3), ("R", 1)][rng.gen_range(0..4usize)];
+        stream.push(Atom::new(
+            pred,
+            (0..arity).map(|_| pick(&mut rng)).collect(),
+        ));
+    }
+    let mut inst = replay_oracle(&stream);
+    assert!(inst.len() > 250, "the store must hold a few hundred facts");
+
+    // Planted merges interleaved with a chain over the random nulls: null
+    // into null, null into constant.
+    let mut merges: Vec<(Term, Term)> = Vec::new();
+    for k in 0..40u32 {
+        match k {
+            5 => merges.push((Term::null(100), c(95))), // absorbs P(lc95, lc94)
+            15 => merges.push((Term::null(101), Term::null(102))), // P and Q/3
+            25 => merges.push((Term::null(103), Term::null(104))), // Q/2 and Q/3
+            _ => {}
+        }
+        let to = if k % 3 == 0 {
+            c(rng.gen_range(0..16u32))
+        } else {
+            Term::null(k + 1 + rng.gen_range(0..8u32))
+        };
+        merges.push((Term::null(k), to));
+    }
+
+    let (mut mid_absorb, mut two_tables, mut two_arities, mut removing) = (false, false, false, 0);
+    for &(from, to) in &merges {
+        let pre = inst.atoms();
+        let removals = replay_removals(&pre, from, to);
+        let eff = inst.merge_terms(from, to);
+        assert_eq!(eff.collapsed, removals.len(), "merge {from} -> {to}");
+        assert_eq!(eff.collapsed, pre.len() - inst.len());
+        let oracle = replay_oracle(&substituted(&pre, from, to));
+        if let Err(e) = same_store(&inst, &oracle, (from, to)) {
+            panic!("after merge {from} -> {to}: {e}");
+        }
+        if let Some(&(first, _)) = removals.first() {
+            removing += 1;
+            let later = pre.len() - first - 1;
+            mid_absorb |= removals.iter().any(|&(_, touched)| !touched)
+                && first > pre.len() / 4
+                && later >= 50;
+            let tables: BTreeSet<(Sym, usize)> = removals
+                .iter()
+                .map(|&(f, _)| (pre[f].pred(), pre[f].arity()))
+                .collect();
+            two_tables |= tables.len() >= 2;
+        }
+        let q = Sym::new("Q");
+        let touched_arities: BTreeSet<usize> = pre
+            .iter()
+            .filter(|a| a.pred() == q && a.terms().contains(&from))
+            .map(|a| a.arity())
+            .collect();
+        two_arities |= touched_arities.len() == 2 && !removals.is_empty();
+    }
+    assert!(removing >= 10, "only {removing} merges removed rows");
+    assert!(mid_absorb, "no merge absorbed an untouched row mid-store");
+    assert!(two_tables, "no merge removed rows from two tables");
+    assert!(two_arities, "no removing merge touched Q at both arities");
+}

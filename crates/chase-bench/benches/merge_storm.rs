@@ -15,10 +15,14 @@ use chase_bench::{print_table, scaled, Row};
 use chase_core::{Atom, ConjunctiveQuery, ConstraintSet, Instance, Term};
 use chase_corpus::random::{merge_storm_sigma, merge_storm_stream, MergeStormConfig};
 use chase_engine::{chase, ChaseConfig, StopReason};
-use chase_serve::{ChaseSession, Conductor, ConductorConfig, QueryOpts, SessionConfig};
+use chase_serve::{
+    ChaseSession, Conductor, ConductorConfig, DurabilityConfig, FsyncPolicy, QueryOpts,
+    SessionConfig,
+};
 use chase_sqo::minimal_rewritings;
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 struct Workload {
@@ -234,6 +238,96 @@ fn bench_long_history(c: &mut Criterion) {
     g.finish();
 }
 
+/// Fleet sizes of the `fleet_reopen` group.
+const FLEET_SESSIONS: [u64; 2] = [1, 4];
+
+/// A durable root of `sessions` sessions shaped like servebench's
+/// `durable_merge` recovery fixture: each persisted after 16 merge-storm
+/// episodes, then 32 more batches in its log, so a reopen loads a
+/// snapshot and replays 32 records per session.
+fn durable_fleet(sessions: u64) -> PathBuf {
+    let root = std::env::temp_dir().join(format!(
+        "chase-bench-fleet-reopen-{sessions}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    let (set, stream) = long_history(20);
+    let (base, tail) = stream.split_at(16 * 8);
+    assert_eq!(tail.len(), 32);
+    let durability = DurabilityConfig {
+        fsync: FsyncPolicy::Interval(u32::MAX),
+        snapshot_every_batches: 0,
+        snapshot_every_bytes: 0,
+        ..DurabilityConfig::default()
+    };
+    for id in 1..=sessions {
+        let mut session = ChaseSession::builder(set.clone())
+            .durable(root.join(format!("session-{id}")))
+            .durability(durability)
+            .try_build()
+            .expect("a fresh durable directory");
+        for batch in base {
+            session.apply(batch.iter().cloned()).expect("batch applies");
+        }
+        session.persist().expect("snapshot written");
+        for batch in tail {
+            session.apply(batch.iter().cloned()).expect("batch applies");
+        }
+    }
+    root
+}
+
+/// Warm-restart the fleet under `root`: one `Conductor::new`, shut down.
+fn reopen_fleet(root: &Path, sessions: u64) {
+    let conductor = Conductor::new(ConductorConfig {
+        durable_root: Some(root.to_path_buf()),
+        ..ConductorConfig::default()
+    });
+    assert_eq!(conductor.session_count() as u64, sessions);
+}
+
+fn print_fleet_shape(roots: &[(u64, PathBuf)]) {
+    let times: Vec<Duration> = roots
+        .iter()
+        .map(|(sessions, root)| {
+            (0..3)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    reopen_fleet(root, *sessions);
+                    t0.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        })
+        .collect();
+    let ms = |d: Duration| format!("{:.1} ms", d.as_secs_f64() * 1e3);
+    print_table(
+        "S2 — fleet warm restart: Conductor::new over 1 and 4 durable_merge-shaped sessions",
+        &["1 session", "4 sessions", "4/1"],
+        &[Row::new(
+            ms(times[0]),
+            vec![
+                ms(times[1]),
+                format!(
+                    "{:.1}x",
+                    times[1].as_secs_f64() / times[0].as_secs_f64().max(1e-9)
+                ),
+            ],
+        )],
+    );
+}
+
+fn bench_fleet_reopen(c: &mut Criterion, roots: &[(u64, PathBuf)]) {
+    let mut g = c.benchmark_group("merge_storm/fleet_reopen");
+    g.sample_size(10);
+    for (sessions, root) in roots {
+        g.bench_function(sessions.to_string(), |b| {
+            b.iter(|| reopen_fleet(black_box(root), *sessions))
+        });
+    }
+    g.finish();
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("merge_storm");
     g.sample_size(10);
@@ -310,7 +404,16 @@ fn bench_sqo_first_sight(c: &mut Criterion) {
 fn main() {
     print_shape();
     print_history_shape();
+    let roots: Vec<(u64, PathBuf)> = FLEET_SESSIONS
+        .iter()
+        .map(|&sessions| (sessions, durable_fleet(sessions)))
+        .collect();
+    print_fleet_shape(&roots);
     let mut c = Criterion::default().configure_from_args();
     bench(&mut c);
+    bench_fleet_reopen(&mut c, &roots);
     c.final_summary();
+    for (_, root) in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
 }

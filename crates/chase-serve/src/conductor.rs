@@ -47,7 +47,11 @@
 //! warm-restart from their `durable_root` directory at the next
 //! [`Conductor::route`]; **non-durable** sessions lose their state and
 //! later touches fail with [`ServeError::Evicted`]. A session
-//! mid-dispatch or with queued messages is never evicted.
+//! mid-dispatch or with queued messages is never evicted. A route-time
+//! restore decodes and replays outside the sessions lock, so other
+//! tenants keep routing meanwhile; routes of the same id wait for that
+//! one restore, which holds a slot under the session cap while it runs
+//! (`chase_sessions_restoring`).
 //!
 //! ## Panic containment
 //!
@@ -64,7 +68,8 @@
 //! budget to the configured **per-session step budget**, so one runaway
 //! tenant can neither starve the machine nor chase unboundedly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -79,8 +84,8 @@ use chase_obs::{
 };
 
 use crate::session::{
-    ChaseOutcome, ChaseSession, QueryOpts, RewriteCache, RewriteStores, ServeError, SessionConfig,
-    SessionSeries, SessionSnapshot, SessionStats,
+    ChaseOutcome, ChaseSession, DecodedSession, QueryOpts, RewriteCache, RewriteStores, ServeError,
+    SessionConfig, SessionSeries, SessionSnapshot, SessionStats,
 };
 use crate::wal::{self, DurabilityConfig};
 
@@ -161,6 +166,8 @@ const M_PUBLISH_SKIPPED: &str = "chase_snapshot_publish_skipped_total";
 const M_PUBLISH_CLONED: &str = "chase_snapshot_publish_cloned_total";
 const M_SESSIONS_REOPENED: &str = "chase_sessions_reopened_total";
 const M_REOPEN_FAILED: &str = "chase_sessions_reopen_failed_total";
+const M_WARM_RESTART_NS: &str = "chase_warm_restart_ns";
+const M_SESSIONS_RESTORING: &str = "chase_sessions_restoring";
 const M_POOL_WORKERS: &str = "chase_pool_workers";
 const M_POOL_QUEUE_DEPTH: &str = "chase_pool_queue_depth";
 const M_POOL_DISPATCHES: &str = "chase_pool_dispatches_total";
@@ -519,6 +526,9 @@ enum EvictedKind {
     Durable,
     /// In-memory state discarded; the id answers [`ServeError::Evicted`].
     Transient,
+    /// A route is warm-restarting it outside the sessions lock; routes of
+    /// the same id wait for that one. A failed restore puts `Durable` back.
+    Restoring,
 }
 
 /// Creates, routes, admits and evicts sessions: the server's front object.
@@ -535,6 +545,11 @@ pub struct Conductor {
     /// Sessions torn down by the TTL janitor, by kind — consulted by
     /// `route` to decide between warm-restart and [`ServeError::Evicted`].
     evicted: Arc<Mutex<HashMap<u64, EvictedKind>>>,
+    /// Restores in flight (`chase_sessions_restoring`); changed only under
+    /// the sessions lock, and counted against the session cap.
+    restoring: Gauge,
+    /// Signalled, with the sessions lock, when a restore settles.
+    restored: Condvar,
     next_id: AtomicU64,
     /// The server-wide aggregate registry: session lifecycle gauges and
     /// counters, apply/query latency histograms, publish counters, pool
@@ -578,6 +593,15 @@ impl Conductor {
     /// directory that fails to reopen is left untouched on disk and
     /// counted in `chase_sessions_reopen_failed_total` rather than taking
     /// the whole server down.
+    ///
+    /// The restart runs on every core: the calling thread decodes the
+    /// directories in id order (manifest, log, snapshot, log tail parsed —
+    /// everything that interns names), and `min(available cores,
+    /// directories)` threads replay them meanwhile. Interner order decides
+    /// null labels, so keeping decode on one thread in id order makes the
+    /// reopened fleet bit-identical to opening the directories one by one
+    /// with [`ChaseSession::open_with`], whatever the core count. The wall
+    /// time of the whole reopen is exported as `chase_warm_restart_ns`.
     pub fn new(cfg: ConductorConfig) -> Conductor {
         let metrics = MetricsRegistry::new();
         let pool = Arc::new(PoolShared {
@@ -603,6 +627,8 @@ impl Conductor {
             cfg,
             sessions: Arc::new(Mutex::new(HashMap::new())),
             evicted: Arc::new(Mutex::new(HashMap::new())),
+            restoring: metrics.gauge(M_SESSIONS_RESTORING),
+            restored: Condvar::new(),
             next_id: AtomicU64::new(1),
             metrics,
             pool,
@@ -615,6 +641,14 @@ impl Conductor {
     }
 
     /// Scan the durable root and bring every reopenable session back up.
+    ///
+    /// This thread decodes the directories one by one in id order
+    /// (`DecodedSession::decode`, every name interned), while
+    /// `min(available cores, directories)` scoped threads replay them. A
+    /// directory is decoded only while the sessions already up plus those
+    /// still replaying leave room under the cap, so exactly the directories
+    /// a one-by-one open would try are tried, and a failed one lets the
+    /// next one in. The reopened sessions join the fleet in id order.
     fn reopen_durable_sessions(&self) {
         let Some(root) = &self.cfg.durable_root else {
             return;
@@ -622,6 +656,7 @@ impl Conductor {
         let Ok(entries) = std::fs::read_dir(root) else {
             return; // nothing persisted yet; `open` creates the root lazily
         };
+        let t0 = Instant::now();
         let mut found: Vec<(u64, PathBuf)> = entries
             .flatten()
             .filter_map(|e| {
@@ -632,30 +667,78 @@ impl Conductor {
             })
             .collect();
         found.sort();
-        let mut max_id = 0;
+        let max_id = found.last().map_or(0, |(id, _)| *id);
+        let failed = self.metrics.counter(M_REOPEN_FAILED);
+        let cap = self.cfg.max_sessions;
+        let threads = thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(found.len())
+            .min(cap);
+        let mut reopened = BTreeMap::new();
+        let (jobs, queue) = mpsc::channel::<(u64, DecodedSession)>();
+        let (done, results) = mpsc::channel();
+        let queue = Mutex::new(queue);
+        thread::scope(|s| {
+            for _ in 0..threads {
+                let (queue, done) = (&queue, done.clone());
+                s.spawn(move || loop {
+                    let Ok((id, decoded)) = queue.lock().unwrap().recv() else {
+                        return;
+                    };
+                    let replayed = std::panic::catch_unwind(AssertUnwindSafe(|| decoded.replay()));
+                    let _ = done.send((id, replayed));
+                });
+            }
+            drop(done);
+            // A replay that panicked panics the warm restart, as a
+            // one-by-one open would.
+            let settle = |reopened: &mut BTreeMap<u64, ChaseSession>,
+                          (id, replayed): (u64, thread::Result<_>)| {
+                match replayed.unwrap_or_else(|p| std::panic::resume_unwind(p)) {
+                    Ok(session) => {
+                        reopened.insert(id, session);
+                    }
+                    Err(_) => failed.inc(),
+                }
+            };
+            let mut replaying = 0;
+            for (id, dir) in found {
+                while replaying > 0 && reopened.len() + replaying >= cap {
+                    let result = results.recv().expect("replay threads outlive their jobs");
+                    settle(&mut reopened, result);
+                    replaying -= 1;
+                }
+                if reopened.len() >= cap {
+                    failed.inc();
+                    continue;
+                }
+                match DecodedSession::decode(&dir, self.cfg.durability) {
+                    Ok(decoded) => {
+                        jobs.send((id, decoded)).expect("replay threads are up");
+                        replaying += 1;
+                    }
+                    Err(_) => failed.inc(),
+                }
+            }
+            drop(jobs);
+            for result in results {
+                settle(&mut reopened, result);
+            }
+        });
         let mut sessions = self.sessions.lock().unwrap();
-        for (id, dir) in found {
-            max_id = max_id.max(id);
-            if sessions.len() >= self.cfg.max_sessions {
-                self.metrics.counter(M_REOPEN_FAILED).inc();
-                continue;
-            }
-            match ChaseSession::open_with(&dir, self.cfg.durability) {
-                Ok(session) => {
-                    sessions.insert(id, self.spawn(session));
-                    self.metrics.counter(M_SESSIONS_OPENED).inc();
-                    self.metrics.counter(M_SESSIONS_REOPENED).inc();
-                }
-                Err(_) => {
-                    self.metrics.counter(M_REOPEN_FAILED).inc();
-                }
-            }
+        for (id, session) in reopened {
+            sessions.insert(id, self.spawn(session));
+            self.metrics.counter(M_SESSIONS_OPENED).inc();
+            self.metrics.counter(M_SESSIONS_REOPENED).inc();
         }
         let open = sessions.len() as i64;
         self.metrics.gauge(M_SESSIONS_OPEN).set(open);
         self.metrics.gauge(M_SESSIONS_PEAK).raise_to(open);
         drop(sessions);
         self.next_id.store(max_id + 1, Ordering::Relaxed);
+        self.metrics
+            .gauge(M_WARM_RESTART_NS)
+            .set(t0.elapsed().as_nanos() as i64);
     }
 
     /// Start the TTL janitor (with `evict_after` only).
@@ -691,7 +774,7 @@ impl Conductor {
     /// sessions are already open.
     pub fn open(&self, sigma: ConstraintSet) -> Result<u64, ServeError> {
         let mut sessions = self.sessions.lock().unwrap();
-        if sessions.len() >= self.cfg.max_sessions {
+        if self.admitted(&sessions) >= self.cfg.max_sessions {
             self.metrics.counter(M_SESSIONS_REJECTED).inc();
             return Err(ServeError::Capacity {
                 max_sessions: self.cfg.max_sessions,
@@ -782,16 +865,24 @@ impl Conductor {
     /// would exceed the session cap.
     pub fn route(&self, id: u64) -> Result<SessionHandle, ServeError> {
         let mut sessions = self.sessions.lock().unwrap();
-        if let Some(handle) = sessions.get(&id) {
-            handle.touch();
-            return Ok(handle.clone());
-        }
-        let kind = self.evicted.lock().unwrap().get(&id).copied();
+        let kind = loop {
+            if let Some(handle) = sessions.get(&id) {
+                handle.touch();
+                return Ok(handle.clone());
+            }
+            let kind = self.evicted.lock().unwrap().get(&id).copied();
+            match kind {
+                // Another route is restoring this id: wait for its outcome.
+                Some(EvictedKind::Restoring) => sessions = self.restored.wait(sessions).unwrap(),
+                kind => break kind,
+            }
+        };
         match kind {
             None => Err(ServeError::UnknownSession(id)),
             Some(EvictedKind::Transient) => Err(ServeError::Evicted(id)),
+            Some(EvictedKind::Restoring) => unreachable!("the loop waits restores out"),
             Some(EvictedKind::Durable) => {
-                if sessions.len() >= self.cfg.max_sessions {
+                if self.admitted(&sessions) >= self.cfg.max_sessions {
                     self.metrics.counter(M_SESSIONS_REJECTED).inc();
                     return Err(ServeError::Capacity {
                         max_sessions: self.cfg.max_sessions,
@@ -803,17 +894,49 @@ impl Conductor {
                     .as_ref()
                     .ok_or(ServeError::UnknownSession(id))?;
                 let dir = root.join(format!("session-{id}"));
-                let session = ChaseSession::open_with(&dir, self.cfg.durability)?;
-                let handle = self.spawn(session);
-                sessions.insert(id, handle.clone());
-                self.evicted.lock().unwrap().remove(&id);
-                self.metrics.counter(M_EVICTIONS_RESTORED).inc();
-                let open = sessions.len() as i64;
-                self.metrics.gauge(M_SESSIONS_OPEN).set(open);
-                self.metrics.gauge(M_SESSIONS_PEAK).raise_to(open);
-                Ok(handle)
+                self.evicted
+                    .lock()
+                    .unwrap()
+                    .insert(id, EvictedKind::Restoring);
+                self.restoring.add(1);
+                drop(sessions);
+                // Decode and replay outside the lock: every other tenant
+                // keeps routing meanwhile.
+                let opened = ChaseSession::open_with(&dir, self.cfg.durability);
+                let mut sessions = self.sessions.lock().unwrap();
+                self.restoring.add(-1);
+                let out = match opened {
+                    // A shutdown meanwhile drained the fleet for good.
+                    Ok(_) if self.pool.stop.load(Ordering::Acquire) => Err(ServeError::SessionGone),
+                    Ok(session) => {
+                        let handle = self.spawn(session);
+                        sessions.insert(id, handle.clone());
+                        self.evicted.lock().unwrap().remove(&id);
+                        self.metrics.counter(M_EVICTIONS_RESTORED).inc();
+                        let open = sessions.len() as i64;
+                        self.metrics.gauge(M_SESSIONS_OPEN).set(open);
+                        self.metrics.gauge(M_SESSIONS_PEAK).raise_to(open);
+                        Ok(handle)
+                    }
+                    Err(e) => Err(e),
+                };
+                if out.is_err() {
+                    self.evicted
+                        .lock()
+                        .unwrap()
+                        .insert(id, EvictedKind::Durable);
+                }
+                drop(sessions);
+                self.restored.notify_all();
+                out
             }
         }
+    }
+
+    /// Sessions counted against [`ConductorConfig::max_sessions`]: those
+    /// open plus those a route is restoring outside the sessions lock.
+    fn admitted(&self, sessions: &HashMap<u64, SessionHandle>) -> usize {
+        sessions.len() + self.restoring.get().max(0) as usize
     }
 
     /// Close a session and free its slot by killing its mailbox:
@@ -2059,5 +2182,141 @@ mod tests {
             pending.join().unwrap().unwrap_err(),
             ServeError::SessionGone
         );
+    }
+
+    /// A durable conductor over an oblivious template: evicting an
+    /// oblivious session only flushes its log (it cannot snapshot), so a
+    /// route-time restore replays every logged batch.
+    fn oblivious_durable(name: &str) -> (Conductor, PathBuf) {
+        let dir = temp_dir(name);
+        let mut session = SessionConfig::default();
+        session.chase.mode = ChaseMode::Oblivious;
+        session.chase.max_steps = None;
+        let conductor = Conductor::new(ConductorConfig {
+            step_budget: None,
+            durable_root: Some(dir.clone()),
+            session,
+            ..ConductorConfig::default()
+        });
+        (conductor, dir)
+    }
+
+    /// Open a transitive-closure session over a `len`-edge chain, then
+    /// evict every idle session: the id's restore replays the closure.
+    fn evicted_chain(conductor: &Conductor, len: usize) -> u64 {
+        let id = conductor.open(sigma("e(X,Y), e(Y,Z) -> e(X,Z)")).unwrap();
+        let chain: String = (0..len).map(|i| format!("e(n{i},n{}).", i + 1)).collect();
+        let h = conductor.route(id).unwrap();
+        let out = h.apply(atoms(&chain)).unwrap();
+        assert_eq!(out.total_facts, len * (len + 1) / 2);
+        // The reply goes out before the dispatch ends: wait for the worker
+        // to release the session, or the sweep skips it as busy.
+        while h.cell.mailbox.lock().unwrap().scheduled {
+            thread::yield_now();
+        }
+        sweep(
+            &conductor.pool,
+            &conductor.sessions,
+            &conductor.evicted,
+            Duration::ZERO,
+            &conductor.metrics.counter(M_EVICTIONS),
+            &conductor.metrics.gauge(M_SESSIONS_OPEN),
+        );
+        assert_eq!(conductor.session_count(), 0);
+        id
+    }
+
+    #[test]
+    fn concurrent_routes_of_an_evicted_id_share_one_restore() {
+        let (conductor, dir) = oblivious_durable("one-restore");
+        let id = evicted_chain(&conductor, 40);
+        let start = std::sync::Barrier::new(6);
+        let handles: Vec<SessionHandle> = thread::scope(|s| {
+            let routes: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        conductor.route(id).unwrap()
+                    })
+                })
+                .collect();
+            routes.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for h in &handles {
+            assert!(
+                Arc::ptr_eq(&h.cell, &handles[0].cell),
+                "two sessions for one id"
+            );
+        }
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(snap.counter(M_EVICTIONS_RESTORED), Some(1));
+        assert_eq!(snap.gauge(M_SESSIONS_RESTORING), Some(0));
+        assert_eq!(conductor.session_count(), 1);
+        assert_eq!(handles[0].stats().unwrap().total_facts, 40 * 41 / 2);
+        drop(conductor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_restore_in_flight_stalls_no_other_tenant() {
+        let (conductor, dir) = oblivious_durable("restore-stall");
+        let slow = evicted_chain(&conductor, 70);
+        let other = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        conductor
+            .route(other)
+            .unwrap()
+            .apply(atoms("e(a,b)."))
+            .unwrap();
+        let q = ConjunctiveQuery::parse("q(X) <- e(X,a)").unwrap();
+        thread::scope(|s| {
+            let restore = s.spawn(|| conductor.route(slow).unwrap());
+            // `chase_sessions_restoring`, read off its handle: a scrape
+            // takes the sessions lock.
+            while conductor.restoring.get() == 0 {
+                thread::yield_now();
+            }
+            // The other tenant routes and reads while the replay runs.
+            let h = conductor.route(other).unwrap();
+            assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 1);
+            assert_eq!(
+                conductor.restoring.get(),
+                1,
+                "the route waited for the restore"
+            );
+            // The in-flight restore holds a slot.
+            assert_eq!(conductor.admitted(&conductor.sessions.lock().unwrap()), 2);
+            let back = restore.join().unwrap();
+            assert_eq!(back.stats().unwrap().total_facts, 70 * 71 / 2);
+        });
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(snap.gauge(M_SESSIONS_RESTORING), Some(0));
+        assert_eq!(snap.counter(M_EVICTIONS_RESTORED), Some(1));
+        drop(conductor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_id_evicted_and_retryable() {
+        let (conductor, dir) = oblivious_durable("restore-fail");
+        let id = evicted_chain(&conductor, 4);
+        let manifest = dir.join(format!("session-{id}")).join("MANIFEST");
+        let good = std::fs::read(&manifest).unwrap();
+        std::fs::write(&manifest, "chase-session v1\nsigma\nnot a constraint set\n").unwrap();
+        assert!(matches!(
+            conductor.route(id).unwrap_err(),
+            ServeError::Durability(_)
+        ));
+        assert_eq!(conductor.restoring.get(), 0);
+        assert_eq!(
+            conductor.evicted.lock().unwrap().get(&id),
+            Some(&EvictedKind::Durable)
+        );
+        std::fs::write(&manifest, good).unwrap();
+        assert_eq!(
+            conductor.route(id).unwrap().stats().unwrap().total_facts,
+            10
+        );
+        drop(conductor);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -544,7 +544,7 @@ impl SessionBuilder {
                             .to_string(),
                     ));
                 }
-                ChaseSession::open_inner(dir, set, cfg, self.durability)
+                DecodedSession::decode_with(dir, set, cfg, self.durability)?.replay()
             }
             None => {
                 wal::write_manifest(&dir, &self.set, &self.cfg).map_err(dur_err)?;
@@ -600,6 +600,148 @@ fn build_in_memory(set: ConstraintSet, cfg: SessionConfig, instance: &Instance) 
 /// Render an `io::Error` into the serve layer's clonable error type.
 fn dur_err(e: io::Error) -> ServeError {
     ServeError::Durability(e.to_string())
+}
+
+/// A durable session directory read and parsed but not yet chased: the
+/// first half of [`ChaseSession::open_with`].
+///
+/// Decoding does every `Sym::new` an open does — the manifest's Σ, the
+/// snapshot's symbol table, the log tail's facts — and replay does none.
+/// Interner order decides trigger order and so null labels, which is why
+/// a warm restart decodes on one thread in session-id order and only
+/// replays in parallel: the reopened fleet is then bit-identical to
+/// opening the directories one by one.
+pub(crate) struct DecodedSession {
+    dir: PathBuf,
+    set: ConstraintSet,
+    cfg: SessionConfig,
+    durability: DurabilityConfig,
+    wal: Wal,
+    truncated_bytes: u64,
+    /// The newest valid snapshot, if any: its epoch and instance.
+    snapshot: Option<(u64, Instance)>,
+    /// The log records past the snapshot, parsed, in epoch order.
+    batches: Vec<Vec<Atom>>,
+    /// Why decoding stopped early (an epoch gap or a record that does not
+    /// parse). Replay raises it after the batches before it, unless one of
+    /// them already failed or poisoned the session — the precedence a
+    /// record-by-record open has.
+    tail: Option<ServeError>,
+}
+
+impl DecodedSession {
+    /// Decode the directory, taking Σ and the session configuration from
+    /// its `MANIFEST`.
+    pub(crate) fn decode(
+        dir: &Path,
+        durability: DurabilityConfig,
+    ) -> Result<DecodedSession, ServeError> {
+        let (set, cfg) = wal::read_manifest(dir)
+            .map_err(ServeError::Durability)?
+            .ok_or_else(|| {
+                ServeError::Durability(format!(
+                    "{} is not a durable session directory (no MANIFEST)",
+                    dir.display()
+                ))
+            })?;
+        DecodedSession::decode_with(dir.to_path_buf(), set, cfg, durability)
+    }
+
+    /// Decode the directory under a Σ and configuration already read from
+    /// its manifest (the resume path of [`SessionBuilder::durable`]).
+    fn decode_with(
+        dir: PathBuf,
+        set: ConstraintSet,
+        cfg: SessionConfig,
+        durability: DurabilityConfig,
+    ) -> Result<DecodedSession, ServeError> {
+        let (wal, records, truncated_bytes) = Wal::open(&dir).map_err(dur_err)?;
+        let snapshot = wal::load_newest_snapshot(&dir);
+        let snapshot_epoch = snapshot.as_ref().map_or(0, |(epoch, _)| *epoch);
+        let mut batches = Vec::new();
+        let mut tail = None;
+        // Records at or below the snapshot's epoch are covered by it: a
+        // crash between writing the snapshot and truncating the log leaves
+        // this overlap.
+        let past = records.iter().filter(|r| r.epoch > snapshot_epoch);
+        for (expected, record) in (snapshot_epoch + 1..).zip(past) {
+            if record.epoch != expected {
+                tail = Some(ServeError::Durability(format!(
+                    "WAL epoch discontinuity: expected {expected}, found {}",
+                    record.epoch
+                )));
+                break;
+            }
+            match parse_facts(&record.batch) {
+                Ok(batch) => batches.push(batch),
+                Err(e) => {
+                    tail = Some(ServeError::Durability(format!(
+                        "WAL record for epoch {expected} does not parse: {e}"
+                    )));
+                    break;
+                }
+            }
+        }
+        Ok(DecodedSession {
+            dir,
+            set,
+            cfg,
+            durability,
+            wal,
+            truncated_bytes,
+            snapshot,
+            batches,
+            tail,
+        })
+    }
+
+    /// The second half of an open: build the engine over the snapshot and
+    /// chase every decoded batch through the ordinary warm apply path, one
+    /// `wal_replay` phase sample per batch.
+    pub(crate) fn replay(self) -> Result<ChaseSession, ServeError> {
+        let loaded_snapshot = self.snapshot.is_some();
+        let (snapshot_epoch, seed) = self.snapshot.unwrap_or_else(|| (0, Instance::new()));
+        let mut session = build_in_memory(self.set, self.cfg, &seed);
+        session.epoch = snapshot_epoch;
+        let recorder = session.state.recorder().clone();
+        let poisoned = |session: &ChaseSession| {
+            ServeError::Durability(format!(
+                "WAL records continue past the poisoning batch at epoch {}",
+                session.epoch
+            ))
+        };
+        let replayed_records = self.batches.len() as u64;
+        for batch in self.batches {
+            // One wal_replay sample per record, so the phase count in the
+            // metrics exposition *is* the replayed-record count.
+            let _t = recorder.phase(Phase::WalReplay);
+            if session.state.poisoned().is_some() {
+                return Err(poisoned(&session));
+            }
+            session.apply_inner(batch)?;
+        }
+        if let Some(err) = self.tail {
+            return Err(if session.state.poisoned().is_some() {
+                poisoned(&session)
+            } else {
+                err
+            });
+        }
+        session.durable = Some(Box::new(Durable {
+            dir: self.dir,
+            wal: self.wal,
+            cfg: self.durability,
+            stats: DurabilityStats {
+                replayed_records,
+                truncated_bytes: self.truncated_bytes,
+                loaded_snapshot,
+                snapshot_epoch,
+                ..DurabilityStats::default()
+            },
+            batches_since_snapshot: 0,
+        }));
+        Ok(session)
+    }
 }
 
 impl ChaseSession {
@@ -663,85 +805,19 @@ impl ChaseSession {
 
     /// [`ChaseSession::open`] with explicit durability knobs for the
     /// reopened session.
+    ///
+    /// An open is two halves. The decode reads the manifest, the log and
+    /// the newest snapshot, and parses the log tail into batches: all the
+    /// work that interns names. The replay builds the engine and chases
+    /// the batches, interning nothing. A warm-restarting
+    /// [`crate::Conductor`] decodes its directories one by one in id
+    /// order and replays them on every core; this runs the same two
+    /// halves back to back.
     pub fn open_with(
         dir: impl AsRef<Path>,
         durability: DurabilityConfig,
     ) -> Result<ChaseSession, ServeError> {
-        let dir = dir.as_ref().to_path_buf();
-        let (set, cfg) = wal::read_manifest(&dir)
-            .map_err(ServeError::Durability)?
-            .ok_or_else(|| {
-                ServeError::Durability(format!(
-                    "{} is not a durable session directory (no MANIFEST)",
-                    dir.display()
-                ))
-            })?;
-        ChaseSession::open_inner(dir, set, cfg, durability)
-    }
-
-    /// The shared resume path behind [`ChaseSession::open`] and resuming
-    /// [`SessionBuilder::durable`] builds.
-    fn open_inner(
-        dir: PathBuf,
-        set: ConstraintSet,
-        cfg: SessionConfig,
-        durability: DurabilityConfig,
-    ) -> Result<ChaseSession, ServeError> {
-        let (wal, records, truncated_bytes) = Wal::open(&dir).map_err(dur_err)?;
-        let loaded = wal::load_newest_snapshot(&dir);
-        let loaded_snapshot = loaded.is_some();
-        let (snapshot_epoch, seed) = loaded.unwrap_or_else(|| (0, Instance::new()));
-        let mut session = build_in_memory(set, cfg, &seed);
-        session.epoch = snapshot_epoch;
-        let mut replayed_records = 0u64;
-        let recorder = session.state.recorder().clone();
-        {
-            for record in &records {
-                if record.epoch <= snapshot_epoch {
-                    // Covered by the snapshot: a crash between writing the
-                    // snapshot and truncating the log leaves this overlap.
-                    continue;
-                }
-                // One wal_replay sample per record, so the phase count in
-                // the metrics exposition *is* the replayed-record count.
-                let _t = recorder.phase(Phase::WalReplay);
-                if session.state.poisoned().is_some() {
-                    return Err(ServeError::Durability(format!(
-                        "WAL records continue past the poisoning batch at epoch {}",
-                        session.epoch
-                    )));
-                }
-                if record.epoch != session.epoch + 1 {
-                    return Err(ServeError::Durability(format!(
-                        "WAL epoch discontinuity: expected {}, found {}",
-                        session.epoch + 1,
-                        record.epoch
-                    )));
-                }
-                let batch = parse_facts(&record.batch).map_err(|e| {
-                    ServeError::Durability(format!(
-                        "WAL record for epoch {} does not parse: {e}",
-                        record.epoch
-                    ))
-                })?;
-                session.apply_inner(batch)?;
-                replayed_records += 1;
-            }
-        }
-        session.durable = Some(Box::new(Durable {
-            dir,
-            wal,
-            cfg: durability,
-            stats: DurabilityStats {
-                replayed_records,
-                truncated_bytes,
-                loaded_snapshot,
-                snapshot_epoch,
-                ..DurabilityStats::default()
-            },
-            batches_since_snapshot: 0,
-        }));
-        Ok(session)
+        DecodedSession::decode(dir.as_ref(), durability)?.replay()
     }
 
     /// Is this session durable (building it attached a write-ahead log)?

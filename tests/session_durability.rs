@@ -837,3 +837,269 @@ fn durable_oblivious_restore_is_refused() {
     assert_eq!(h.stats().unwrap().epoch, 1);
     conductor.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Warm restart: determinism across processes, admission under a cap
+// ---------------------------------------------------------------------------
+
+/// Set in the child processes of
+/// `warm_restart_is_bit_identical_across_fresh_processes`: `<mode>:<root>`,
+/// where `open` reopens the fleet one directory at a time and `conductor`
+/// warm-restarts it through a `Conductor`.
+const REOPEN_CHILD: &str = "CHASE_DURABILITY_REOPEN_CHILD";
+const FLEET: u64 = 6;
+const DUMPS_BEGIN: &str = "--- reopened dumps ---";
+const DUMPS_END: &str = "--- end of dumps ---";
+
+/// Names every session of the interning fleet holds in its snapshot.
+const POOL: usize = 2000;
+
+/// A fleet whose reopen interns names in an order that shows in its dumps.
+/// Every snapshot holds `R` facts (outside Σ) over one shared pool of
+/// names, each session listing the pool in its own order: rotated, and
+/// reversed on even ids. An instance displays its facts in interner order,
+/// and a tail batch's triggers fire in interner order too, so both the
+/// fact order and the null labels of every dump follow which snapshot or
+/// log record saw each name first. Sessions 1–5 chase `S(X) -> T(X,Y)`,
+/// session 6 invents nulls and EGD-merges some of them; each log tail
+/// holds two batches over pool names and fresh ones.
+fn build_interning_fleet(root: &std::path::Path) {
+    let s = ConstraintSet::parse("S(X) -> T(X,Y)").unwrap();
+    let egd = ConstraintSet::parse("Ent(E) -> A(E,V); A(E,V1), Val(E,V2) -> V1 = V2").unwrap();
+    for id in 1..=FLEET {
+        let i = id as usize;
+        let mut pool: Vec<String> = (0..POOL)
+            .map(|j| format!("w{}", (j + 397 * i) % POOL))
+            .collect();
+        if i.is_multiple_of(2) {
+            pool.reverse();
+        }
+        let seen: String = pool.iter().map(|w| format!("R({w}). ")).collect();
+        let (set, base, tail) = if id < FLEET {
+            let tail: String = pool[..8]
+                .iter()
+                .rev()
+                .map(|w| format!("S({w}). "))
+                .collect();
+            (
+                &s,
+                format!("{seen}S(a{i})."),
+                [tail, format!("S(v{i}). S({}).", pool[9])],
+            )
+        } else {
+            let w = |j: usize| &pool[j];
+            (
+                &egd,
+                format!(
+                    "{seen}Ent({}). Ent({}). Val({},{}).",
+                    w(1),
+                    w(2),
+                    w(1),
+                    w(3)
+                ),
+                [
+                    format!("Ent({}). Ent({}). Val({},{}).", w(7), w(4), w(4), w(6)),
+                    format!("Val({},{}). Ent(e{i}).", w(7), w(0)),
+                ],
+            )
+        };
+        let mut session = durable_over(
+            &root.join(format!("session-{id}")),
+            set,
+            no_compaction(),
+            &[atoms(&base)],
+        );
+        session.persist().unwrap();
+        for batch in &tail {
+            session.apply(atoms(batch)).unwrap();
+        }
+    }
+}
+
+/// The child half: reopen the fleet the given way and print every
+/// session's dump between markers.
+fn reopen_child(spec: &str) {
+    let (mode, root) = spec.split_once(':').unwrap();
+    let root = PathBuf::from(root);
+    let dumps: Vec<String> = match mode {
+        "open" => (1..=FLEET)
+            .map(|id| {
+                let session = ChaseSession::open(root.join(format!("session-{id}"))).unwrap();
+                session.instance().to_string()
+            })
+            .collect(),
+        "conductor" => {
+            let conductor = Conductor::new(ConductorConfig {
+                durable_root: Some(root),
+                ..ConductorConfig::default()
+            });
+            assert_eq!(conductor.session_count(), FLEET as usize);
+            (1..=FLEET)
+                .map(|id| conductor.route(id).unwrap().dump().unwrap())
+                .collect()
+        }
+        other => panic!("unknown reopen mode {other}"),
+    };
+    println!("{DUMPS_BEGIN}");
+    for (id, dump) in (1..).zip(&dumps) {
+        println!("session {id}: {dump}");
+    }
+    println!("{DUMPS_END}");
+}
+
+/// Interner order decides null labels, and a fresh process starts with an
+/// empty interner — the state a crashed server restarts into, which no
+/// in-process reopen reaches. So this test re-executes its own binary:
+/// five children warm-restart the fleet through a `Conductor` (replaying
+/// on every core) and one opens it directory by directory in id order;
+/// all six must print byte-identical dumps.
+#[test]
+fn warm_restart_is_bit_identical_across_fresh_processes() {
+    if let Ok(spec) = std::env::var(REOPEN_CHILD) {
+        return reopen_child(&spec);
+    }
+    let root = test_dir("fresh-process-restart");
+    build_interning_fleet(&root);
+    let child = |mode: &str| {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "warm_restart_is_bit_identical_across_fresh_processes",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env(REOPEN_CHILD, format!("{mode}:{}", root.display()))
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            out.status.success(),
+            "{mode} child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let dumps = stdout.split(DUMPS_BEGIN).nth(1).unwrap();
+        dumps.split(DUMPS_END).next().unwrap().to_string()
+    };
+    let sequential = child("open");
+    assert_eq!(
+        sequential.lines().filter(|l| !l.is_empty()).count(),
+        FLEET as usize
+    );
+    assert!(
+        sequential.contains("_n"),
+        "the fleet invents nulls:\n{sequential}"
+    );
+    for run in 0..5 {
+        assert_eq!(
+            child("conductor"),
+            sequential,
+            "warm restart {run} labels nulls differently from a one-by-one open"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Admission under a cap, with broken directories inside it: exactly the
+/// directories a one-by-one open in id order would try are tried, each
+/// failure (at decode or at replay) lets the next directory in, and
+/// nothing past the cap is opened. Here the cap is 3 over six
+/// directories: 2 has a broken manifest, 4 logs a record past its
+/// poisoning batch, so 1, 3 and 5 come up, 6 is never opened, and ids
+/// continue at 7.
+#[test]
+fn warm_restart_admits_under_the_cap_past_broken_directories() {
+    use std::io::Write;
+    let root = test_dir("restart-admission");
+    let tc = ConstraintSet::parse("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
+    let clash = ConstraintSet::parse("p(X), p(Y) -> X = Y").unwrap();
+    let session_dir = |id: u64| root.join(format!("session-{id}"));
+    for id in [1, 2, 3, 5, 6] {
+        durable_over(
+            &session_dir(id),
+            &tc,
+            no_compaction(),
+            &[atoms(&format!("E(a{id},b). E(b,c)."))],
+        );
+    }
+    std::fs::write(
+        session_dir(2).join("MANIFEST"),
+        "chase-session v1\nsigma\nnot a constraint set\n",
+    )
+    .unwrap();
+    // Session 4 poisons at epoch 1; graft another log's epoch-2 record
+    // after it (records are self-framed, so logs concatenate).
+    let mut poisoned = ChaseSession::builder(clash)
+        .durable(session_dir(4))
+        .durability(no_compaction())
+        .try_build()
+        .unwrap();
+    assert_eq!(
+        poisoned.apply(atoms("p(a). p(b).")).unwrap().reason,
+        StopReason::Failed
+    );
+    drop(poisoned);
+    let donor = test_dir("restart-admission-donor");
+    drop(durable_over(
+        &donor,
+        &tc,
+        no_compaction(),
+        &[atoms("E(x,y)."), atoms("E(y,z).")],
+    ));
+    let donor_log = std::fs::read(donor.join("wal.log")).unwrap();
+    let first = 4 + u32::from_le_bytes(donor_log[..4].try_into().unwrap()) as usize + 4;
+    OpenOptions::new()
+        .append(true)
+        .open(session_dir(4).join("wal.log"))
+        .unwrap()
+        .write_all(&donor_log[first..])
+        .unwrap();
+    assert!(
+        ChaseSession::open(session_dir(4)).is_err(),
+        "4 fails at replay"
+    );
+    // Opening 6 would truncate this garbage away.
+    let log6 = session_dir(6).join("wal.log");
+    OpenOptions::new()
+        .append(true)
+        .open(&log6)
+        .unwrap()
+        .write_all(b"torn")
+        .unwrap();
+    let log6_len = std::fs::metadata(&log6).unwrap().len();
+
+    let conductor = Conductor::new(ConductorConfig {
+        durable_root: Some(root.clone()),
+        max_sessions: 3,
+        ..ConductorConfig::default()
+    });
+    let up: Vec<u64> = (1..=6).filter(|&id| conductor.route(id).is_ok()).collect();
+    assert_eq!(up, [1, 3, 5]);
+    let q = ConjunctiveQuery::parse("q(X) <- E(X,c)").unwrap();
+    for id in up {
+        let answers = conductor
+            .route(id)
+            .unwrap()
+            .query(&q, QueryOpts::default())
+            .unwrap();
+        assert_eq!(answers.len(), 2, "session {id} reopened its closure");
+    }
+    let text = conductor.metrics_text();
+    for line in [
+        "chase_sessions_reopened_total 3",
+        "chase_sessions_reopen_failed_total 3",
+        "chase_sessions_open 3",
+    ] {
+        assert!(text.lines().any(|l| l == line), "missing `{line}`:\n{text}");
+    }
+    assert!(text.contains("chase_warm_restart_ns "), "{text}");
+    assert_eq!(
+        std::fs::metadata(&log6).unwrap().len(),
+        log6_len,
+        "6 was opened"
+    );
+    conductor.close(1).unwrap();
+    assert_eq!(conductor.open(tc).unwrap(), 7);
+    conductor.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&donor);
+}

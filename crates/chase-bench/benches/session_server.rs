@@ -11,11 +11,11 @@
 //! once **read-only** (no writer traffic at all) and once **write-heavy**
 //! (a dedicated writer connection per session streaming fresh batches the
 //! whole time) — and printing the ratio, which must stay well under the
-//! 2x that a lock-the-session design would blow through.
+//! 2x that reads queuing behind the session lock would blow through.
 //!
 //! The **high-tenancy** group then pushes fleet size instead of per-tenant
 //! load: thousands of mostly-idle sessions opened over pipelined frames
-//! onto the bounded worker pool.
+//! onto one server, where each costs a map entry, not a thread.
 
 use chase_bench::{print_table, quick, scaled, Row};
 use chase_corpus::random::{random_travel_stream, RandomTravelConfig};
@@ -321,7 +321,7 @@ fn print_shape() {
         ),
     ];
     print_table(
-        "S2 — session server load generation (pooled sessions over TCP)",
+        "S2 — session server load generation (sessions over TCP)",
         &["phase", "volume", "throughput", "p50", "p99"],
         &rows,
     );
@@ -384,7 +384,7 @@ fn print_shape() {
 // High tenancy
 // ---------------------------------------------------------------------------
 
-/// The fleet sizes the pool is pushed to. The top quick-mode count is the
+/// The fleet sizes the server is pushed to. The top quick-mode count is the
 /// acceptance floor (>= 2k concurrent sessions).
 fn high_tenancy_counts() -> &'static [usize] {
     if quick() {
@@ -465,7 +465,7 @@ fn high_tenancy_round(n: usize) -> TenancyPoint {
     }
 }
 
-/// Drive the pool across the fleet sizes: trajectory lines per count plus
+/// Drive the server across the fleet sizes: trajectory lines per count plus
 /// a human-readable table.
 fn high_tenancy() {
     let points: Vec<TenancyPoint> = high_tenancy_counts()
@@ -487,7 +487,7 @@ fn high_tenancy() {
         })
         .collect();
     print_table(
-        "S2 — high tenancy: bounded worker pool",
+        "S2 — high tenancy: mostly-idle sessions",
         &["fleet", "sessions", "load rate", "touch p50", "touch p99"],
         &rows,
     );

@@ -1,65 +1,65 @@
-//! The multi-tenant session runtime: sessions as mailbox-driven state
-//! machines scheduled over a **bounded worker pool**, fronted by a
-//! [`Conductor`] that creates, routes, admits and evicts sessions.
+//! The multi-tenant session runtime: sessions behind one lock each,
+//! fronted by a [`Conductor`] that creates, routes, admits and evicts
+//! sessions.
 //!
-//! ## Pool scheduling
+//! ## One lock per session
 //!
 //! Every open session owns a [`ChaseSession`] — warm trigger pool, plan
-//! cache and all — plus a typed mailbox (`SessionMsg`:
-//! `Apply`/`Query`/`Snapshot`/`Restore`/`Stats`/`Persist`). No session
-//! owns a thread: posting into an idle session's mailbox links the
-//! session onto a conductor-level **run queue**, and one of
-//! [`ConductorConfig::workers`] pool workers pulls it, drains its mailbox
-//! up to [`ConductorConfig::dispatch_budget`] messages, then requeues it
-//! if more arrived. A `scheduled` flag per mailbox guarantees a session is
-//! owned by at most one worker at a time, so all mutation stays serialized
-//! by construction — thousands of mostly-idle tenants cost queue entries,
-//! not parked OS threads.
+//! cache and all — behind one mutex. A [`SessionHandle`] request that needs
+//! the engine (apply, snapshot, restore, stats, persist, and a query the
+//! published snapshot cannot answer) takes that lock and runs **on the
+//! calling thread**; in the server that is the connection's thread. A chase
+//! run is one sequence of steps over one instance, so a session only needs
+//! its requests not to interleave, and the lock gives exactly that. Sessions
+//! share no lock, so tenants run in parallel up to the number of callers,
+//! and an idle session costs a map entry, not a thread.
 //!
 //! ## Concurrent reads during an in-flight apply
 //!
-//! After every mutating message the dispatcher *publishes* an
+//! After every mutating request the session *publishes* an
 //! `Arc<`[`Instance`]`>` snapshot of the chased instance — but only when
 //! [`Instance::version`] actually moved, so duplicate-only batches never
 //! touch it (**copy-on-read**: readers share the published `Arc`). A TGD
 //! step only appends facts, so when no reader holds the snapshot and no
-//! EGD merged since the last publish, the dispatcher catches it up in
-//! place with the facts appended since ([`Instance::catch_up`], O(delta)).
+//! EGD merged since the last publish, the snapshot is caught up in place
+//! with the facts appended since ([`Instance::catch_up`], O(delta)).
 //! Only when a reader still holds it, a merge rewrote terms, or a restore
-//! switched lineage does it publish a full clone instead (counted in
-//! `chase_snapshot_publish_cloned_total`), dropping the retired snapshot
-//! outside the lock. [`SessionHandle::query`] evaluates on the *calling*
-//! thread against that published snapshot whenever it is quiescent, so a
-//! certain-answer read admitted while a large apply is chasing inside a
-//! worker returns immediately with exactly the pre-batch state — it never
-//! queues behind the write. Publication happens *before* the apply's reply
-//! is released, so a client that saw its apply acknowledged is guaranteed
-//! to read its own writes. Both read paths route through the session's one
-//! rewriting cache, so they rewrite a query identically; sessions on an
-//! equal Σ and rewriting policy share that cache's decisions, so each
-//! query text pays its first-sight rewriting once per Σ.
+//! switched lineage is a full clone published instead (counted in
+//! `chase_snapshot_publish_cloned_total`), and the retired snapshot dropped
+//! outside the snapshot lock. [`SessionHandle::query`] evaluates against
+//! that published snapshot without taking the session lock whenever it is
+//! quiescent, so a certain-answer read admitted while a large apply holds
+//! the lock returns immediately with exactly the pre-batch state — it never
+//! queues behind the write. Publication happens *before* the apply returns,
+//! so a client that saw its apply acknowledged is guaranteed to read its
+//! own writes. Both read paths route through the session's one rewriting
+//! cache, so they rewrite a query identically; sessions on an equal Σ and
+//! rewriting policy share that cache's decisions, so each query text pays
+//! its first-sight rewriting once per Σ.
 //!
 //! ## Eviction
 //!
 //! With [`ConductorConfig::evict_after`] set, a janitor thread tears down
 //! sessions idle past the TTL, oldest-touch first in effect: **durable**
-//! sessions [`ChaseSession::persist`] *before* teardown and transparently
-//! warm-restart from their `durable_root` directory at the next
-//! [`Conductor::route`]; **non-durable** sessions lose their state and
-//! later touches fail with [`ServeError::Evicted`]. A session
-//! mid-dispatch or with queued messages is never evicted. A route-time
-//! restore decodes and replays outside the sessions lock, so other
-//! tenants keep routing meanwhile; routes of the same id wait for that
-//! one restore, which holds a slot under the session cap while it runs
-//! (`chase_sessions_restoring`).
+//! sessions [`ChaseSession::persist`] *before* they become restorable and
+//! transparently warm-restart from their `durable_root` directory at the
+//! next [`Conductor::route`]; **non-durable** sessions lose their state and
+//! later touches fail with [`ServeError::Evicted`]. A session whose lock is
+//! held (a request in flight) is never evicted. The persist, and a
+//! route-time restore's decode and replay, run outside the sessions lock,
+//! so other tenants keep routing and opening meanwhile; routes of the same
+//! id wait for that one persist or restore. A restore holds a slot under
+//! the session cap while it runs (`chase_sessions_restoring`).
 //!
 //! ## Panic containment
 //!
-//! A panic while processing one session's message is caught by the
-//! worker: the session is marked poisoned (reads fail with
-//! [`ServeError::Poisoned`]), its mailbox is killed (later posts fail with
-//! [`ServeError::SessionGone`]) and it is never requeued — the worker and
-//! every other session keep serving.
+//! A panic inside a request is caught on the calling thread. The lock guard
+//! is held outside the unwind boundary, so the panic poisons the session,
+//! not the mutex: the session is marked dead (later requests answer
+//! [`ServeError::SessionGone`], and so does the one that panicked), its
+//! read surface is poisoned (reads fail with [`ServeError::Poisoned`]), and
+//! `chase_session_panics_total` counts it. Every other session keeps
+//! serving.
 //!
 //! ## Admission
 //!
@@ -68,12 +68,12 @@
 //! budget to the configured **per-session step budget**, so one runaway
 //! tenant can neither starve the machine nor chase unboundedly.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -89,7 +89,7 @@ use crate::session::{
 };
 use crate::wal::{self, DurabilityConfig};
 
-/// Admission and scheduling policy for a [`Conductor`].
+/// Admission, durability and eviction policy for a [`Conductor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConductorConfig {
     /// Global cap on concurrently open sessions.
@@ -109,14 +109,7 @@ pub struct ConductorConfig {
     /// Fsync policy and snapshot-compaction thresholds for durable
     /// sessions (ignored without [`ConductorConfig::durable_root`]).
     pub durability: DurabilityConfig,
-    /// Pool workers sharing all session mailboxes. The default is
-    /// `min(available cores, 8)`; `0` is clamped to one worker.
-    pub workers: usize,
-    /// Messages a worker drains from one session's mailbox per dispatch
-    /// before requeueing it — the fairness knob: lower bounds per-tenant
-    /// latency under contention, higher amortizes scheduling.
-    pub dispatch_budget: usize,
-    /// Evict sessions idle (no message or route) for at least this long.
+    /// Evict sessions idle (no request or route) for at least this long.
     /// Durable sessions persist first and warm-restart transparently on
     /// the next touch; non-durable sessions are discarded and answer
     /// [`ServeError::Evicted`] thereafter. `None` (default) never evicts.
@@ -137,20 +130,10 @@ impl Default for ConductorConfig {
             session: SessionConfig::default(),
             durable_root: None,
             durability: DurabilityConfig::default(),
-            workers: default_workers(),
-            dispatch_budget: 32,
             evict_after: None,
             max_snapshots: 64,
         }
     }
-}
-
-/// The default worker-pool width: every core up to 8.
-fn default_workers() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
 }
 
 /// Series names in the conductor-wide registry (see [`Conductor::metrics`]).
@@ -160,7 +143,6 @@ const M_SESSIONS_OPENED: &str = "chase_sessions_opened_total";
 const M_SESSIONS_REJECTED: &str = "chase_sessions_rejected_total";
 const M_APPLY_NS: &str = "chase_apply_ns";
 const M_QUERY_NS: &str = "chase_query_ns";
-const M_MAILBOX_DEPTH: &str = "chase_mailbox_depth";
 const M_PUBLISH: &str = "chase_snapshot_publish_total";
 const M_PUBLISH_SKIPPED: &str = "chase_snapshot_publish_skipped_total";
 const M_PUBLISH_CLONED: &str = "chase_snapshot_publish_cloned_total";
@@ -168,11 +150,7 @@ const M_SESSIONS_REOPENED: &str = "chase_sessions_reopened_total";
 const M_REOPEN_FAILED: &str = "chase_sessions_reopen_failed_total";
 const M_WARM_RESTART_NS: &str = "chase_warm_restart_ns";
 const M_SESSIONS_RESTORING: &str = "chase_sessions_restoring";
-const M_POOL_WORKERS: &str = "chase_pool_workers";
-const M_POOL_QUEUE_DEPTH: &str = "chase_pool_queue_depth";
-const M_POOL_DISPATCHES: &str = "chase_pool_dispatches_total";
-const M_POOL_MESSAGES: &str = "chase_pool_messages_total";
-const M_POOL_PANICS: &str = "chase_pool_panics_total";
+const M_SESSION_PANICS: &str = "chase_session_panics_total";
 const M_EVICTIONS: &str = "chase_evictions_total";
 const M_EVICTIONS_RESTORED: &str = "chase_evictions_restored_total";
 const M_SNAPSHOTS_REJECTED: &str = "chase_snapshot_requests_rejected_total";
@@ -183,17 +161,14 @@ const M_REWRITE_DECISIONS: &str = "chase_rewrite_cache_decisions";
 const SERIES_LOCK: &str = "no code panics while holding the series lock";
 
 /// Handles into the conductor-wide [`MetricsRegistry`] plus the session's
-/// engine recorder, shared by the session's dispatcher and every
-/// [`SessionHandle`] clone. All fields are cheap-to-clone views onto
-/// conductor-owned series — per-session work lands in the server-wide
-/// aggregate without extra locking.
+/// engine recorder, shared by every [`SessionHandle`] clone. All fields are
+/// cheap-to-clone views onto conductor-owned series — per-session work
+/// lands in the server-wide aggregate without extra locking.
 struct HandleMetrics {
-    /// Blocking-apply round-trip latency (send → chased → acked).
+    /// Blocking-apply latency (lock wait → chased → published).
     apply_ns: Arc<Histogram>,
-    /// Query latency, fast path and mailbox path alike.
+    /// Query latency, snapshot path and locked path alike.
     query_ns: Arc<Histogram>,
-    /// Messages currently queued across every session mailbox.
-    mailbox_depth: Gauge,
     /// Snapshot publications that moved the published state (caught up in
     /// place or replaced by a clone).
     publishes: Counter,
@@ -205,8 +180,10 @@ struct HandleMetrics {
     publish_cloned: Counter,
     /// Snapshot requests refused by the per-session snapshot cap.
     snapshots_rejected: Counter,
+    /// Requests that panicked (each one killed its session).
+    panics: Counter,
     /// The session's engine recorder (phase histograms + event ring),
-    /// readable without touching the dispatcher.
+    /// readable without taking the session lock.
     recorder: Recorder,
 }
 
@@ -225,45 +202,8 @@ struct Published {
     poisoned: Option<StopReason>,
 }
 
-/// The typed mailbox protocol a dispatcher drains. One variant per
-/// operation; every variant that answers carries its own reply sender.
-enum SessionMsg {
-    /// Apply an update batch and continue the chase warm.
-    Apply {
-        batch: Vec<Atom>,
-        reply: Sender<Result<ChaseOutcome, ServeError>>,
-    },
-    /// Answer a query on the dispatcher (the quiesce-first slow path;
-    /// quiescent reads bypass the mailbox entirely).
-    Query {
-        q: ConjunctiveQuery,
-        opts: QueryOpts,
-        reply: Sender<Result<Vec<Vec<Term>>, ServeError>>,
-    },
-    /// Take a snapshot into the session-side store; replies with its id.
-    Snapshot {
-        reply: Sender<Result<u64, ServeError>>,
-    },
-    /// Rewind to a stored snapshot.
-    Restore {
-        snapshot: u64,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    /// Read the session's counters.
-    Stats { reply: Sender<SessionStats> },
-    /// Force a durability point (snapshot + WAL compaction); replies with
-    /// the epoch the on-disk state now covers.
-    Persist {
-        reply: Sender<Result<u64, ServeError>>,
-    },
-    /// Panic inside the dispatcher — the fault-injection hook behind
-    /// [`SessionHandle::inject_panic`]. Never sent in production.
-    InjectPanic,
-}
-
 /// What the session owns besides its read surface: the engine state and
-/// the server-side snapshot store, guarded by one lock whose single
-/// holder is whichever worker is dispatching it.
+/// the server-side snapshot store, guarded by the session's one lock.
 struct SessionCore {
     session: ChaseSession,
     /// At most [`ConductorConfig::max_snapshots`] entries.
@@ -272,76 +212,39 @@ struct SessionCore {
     next_snapshot: u64,
 }
 
-/// Mailbox state: the queue plus the scheduling flags that make the run
-/// queue race-free. `scheduled` is true exactly while the session is on
-/// the run queue or inside a worker's dispatch — the single-drainer
-/// invariant. `dead` kills the mailbox (close, eviction, panic): queued
-/// messages are dropped and posts fail, so a dead mailbox stays empty.
-#[derive(Default)]
-struct MailboxState {
-    queue: VecDeque<SessionMsg>,
-    scheduled: bool,
-    dead: bool,
-}
-
-/// One session: core + mailbox + read surface + idle clock. The read
-/// surface (`metrics`, `published`, `rewrites`) is what handles touch
-/// without going through the mailbox.
+/// One session: core + read surface + idle clock. The read surface
+/// (`metrics`, `published`, `rewrites`) is what handles touch without
+/// taking the core lock.
 struct SessionCell {
     core: Mutex<SessionCore>,
-    mailbox: Mutex<MailboxState>,
+    /// Set by close, eviction and a panic; requests then answer
+    /// [`ServeError::SessionGone`].
+    dead: AtomicBool,
     /// Conductor-wide metric handles this session reports into.
     metrics: HandleMetrics,
     /// The latest published snapshot.
     published: RwLock<Published>,
-    /// The session's counter series, refreshed by the dispatcher before it
-    /// acknowledges a message that can move them — what a scrape exports
-    /// instead of locking `core`.
+    /// The session's counter series, refreshed under the core lock before a
+    /// request that can move them returns — what a scrape exports instead
+    /// of locking `core`.
     series: Mutex<SessionSeries>,
     /// The session's rewriting cache, shared with its [`ChaseSession`] so
-    /// the fast read path and the mailbox path rewrite identically.
+    /// the snapshot read path and the locked path rewrite identically.
     rewrites: Arc<RewriteCache>,
-    /// Was this session durable at spawn (decides the eviction path).
+    /// Was this session durable when admitted (decides the eviction path).
     durable: bool,
-    /// Milliseconds since the pool epoch at the last touch (post or
-    /// route) — the eviction clock.
+    /// Zero point of `last_touch`: the conductor's start.
+    epoch: Instant,
+    /// Milliseconds since `epoch` at the last touch (request or route) —
+    /// the eviction clock.
     last_touch: AtomicU64,
 }
 
-/// State shared by every pool worker, the janitor, and all handles.
-struct PoolShared {
-    run_queue: Mutex<VecDeque<Arc<SessionCell>>>,
-    available: Condvar,
-    stop: AtomicBool,
-    dispatch_budget: usize,
-    /// Zero point of every cell's `last_touch` clock.
-    epoch: Instant,
-    queue_depth: Gauge,
-    dispatches: Counter,
-    messages: Counter,
-    panics: Counter,
-}
-
-impl PoolShared {
-    /// Current millis on the touch clock.
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// Link a session onto the run queue and wake one worker.
-    fn enqueue(&self, cell: Arc<SessionCell>) {
-        self.run_queue.lock().unwrap().push_back(cell);
-        self.queue_depth.add(1);
-        self.available.notify_one();
-    }
-}
-
-/// A clonable address of one session: its cell plus the pool that
-/// schedules it. All methods are `&self`; clones address the same session.
+/// A clonable address of one session. All methods are `&self`; clones
+/// address the same session.
 #[derive(Clone)]
 pub struct SessionHandle {
     cell: Arc<SessionCell>,
-    shared: Arc<PoolShared>,
 }
 
 impl std::fmt::Debug for SessionHandle {
@@ -351,69 +254,59 @@ impl std::fmt::Debug for SessionHandle {
 }
 
 impl SessionHandle {
-    /// Send into the mailbox, keeping the conductor-wide depth gauge in
-    /// step, and link the session onto the run queue when it was idle.
-    /// `Err` means the session is gone (closed, evicted or panicked) and
-    /// nothing was queued.
-    fn post(&self, msg: SessionMsg) -> Result<(), ()> {
-        let wake = {
-            let mut mb = self.cell.mailbox.lock().unwrap();
-            if mb.dead {
-                return Err(());
-            }
-            mb.queue.push_back(msg);
-            self.cell.metrics.mailbox_depth.add(1);
-            !std::mem::replace(&mut mb.scheduled, true)
-        };
-        self.touch();
-        if wake {
-            self.shared.enqueue(Arc::clone(&self.cell));
-        }
-        Ok(())
-    }
-
     /// Reset the session's idle clock (routing counts as a touch).
     fn touch(&self) {
-        self.cell
-            .last_touch
-            .store(self.shared.now_ms(), Ordering::Relaxed);
+        let now = self.cell.epoch.elapsed().as_millis() as u64;
+        self.cell.last_touch.store(now, Ordering::Relaxed);
     }
 
-    /// Apply an update batch, blocking until the warm re-chase finishes.
+    /// Run one request against the session's core on the calling thread,
+    /// under the session's one lock. A dead session (closed, evicted or
+    /// panicked) answers [`ServeError::SessionGone`]. The guard is taken
+    /// outside `catch_unwind`, so a panic in `f` poisons the session, not
+    /// the mutex: the session is marked dead, its reads fail with
+    /// [`ServeError::Poisoned`], and `chase_session_panics_total` counts it.
+    fn locked<T>(
+        &self,
+        f: impl FnOnce(&mut SessionCore, &SessionCell) -> T,
+    ) -> Result<T, ServeError> {
+        self.touch();
+        let cell = &*self.cell;
+        // Only a panic that escaped after `dead` was set can poison the
+        // lock, so a recovered guard is never used past the check below.
+        let mut core = cell.core.lock().unwrap_or_else(PoisonError::into_inner);
+        if cell.dead.load(Ordering::Acquire) {
+            return Err(ServeError::SessionGone);
+        }
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut core, cell))).map_err(|_| {
+            cell.dead.store(true, Ordering::Release);
+            cell.metrics.panics.inc();
+            cell.published.write().unwrap().poisoned = Some(StopReason::Failed);
+            ServeError::SessionGone
+        })
+    }
+
+    /// Apply an update batch on the calling thread, returning once the warm
+    /// re-chase has finished and its snapshot is published. Queries from
+    /// other threads meanwhile are answered from the pre-batch snapshot.
     pub fn apply(&self, batch: Vec<Atom>) -> Result<ChaseOutcome, ServeError> {
         let t0 = Instant::now();
-        let out = self
-            .apply_async(batch)
-            .recv()
-            .map_err(|_| ServeError::SessionGone)?;
+        let out = self.locked(|core, cell| {
+            let out = core.session.apply(batch);
+            // Publish before returning: once the caller sees the ack it is
+            // guaranteed to read its own writes from the snapshot.
+            publish(&core.session, cell, false);
+            out
+        })?;
         self.cell.metrics.apply_ns.record_duration(t0.elapsed());
         out
     }
 
-    /// Queue an update batch and return immediately; the receiver yields
-    /// the outcome when the dispatcher finishes chasing it. Queries issued
-    /// in the meantime are answered from the pre-batch snapshot.
-    pub fn apply_async(&self, batch: Vec<Atom>) -> Receiver<Result<ChaseOutcome, ServeError>> {
-        let (reply, rx) = mpsc::channel();
-        if self
-            .post(SessionMsg::Apply {
-                batch,
-                reply: reply.clone(),
-            })
-            .is_err()
-        {
-            // Session gone: make the receiver yield the error instead of
-            // hanging up empty.
-            let _ = reply.send(Err(ServeError::SessionGone));
-        }
-        rx
-    }
-
     /// Answer a conjunctive query. When the published snapshot is
-    /// quiescent this evaluates **on the calling thread** against that
-    /// snapshot — concurrent with any in-flight apply, which it does not
-    /// wait for. Otherwise (mid-budget stop pending, or nothing published
-    /// yet after a restore) it falls back to the mailbox, which quiesces
+    /// quiescent this evaluates against that snapshot without taking the
+    /// session lock — concurrent with any in-flight apply, which it does
+    /// not wait for. Otherwise (mid-budget stop pending, or nothing
+    /// published yet after a restore) it takes the lock and quiesces
     /// first, exactly like [`ChaseSession::query`].
     pub fn query(
         &self,
@@ -427,7 +320,7 @@ impl SessionHandle {
     }
 
     /// [`SessionHandle::query`] minus the latency accounting, so both the
-    /// fast path and the mailbox fallback land in one histogram.
+    /// snapshot path and the locked path land in one histogram.
     fn query_inner(
         &self,
         q: &ConjunctiveQuery,
@@ -450,14 +343,12 @@ impl SessionHandle {
                 target.evaluate_certain(&published.instance)
             });
         }
-        let (reply, rx) = mpsc::channel();
-        self.post(SessionMsg::Query {
-            q: q.clone(),
-            opts,
-            reply,
-        })
-        .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)?
+        self.locked(|core, cell| {
+            let out = core.session.query((q, opts));
+            // The query may have quiesced a budget-stopped chase.
+            publish(&core.session, cell, false);
+            out
+        })?
     }
 
     /// Take a server-side snapshot; returns its id for [`SessionHandle::restore`].
@@ -467,18 +358,48 @@ impl SessionHandle {
     /// [`ServeError::SnapshotCapacity`] when the session already holds
     /// [`ConductorConfig::max_snapshots`] snapshots.
     pub fn snapshot(&self) -> Result<u64, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.post(SessionMsg::Snapshot { reply })
-            .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)?
+        self.locked(|core, cell| {
+            if core.snapshots.len() >= core.max_snapshots {
+                cell.metrics.snapshots_rejected.inc();
+                return Err(ServeError::SnapshotCapacity {
+                    max_snapshots: core.max_snapshots,
+                });
+            }
+            let id = core.next_snapshot;
+            core.next_snapshot += 1;
+            core.snapshots.insert(id, core.session.snapshot());
+            Ok(id)
+        })?
     }
 
     /// Rewind the session to a snapshot taken earlier on it.
     pub fn restore(&self, snapshot: u64) -> Result<(), ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.post(SessionMsg::Restore { snapshot, reply })
-            .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)?
+        self.locked(|core, cell| {
+            let out = match core.snapshots.get(&snapshot) {
+                // Guard what `ChaseSession::restore` would panic on — a
+                // panic kills the whole session, an error only fails the
+                // one request.
+                Some(_)
+                    if core.session.is_durable()
+                        && core.session.config().chase.mode == ChaseMode::Oblivious =>
+                {
+                    Err(ServeError::Durability(
+                        "restore on a durable oblivious session is unsupported \
+                         (its log cannot be re-anchored)"
+                            .to_string(),
+                    ))
+                }
+                Some(snap) => {
+                    core.session.restore(snap);
+                    Ok(())
+                }
+                None => Err(ServeError::UnknownSnapshot(snapshot)),
+            };
+            // A restored state is another lineage: its version says nothing
+            // about the published one, so it is always republished by clone.
+            publish(&core.session, cell, out.is_ok());
+            out
+        })?
     }
 
     /// The published instance rendered as fact text (the protocol's
@@ -494,10 +415,7 @@ impl SessionHandle {
 
     /// One coherent reading of the session's counters.
     pub fn stats(&self) -> Result<SessionStats, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.post(SessionMsg::Stats { reply })
-            .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)
+        self.locked(|core, _| core.session.stats())
     }
 
     /// Force a durability point now ([`ChaseSession::persist`]): snapshot
@@ -505,17 +423,18 @@ impl SessionHandle {
     /// epoch the on-disk state covers; [`ServeError::Durability`] on an
     /// in-memory session.
     pub fn persist(&self) -> Result<u64, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.post(SessionMsg::Persist { reply })
-            .map_err(|_| ServeError::SessionGone)?;
-        rx.recv().map_err(|_| ServeError::SessionGone)?
+        self.locked(|core, cell| {
+            let out = core.session.persist();
+            *cell.series.lock().expect(SERIES_LOCK) = core.session.series();
+            out
+        })?
     }
 
-    /// Fault-injection hook: make the session's next dispatch panic, so
-    /// tests can pin the worker's panic containment. Hidden, test-only.
+    /// Fault-injection hook: panic inside the session's lock, so tests can
+    /// pin panic containment. Hidden, test-only.
     #[doc(hidden)]
     pub fn inject_panic(&self) {
-        let _ = self.post(SessionMsg::InjectPanic);
+        let _ = self.locked(|_, _| panic!("injected request panic (test hook)"));
     }
 }
 
@@ -526,8 +445,9 @@ enum EvictedKind {
     Durable,
     /// In-memory state discarded; the id answers [`ServeError::Evicted`].
     Transient,
-    /// A route is warm-restarting it outside the sessions lock; routes of
-    /// the same id wait for that one. A failed restore puts `Durable` back.
+    /// The janitor is persisting it, or a route is warm-restarting it,
+    /// outside the sessions lock; routes of the same id wait for that one.
+    /// A finished persist, or a failed restore, puts `Durable` in its place.
     Restoring,
 }
 
@@ -548,25 +468,29 @@ pub struct Conductor {
     /// Restores in flight (`chase_sessions_restoring`); changed only under
     /// the sessions lock, and counted against the session cap.
     restoring: Gauge,
-    /// Signalled, with the sessions lock, when a restore settles.
-    restored: Condvar,
+    /// Signalled, with the sessions lock, when a restore or an eviction's
+    /// persist settles.
+    restored: Arc<Condvar>,
     next_id: AtomicU64,
     /// The server-wide aggregate registry: session lifecycle gauges and
-    /// counters, apply/query latency histograms, publish counters, pool
-    /// and eviction series. Every session reports into these shared
-    /// series via [`HandleMetrics`].
+    /// counters, apply/query latency histograms, publish counters, panic
+    /// and eviction series. Every session reports into these shared series
+    /// via [`HandleMetrics`].
     metrics: MetricsRegistry,
-    /// Pool scheduling state, shared with every handle.
-    pool: Arc<PoolShared>,
+    /// Zero point of every session's idle clock.
+    epoch: Instant,
+    /// Set by shutdown: stops the janitor, and a restore that finishes
+    /// after it serves nothing.
+    stop: Arc<AtomicBool>,
     /// One rewrite-decision store per (Σ, rewriting policy) among the
     /// sessions, so tenants on equal constraints share first sights.
     rewrites: RewriteStores,
-    /// Worker + janitor threads, joined at shutdown.
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// The eviction janitor, joined at shutdown.
+    janitor: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
-/// Conductor-wide session lifecycle counters, served without touching any
-/// session mailbox.
+/// Conductor-wide session lifecycle counters, served without taking any
+/// session lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetStats {
     /// Sessions open right now.
@@ -580,10 +504,10 @@ pub struct FleetStats {
 }
 
 impl Conductor {
-    /// A conductor with the given admission and scheduling policy.
+    /// A conductor with the given admission and eviction policy.
     ///
-    /// This spawns the worker pool (and, with
-    /// [`ConductorConfig::evict_after`], the eviction janitor).
+    /// With [`ConductorConfig::evict_after`] set, this spawns the eviction
+    /// janitor; no other thread outlives construction.
     ///
     /// With [`ConductorConfig::durable_root`] set, construction is a **warm
     /// restart**: every `session-<id>` directory under the root is reopened
@@ -604,36 +528,20 @@ impl Conductor {
     /// time of the whole reopen is exported as `chase_warm_restart_ns`.
     pub fn new(cfg: ConductorConfig) -> Conductor {
         let metrics = MetricsRegistry::new();
-        let pool = Arc::new(PoolShared {
-            run_queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            dispatch_budget: cfg.dispatch_budget.max(1),
-            epoch: Instant::now(),
-            queue_depth: metrics.gauge(M_POOL_QUEUE_DEPTH),
-            dispatches: metrics.counter(M_POOL_DISPATCHES),
-            messages: metrics.counter(M_POOL_MESSAGES),
-            panics: metrics.counter(M_POOL_PANICS),
-        });
-        let workers = cfg.workers.max(1);
-        metrics.gauge(M_POOL_WORKERS).set(workers as i64);
-        let threads = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&pool);
-                thread::spawn(move || pool_worker(shared))
-            })
-            .collect();
+        // Registered up front, so a scrape shows it at zero.
+        metrics.counter(M_SESSION_PANICS);
         let conductor = Conductor {
             cfg,
             sessions: Arc::new(Mutex::new(HashMap::new())),
             evicted: Arc::new(Mutex::new(HashMap::new())),
             restoring: metrics.gauge(M_SESSIONS_RESTORING),
-            restored: Condvar::new(),
+            restored: Arc::new(Condvar::new()),
             next_id: AtomicU64::new(1),
             metrics,
-            pool,
+            epoch: Instant::now(),
+            stop: Arc::new(AtomicBool::new(false)),
             rewrites: RewriteStores::default(),
-            threads: Mutex::new(threads),
+            janitor: Mutex::new(None),
         };
         conductor.reopen_durable_sessions();
         conductor.spawn_janitor();
@@ -727,7 +635,7 @@ impl Conductor {
         });
         let mut sessions = self.sessions.lock().unwrap();
         for (id, session) in reopened {
-            sessions.insert(id, self.spawn(session));
+            sessions.insert(id, self.handle_for(session));
             self.metrics.counter(M_SESSIONS_OPENED).inc();
             self.metrics.counter(M_SESSIONS_REOPENED).inc();
         }
@@ -741,19 +649,44 @@ impl Conductor {
             .set(t0.elapsed().as_nanos() as i64);
     }
 
-    /// Start the TTL janitor (with `evict_after` only).
+    /// Start the TTL janitor (with `evict_after` only): every tick it runs
+    /// one [`sweep`] over the fleet.
     fn spawn_janitor(&self) {
         let Some(ttl) = self.cfg.evict_after else {
             return;
         };
-        let shared = Arc::clone(&self.pool);
+        let (epoch, stop) = (self.epoch, Arc::clone(&self.stop));
         let sessions = Arc::clone(&self.sessions);
         let evicted = Arc::clone(&self.evicted);
+        let restored = Arc::clone(&self.restored);
         let evictions = self.metrics.counter(M_EVICTIONS);
         let open_gauge = self.metrics.gauge(M_SESSIONS_OPEN);
-        let handle =
-            thread::spawn(move || janitor(shared, sessions, evicted, ttl, evictions, open_gauge));
-        self.threads.lock().unwrap().push(handle);
+        let tick = (ttl / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
+        let nap = tick.min(Duration::from_millis(25));
+        let handle = thread::spawn(move || {
+            let mut slept = Duration::ZERO;
+            loop {
+                thread::sleep(nap);
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+                slept += nap;
+                if slept < tick {
+                    continue;
+                }
+                slept = Duration::ZERO;
+                sweep(
+                    epoch,
+                    &sessions,
+                    &evicted,
+                    &restored,
+                    ttl,
+                    &evictions,
+                    &open_gauge,
+                );
+            }
+        });
+        *self.janitor.lock().unwrap() = Some(handle);
     }
 
     /// The admission policy.
@@ -795,7 +728,7 @@ impl Conductor {
                 .durability(self.cfg.durability);
         }
         let session = builder.try_build()?;
-        sessions.insert(id, self.spawn(session));
+        sessions.insert(id, self.handle_for(session));
         // Still under the sessions lock, so open/peak can never observe a
         // torn admission.
         self.metrics.counter(M_SESSIONS_OPENED).inc();
@@ -805,28 +738,27 @@ impl Conductor {
         Ok(id)
     }
 
-    /// Wire a built (or reopened) session into a pooled cell — the shared
-    /// tail of [`Conductor::open`], warm restart, and post-eviction reopen.
-    /// The session joins the rewrite store of its Σ and policy here, before
-    /// any snapshot or handle shares its cache.
-    fn spawn(&self, mut session: ChaseSession) -> SessionHandle {
+    /// Wire a built (or reopened) session into a cell behind a handle — the
+    /// shared tail of [`Conductor::open`], warm restart, and post-eviction
+    /// reopen. The session joins the rewrite store of its Σ and policy here,
+    /// before any snapshot or handle shares its cache.
+    fn handle_for(&self, mut session: ChaseSession) -> SessionHandle {
         session.share_rewrites(&self.rewrites);
         // An empty unpoisoned instance is vacuously quiescent even before
         // the trigger pool exists; a reopened non-quiescent state (snapshot
-        // without replay) must route queries through the dispatcher's
-        // quiesce.
+        // without replay) must route queries through the locked quiesce.
         let quiescent = session.stats().quiescent
             || (session.instance().is_empty() && session.poisoned().is_none());
         let cell = Arc::new(SessionCell {
-            mailbox: Mutex::new(MailboxState::default()),
+            dead: AtomicBool::new(false),
             metrics: HandleMetrics {
                 apply_ns: self.metrics.histogram(M_APPLY_NS),
                 query_ns: self.metrics.histogram(M_QUERY_NS),
-                mailbox_depth: self.metrics.gauge(M_MAILBOX_DEPTH),
                 publishes: self.metrics.counter(M_PUBLISH),
                 publish_skipped: self.metrics.counter(M_PUBLISH_SKIPPED),
                 publish_cloned: self.metrics.counter(M_PUBLISH_CLONED),
                 snapshots_rejected: self.metrics.counter(M_SNAPSHOTS_REJECTED),
+                panics: self.metrics.counter(M_SESSION_PANICS),
                 recorder: session.recorder().clone(),
             },
             published: RwLock::new(Published {
@@ -838,7 +770,8 @@ impl Conductor {
             series: Mutex::new(session.series()),
             rewrites: Arc::clone(session.rewrite_cache()),
             durable: session.is_durable(),
-            last_touch: AtomicU64::new(self.pool.now_ms()),
+            epoch: self.epoch,
+            last_touch: AtomicU64::new(self.epoch.elapsed().as_millis() as u64),
             core: Mutex::new(SessionCore {
                 session,
                 snapshots: HashMap::new(),
@@ -846,10 +779,7 @@ impl Conductor {
                 next_snapshot: 1,
             }),
         });
-        SessionHandle {
-            cell,
-            shared: Arc::clone(&self.pool),
-        }
+        SessionHandle { cell }
     }
 
     /// Resolve a session id to a handle. A durable session evicted by the
@@ -907,9 +837,9 @@ impl Conductor {
                 self.restoring.add(-1);
                 let out = match opened {
                     // A shutdown meanwhile drained the fleet for good.
-                    Ok(_) if self.pool.stop.load(Ordering::Acquire) => Err(ServeError::SessionGone),
+                    Ok(_) if self.stop.load(Ordering::Acquire) => Err(ServeError::SessionGone),
                     Ok(session) => {
-                        let handle = self.spawn(session);
+                        let handle = self.handle_for(session);
                         sessions.insert(id, handle.clone());
                         self.evicted.lock().unwrap().remove(&id);
                         self.metrics.counter(M_EVICTIONS_RESTORED).inc();
@@ -939,9 +869,9 @@ impl Conductor {
         sessions.len() + self.restoring.get().max(0) as usize
     }
 
-    /// Close a session and free its slot by killing its mailbox:
-    /// queued-but-unstarted messages fail with [`ServeError::SessionGone`],
-    /// the in-flight one (if any) completes.
+    /// Close a session and free its slot. Requests waiting for its lock,
+    /// and every later one on a handle to it, fail with
+    /// [`ServeError::SessionGone`]; the one in flight (if any) completes.
     ///
     /// # Errors
     ///
@@ -955,11 +885,11 @@ impl Conductor {
                 .set(sessions.len() as i64);
             handle
         };
-        kill_mailbox(&handle.cell);
+        handle.cell.dead.store(true, Ordering::Release);
         Ok(())
     }
 
-    /// Close every open session and stop the pool (used on server
+    /// Close every open session and stop the janitor (used on server
     /// shutdown).
     pub fn shutdown(&self) {
         let handles: Vec<SessionHandle> = {
@@ -969,18 +899,17 @@ impl Conductor {
             handles
         };
         for handle in handles {
-            kill_mailbox(&handle.cell);
+            handle.cell.dead.store(true, Ordering::Release);
         }
-        self.pool.stop.store(true, Ordering::Release);
-        self.pool.available.notify_all();
-        let threads: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
-        for t in threads {
-            let _ = t.join();
+        self.stop.store(true, Ordering::Release);
+        let janitor = self.janitor.lock().unwrap().take();
+        if let Some(janitor) = janitor {
+            let _ = janitor.join();
         }
     }
 
     /// Fleet-level lifecycle counters, read straight off the aggregate
-    /// registry — no session mailbox is touched.
+    /// registry — no session lock is taken.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
             open: self.session_count(),
@@ -991,7 +920,7 @@ impl Conductor {
     }
 
     /// The server-wide aggregate registry (session gauges, apply/query
-    /// latency histograms, publish counters, pool/eviction series).
+    /// latency histograms, publish counters, panic/eviction series).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -1006,8 +935,8 @@ impl Conductor {
     /// decisions it computed, so every decision is counted once).
     ///
     /// Reads the session map, lock-free recorder sinks and each session's
-    /// series as its dispatcher last refreshed them — never a session
-    /// core — so a metrics scrape cannot block behind a tenant's in-flight
+    /// series as its last request refreshed them — never a session core —
+    /// so a metrics scrape cannot block behind a tenant's in-flight
     /// apply. Sessions closed before the scrape no longer contribute.
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
         let cells: Vec<Arc<SessionCell>> = self
@@ -1042,203 +971,31 @@ impl Drop for Conductor {
     }
 }
 
-/// Mark a mailbox dead and drop everything still queued, taking the
-/// queue's contribution off the depth gauge. Posts fail from here on; the
-/// cell is never requeued (a worker holding it finds the queue empty and
-/// drops out).
-fn kill_mailbox(cell: &SessionCell) {
-    let mut mb = cell.mailbox.lock().unwrap();
-    mb.dead = true;
-    mb.scheduled = false;
-    let dropped = mb.queue.len();
-    mb.queue.clear();
-    cell.metrics.mailbox_depth.add(-(dropped as i64));
-}
-
-/// The dispatcher: one message against one session. Publishes **before**
-/// releasing the reply for every mutating message — the read-your-writes
-/// guarantee.
-fn process(core: &mut SessionCore, cell: &SessionCell, msg: SessionMsg) {
-    match msg {
-        SessionMsg::Apply { batch, reply } => {
-            let out = core.session.apply(batch);
-            // Publish before replying: once the client sees the ack it
-            // is guaranteed to read its own writes from the snapshot.
-            publish(&core.session, cell, false);
-            let _ = reply.send(out);
-        }
-        SessionMsg::Query { q, opts, reply } => {
-            let out = core.session.query((&q, opts));
-            // The query may have quiesced a budget-stopped chase.
-            publish(&core.session, cell, false);
-            let _ = reply.send(out);
-        }
-        SessionMsg::Snapshot { reply } => {
-            let out = if core.snapshots.len() >= core.max_snapshots {
-                cell.metrics.snapshots_rejected.inc();
-                Err(ServeError::SnapshotCapacity {
-                    max_snapshots: core.max_snapshots,
-                })
-            } else {
-                let id = core.next_snapshot;
-                core.next_snapshot += 1;
-                core.snapshots.insert(id, core.session.snapshot());
-                Ok(id)
-            };
-            let _ = reply.send(out);
-        }
-        SessionMsg::Restore { snapshot, reply } => {
-            let out = match core.snapshots.get(&snapshot) {
-                // Guard what `ChaseSession::restore` would panic on — a
-                // panic poisons the whole session, a reply only fails the
-                // one request.
-                Some(_)
-                    if core.session.is_durable()
-                        && core.session.config().chase.mode == ChaseMode::Oblivious =>
-                {
-                    Err(ServeError::Durability(
-                        "restore on a durable oblivious session is unsupported \
-                         (its log cannot be re-anchored)"
-                            .to_string(),
-                    ))
-                }
-                Some(snap) => {
-                    core.session.restore(snap);
-                    Ok(())
-                }
-                None => Err(ServeError::UnknownSnapshot(snapshot)),
-            };
-            // A restored state is another lineage: its version says nothing
-            // about the published one, so it is always republished by clone.
-            publish(&core.session, cell, out.is_ok());
-            let _ = reply.send(out);
-        }
-        SessionMsg::Stats { reply } => {
-            let _ = reply.send(core.session.stats());
-        }
-        SessionMsg::Persist { reply } => {
-            let out = core.session.persist();
-            *cell.series.lock().expect(SERIES_LOCK) = core.session.series();
-            let _ = reply.send(out);
-        }
-        SessionMsg::InjectPanic => panic!("injected dispatch panic (test hook)"),
-    }
-}
-
-/// One pool worker: pull a scheduled session, dispatch it, repeat.
-fn pool_worker(shared: Arc<PoolShared>) {
-    loop {
-        let cell = {
-            let mut queue = shared.run_queue.lock().unwrap();
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(cell) = queue.pop_front() {
-                    shared.queue_depth.add(-1);
-                    break cell;
-                }
-                queue = shared.available.wait(queue).unwrap();
-            }
-        };
-        dispatch(&cell, &shared);
-    }
-}
-
-/// Drain one session's mailbox up to the dispatch budget. The session's
-/// `scheduled` flag is already set (we are its single drainer); it is
-/// cleared when the mailbox runs dry, or the session is requeued when the
-/// budget expires with messages left. A panic in [`process`] poisons the
-/// session, kills its mailbox and bumps `chase_pool_panics_total` — the
-/// worker survives.
-fn dispatch(cell: &Arc<SessionCell>, shared: &Arc<PoolShared>) {
-    shared.dispatches.inc();
-    let mut core = cell.core.lock().unwrap();
-    for _ in 0..shared.dispatch_budget {
-        let msg = {
-            // A dead mailbox is empty, so this also ends a killed session.
-            let mut mb = cell.mailbox.lock().unwrap();
-            match mb.queue.pop_front() {
-                Some(m) => m,
-                None => {
-                    mb.scheduled = false;
-                    return;
-                }
-            }
-        };
-        cell.metrics.mailbox_depth.add(-1);
-        shared.messages.inc();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(&mut core, cell, msg)
-        }));
-        if outcome.is_err() {
-            shared.panics.inc();
-            // Poison the read surface so fast-path reads fail loudly, then
-            // kill the mailbox: later posts get SessionGone and the
-            // session is never requeued.
-            cell.published.write().unwrap().poisoned = Some(StopReason::Failed);
-            kill_mailbox(cell);
-            return;
-        }
-    }
-    drop(core);
-    // Budget spent: hand the session back if more work arrived meanwhile
-    // (`scheduled` stays true across the requeue — still our claim).
-    let requeue = {
-        let mut mb = cell.mailbox.lock().unwrap();
-        mb.scheduled = !mb.queue.is_empty();
-        mb.scheduled
-    };
-    if requeue {
-        shared.enqueue(Arc::clone(cell));
-    }
-}
-
-/// The eviction janitor: periodically tear down sessions idle past the
-/// TTL. Durable sessions persist **before** teardown (WAL + snapshot on
-/// disk first, slot freed second — a kill between the two only costs the
-/// compaction); non-durable sessions are discarded and their id recorded
-/// so routes answer [`ServeError::Evicted`].
-fn janitor(
-    shared: Arc<PoolShared>,
-    sessions: Arc<Mutex<HashMap<u64, SessionHandle>>>,
-    evicted: Arc<Mutex<HashMap<u64, EvictedKind>>>,
-    ttl: Duration,
-    evictions: Counter,
-    open_gauge: Gauge,
-) {
-    let tick = (ttl / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
-    let nap = tick.min(Duration::from_millis(25));
-    let mut slept = Duration::ZERO;
-    loop {
-        thread::sleep(nap);
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        slept += nap;
-        if slept < tick {
-            continue;
-        }
-        slept = Duration::ZERO;
-        sweep(&shared, &sessions, &evicted, ttl, &evictions, &open_gauge);
-    }
-}
-
-/// One janitor pass over the fleet. Runs under the sessions-map lock so a
-/// concurrent `route` can never observe a half-evicted session (and a
-/// durable reopen can never race the persist).
+/// One janitor pass over the fleet: evict every session idle past the TTL
+/// whose lock is free (a held lock means a request is in flight).
+///
+/// Under the sessions lock each one is marked dead and removed, so no route
+/// can reach it half torn down, and a durable one's id is marked
+/// `Restoring`, so routes of it wait. Durable sessions then persist outside
+/// the sessions lock, so every other tenant keeps routing and opening, and
+/// only then turn `Durable`: the next route warm-restarts the persisted
+/// state. A failed persist is tolerable, since the WAL already holds every
+/// acknowledged batch. Non-durable sessions are discarded and their ids
+/// answer [`ServeError::Evicted`].
 fn sweep(
-    shared: &PoolShared,
+    epoch: Instant,
     sessions: &Mutex<HashMap<u64, SessionHandle>>,
     evicted: &Mutex<HashMap<u64, EvictedKind>>,
+    restored: &Condvar,
     ttl: Duration,
     evictions: &Counter,
     open_gauge: &Gauge,
 ) {
     let ttl_ms = ttl.as_millis() as u64;
-    let now = shared.now_ms();
-    let mut sessions = sessions.lock().unwrap();
-    let idle: Vec<u64> = sessions
+    let now = epoch.elapsed().as_millis() as u64;
+    let mut persisting = Vec::new();
+    let mut map = sessions.lock().unwrap();
+    let idle: Vec<u64> = map
         .iter()
         .filter_map(|(id, h)| {
             let touched = h.cell.last_touch.load(Ordering::Relaxed);
@@ -1246,32 +1003,48 @@ fn sweep(
         })
         .collect();
     for id in idle {
-        let Some(cell) = sessions.get(&id).map(|h| &h.cell) else {
+        let cell = &map[&id].cell;
+        // Busy sessions are never evicted, and a dead one stays admitted
+        // until closed.
+        let Ok(guard) = cell.core.try_lock() else {
             continue;
         };
-        {
-            // Busy sessions (queued messages, or claimed by a worker) are
-            // never evicted; `dead` means a close raced us.
-            let mut mb = cell.mailbox.lock().unwrap();
-            if mb.dead || mb.scheduled || !mb.queue.is_empty() {
-                continue;
-            }
-            mb.dead = true;
+        if cell.dead.swap(true, Ordering::AcqRel) {
+            continue;
         }
-        let cell = sessions.remove(&id).unwrap().cell;
+        drop(guard);
+        let cell = map.remove(&id).unwrap().cell;
         let kind = if cell.durable {
-            // Persist-before-teardown: the on-disk state must cover the
-            // session before its slot disappears. A failed persist is
-            // tolerable — the WAL already holds every acknowledged batch.
-            let _ = cell.core.lock().unwrap().session.persist();
-            EvictedKind::Durable
+            persisting.push((id, cell));
+            EvictedKind::Restoring
         } else {
             EvictedKind::Transient
         };
         evicted.lock().unwrap().insert(id, kind);
         evictions.inc();
-        open_gauge.set(sessions.len() as i64);
+        open_gauge.set(map.len() as i64);
     }
+    if persisting.is_empty() {
+        return;
+    }
+    drop(map);
+    for (_, cell) in &persisting {
+        // Requests on a dead session's handles only check `dead`, and a
+        // panic here must not leave its id waiting forever.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut core = cell.core.lock().unwrap_or_else(PoisonError::into_inner);
+            core.session.persist()
+        }));
+    }
+    // Under the sessions lock, so a route between its check and its wait
+    // cannot miss the wakeup.
+    let map = sessions.lock().unwrap();
+    let mut kinds = evicted.lock().unwrap();
+    for (id, _) in persisting {
+        kinds.insert(id, EvictedKind::Durable);
+    }
+    drop((kinds, map));
+    restored.notify_all();
 }
 
 /// Republish the session's read surface: its counter series always, its
@@ -1366,7 +1139,7 @@ mod tests {
             conductor.route(id).unwrap_err(),
             ServeError::UnknownSession(id)
         );
-        // The handle outlives the slot but its mailbox is dead.
+        // The handle outlives the slot but its session is dead.
         assert_eq!(h.stats().unwrap_err(), ServeError::SessionGone);
     }
 
@@ -1607,13 +1380,14 @@ mod tests {
         for i in 0..60 {
             big.push_str(&format!("p{i}(x). e(n{i},n{}).", i + 1));
         }
-        let pending = h.apply_async(atoms(&big));
+        let writer = h.clone();
+        let pending = thread::spawn(move || writer.apply(atoms(&big)));
         let q = ConjunctiveQuery::parse("q(X) <- e(a,X)").unwrap();
         // Issued while the apply may still be chasing: must answer from a
         // coherent snapshot, i.e. either exactly pre-batch or post-batch.
         let mid = h.query(&q, QueryOpts::default()).unwrap();
         assert_eq!(mid.len(), 1); // `a` reaches only `b` in both states
-        pending.recv().unwrap().unwrap();
+        pending.join().unwrap().unwrap();
         let after = h.query(&q, QueryOpts::default()).unwrap();
         assert_eq!(after.len(), 1);
         assert!(h.stats().unwrap().total_facts > 120);
@@ -1665,7 +1439,6 @@ mod tests {
 
         let snap = conductor.metrics_snapshot();
         assert_eq!(snap.gauge(M_SESSIONS_OPEN), Some(1));
-        assert_eq!(snap.gauge(M_MAILBOX_DEPTH), Some(0));
         let apply = snap.histogram(M_APPLY_NS).unwrap();
         assert_eq!(apply.count(), 2);
         assert!(apply.percentile(0.5) > 0);
@@ -1675,16 +1448,14 @@ mod tests {
         // The session's engine phases surface under the labeled family.
         let insert = snap.histogram("chase_phase_ns{phase=\"insert\"}").unwrap();
         assert!(insert.count() > 0);
-        // The pool reports its shape and work.
-        assert!(snap.gauge(M_POOL_WORKERS).unwrap() >= 1);
-        assert!(snap.counter(M_POOL_DISPATCHES).unwrap() > 0);
-        assert!(snap.counter(M_POOL_MESSAGES).unwrap() > 0);
+        assert_eq!(snap.counter(M_SESSION_PANICS), Some(0));
 
         let text = conductor.metrics_text();
         assert!(text.contains("chase_sessions_open 1"));
         assert!(text.contains("chase_apply_ns_p99_ns"));
         assert!(text.contains("chase_phase_ns_p50_ns{phase=\"insert\"}"));
-        assert!(text.contains("chase_pool_workers"));
+        assert!(text.contains("chase_session_panics_total 0"));
+        assert!(!text.contains("chase_pool_") && !text.contains("chase_mailbox_depth"));
     }
 
     #[test]
@@ -1700,44 +1471,41 @@ mod tests {
     }
 
     #[test]
-    fn many_sessions_share_a_small_pool() {
-        // 24 sessions, 2 workers: every apply completes (no starvation)
-        // and reads see their own writes immediately after the ack.
-        let conductor = Conductor::new(ConductorConfig {
-            workers: 2,
-            dispatch_budget: 4,
-            max_sessions: 64,
-            ..ConductorConfig::default()
-        });
-        let mut pending = Vec::new();
-        for i in 0..24 {
-            let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
-            let h = conductor.route(id).unwrap();
-            pending.push((id, h.apply_async(atoms(&format!("e(a{i},b{i})."))), h));
-        }
+    fn many_sessions_are_served_from_a_few_caller_threads() {
+        // 24 sessions, 2 client threads: every apply completes on its
+        // caller's thread, and reads see their own writes right after it.
+        let conductor = Conductor::new(ConductorConfig::default());
+        let handles: Vec<SessionHandle> = (0..24)
+            .map(|_| {
+                let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+                conductor.route(id).unwrap()
+            })
+            .collect();
         let q = ConjunctiveQuery::parse("q(X,Y) <- e(X,Y)").unwrap();
-        for (_, rx, h) in &pending {
-            rx.recv().unwrap().unwrap();
-            assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 2);
-        }
+        thread::scope(|s| {
+            for part in handles.chunks(12) {
+                s.spawn(|| {
+                    for (i, h) in part.iter().enumerate() {
+                        h.apply(atoms(&format!("e(a{i},b{i})."))).unwrap();
+                        assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 2);
+                    }
+                });
+            }
+        });
         let snap = conductor.metrics_snapshot();
-        assert_eq!(snap.gauge(M_POOL_WORKERS), Some(2));
-        assert!(snap.counter(M_POOL_MESSAGES).unwrap() >= 24);
+        assert_eq!(snap.histogram(M_APPLY_NS).unwrap().count(), 24);
     }
 
     #[test]
-    fn zero_workers_clamp_to_one_and_still_serve() {
-        let conductor = Conductor::new(ConductorConfig {
-            workers: 0,
-            ..ConductorConfig::default()
-        });
-        assert_eq!(conductor.metrics_snapshot().gauge(M_POOL_WORKERS), Some(1));
+    fn a_conductor_without_eviction_spawns_no_thread_and_still_serves() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        assert!(conductor.janitor.lock().unwrap().is_none());
         let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let h = conductor.route(id).unwrap();
         h.apply(atoms("e(a,b).")).unwrap();
         let q = ConjunctiveQuery::parse("q(X) <- e(X,b)").unwrap();
         assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 1);
-        assert_eq!(h.stats().unwrap().epoch, 1, "the mailbox path is served");
+        assert_eq!(h.stats().unwrap().epoch, 1, "the locked path is served");
         conductor.close(id).unwrap();
     }
 
@@ -2057,28 +1825,28 @@ mod tests {
 
     #[test]
     fn a_panicking_dispatch_poisons_only_its_session() {
-        let conductor = Conductor::new(ConductorConfig {
-            workers: 1,
-            ..ConductorConfig::default()
-        });
+        let conductor = Conductor::new(ConductorConfig::default());
         let a = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let b = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let ha = conductor.route(a).unwrap();
         let hb = conductor.route(b).unwrap();
         ha.apply(atoms("e(a,b).")).unwrap();
         ha.inject_panic();
-        // The single worker survives the panic and keeps serving b.
+        // The panic is caught on this thread, which goes on serving b.
         hb.apply(atoms("e(c,d).")).unwrap();
         let q = ConjunctiveQuery::parse("q(X) <- e(X,d)").unwrap();
         assert_eq!(hb.query(&q, QueryOpts::default()).unwrap().len(), 1);
-        // a is poisoned on the fast path and gone on the mailbox path.
+        // a is poisoned on the snapshot path and gone on the locked path.
         let q = ConjunctiveQuery::parse("q(X) <- e(X,b)").unwrap();
         assert_eq!(
             ha.query(&q, QueryOpts::default()).unwrap_err(),
             ServeError::Poisoned(StopReason::Failed)
         );
         assert_eq!(ha.stats().unwrap_err(), ServeError::SessionGone);
-        assert_eq!(conductor.metrics_snapshot().counter(M_POOL_PANICS), Some(1));
+        assert_eq!(
+            conductor.metrics_snapshot().counter(M_SESSION_PANICS),
+            Some(1)
+        );
         // The slot is still admitted until closed; close frees it.
         conductor.close(a).unwrap();
     }
@@ -2086,7 +1854,6 @@ mod tests {
     #[test]
     fn idle_transient_sessions_are_evicted() {
         let conductor = Conductor::new(ConductorConfig {
-            workers: 2,
             evict_after: Some(Duration::from_millis(80)),
             ..ConductorConfig::default()
         });
@@ -2106,7 +1873,6 @@ mod tests {
     fn evicted_durable_sessions_warm_restart_on_route() {
         let dir = temp_dir("evict-reopen");
         let conductor = Conductor::new(ConductorConfig {
-            workers: 2,
             evict_after: Some(Duration::from_millis(80)),
             durable_root: Some(dir.clone()),
             ..ConductorConfig::default()
@@ -2138,29 +1904,16 @@ mod tests {
         let conductor = Conductor::new(ConductorConfig::default());
         let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
         let h = conductor.route(id).unwrap();
-        let sweep_now = || {
-            sweep(
-                &conductor.pool,
-                &conductor.sessions,
-                &conductor.evicted,
-                Duration::ZERO,
-                &conductor.metrics.counter(M_EVICTIONS),
-                &conductor.metrics.gauge(M_SESSIONS_OPEN),
-            )
-        };
-        // Holding the core keeps the posted apply from finishing, so the
-        // session stays scheduled however the worker is timed.
+        let sweep_now = || sweep_all_idle(&conductor);
+        // Holding the core keeps the apply from finishing, so the session
+        // stays busy however the applying thread is timed.
         let busy = h.cell.core.lock().unwrap();
-        let pending = h.apply_async(atoms("e(a,b)."));
+        let writer = h.clone();
+        let pending = thread::spawn(move || writer.apply(atoms("e(a,b).")));
         sweep_now();
         assert_eq!(conductor.session_count(), 1, "a busy session was evicted");
         drop(busy);
-        pending.recv().unwrap().unwrap();
-        // The reply goes out before the dispatch ends: wait for the worker
-        // to release the session.
-        while h.cell.mailbox.lock().unwrap().scheduled {
-            thread::yield_now();
-        }
+        pending.join().unwrap().unwrap();
         sweep_now();
         assert_eq!(conductor.session_count(), 0);
         assert_eq!(conductor.route(id).unwrap_err(), ServeError::Evicted(id));
@@ -2181,6 +1934,19 @@ mod tests {
         assert_eq!(
             pending.join().unwrap().unwrap_err(),
             ServeError::SessionGone
+        );
+    }
+
+    /// One janitor pass with a zero TTL: every session not busy is evicted.
+    fn sweep_all_idle(conductor: &Conductor) {
+        sweep(
+            conductor.epoch,
+            &conductor.sessions,
+            &conductor.evicted,
+            &conductor.restored,
+            Duration::ZERO,
+            &conductor.metrics.counter(M_EVICTIONS),
+            &conductor.metrics.gauge(M_SESSIONS_OPEN),
         );
     }
 
@@ -2209,19 +1975,7 @@ mod tests {
         let h = conductor.route(id).unwrap();
         let out = h.apply(atoms(&chain)).unwrap();
         assert_eq!(out.total_facts, len * (len + 1) / 2);
-        // The reply goes out before the dispatch ends: wait for the worker
-        // to release the session, or the sweep skips it as busy.
-        while h.cell.mailbox.lock().unwrap().scheduled {
-            thread::yield_now();
-        }
-        sweep(
-            &conductor.pool,
-            &conductor.sessions,
-            &conductor.evicted,
-            Duration::ZERO,
-            &conductor.metrics.counter(M_EVICTIONS),
-            &conductor.metrics.gauge(M_SESSIONS_OPEN),
-        );
+        sweep_all_idle(conductor);
         assert_eq!(conductor.session_count(), 0);
         id
     }
@@ -2316,6 +2070,120 @@ mod tests {
             conductor.route(id).unwrap().stats().unwrap().total_facts,
             10
         );
+        drop(conductor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_eviction_persist_in_flight_stalls_no_other_tenant() {
+        let dir = temp_dir("evict-persist");
+        let conductor = Conductor::new(ConductorConfig {
+            durable_root: Some(dir.clone()),
+            ..ConductorConfig::default()
+        });
+        let slow = conductor.open(sigma("e(X,Y), e(Y,Z) -> e(X,Z)")).unwrap();
+        let chain: String = (0..12).map(|i| format!("e(n{i},n{}).", i + 1)).collect();
+        let hs = conductor.route(slow).unwrap();
+        hs.apply(atoms(&chain)).unwrap();
+        let other = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        let ho = conductor.route(other).unwrap();
+        ho.apply(atoms("e(a,b).")).unwrap();
+        let q = ConjunctiveQuery::parse("q(X) <- e(X,a)").unwrap();
+        let persisting =
+            || conductor.evicted.lock().unwrap().get(&slow) == Some(&EvictedKind::Restoring);
+        thread::scope(|s| {
+            // A held core is a busy session: the sweep evicts only `slow`.
+            let busy = ho.cell.core.lock().unwrap();
+            // Holding `evicted` parks the sweep after it has marked `slow`
+            // dead and let go of its core; holding that core then parks the
+            // persist, so the persist is in flight for as long as needed.
+            let parked = conductor.evicted.lock().unwrap();
+            let evict = s.spawn(|| sweep_all_idle(&conductor));
+            while !hs.cell.dead.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+            let persist = hs.cell.core.lock().unwrap();
+            drop(parked);
+            while !persisting() {
+                thread::yield_now();
+            }
+            drop(busy);
+            let back = s.spawn(|| conductor.route(slow).unwrap());
+            // The other tenant routes and reads while the persist runs, and
+            // the evicted id's route waits for it.
+            let h = conductor.route(other).unwrap();
+            assert_eq!(h.query(&q, QueryOpts::default()).unwrap().len(), 1);
+            assert!(persisting());
+            assert!(!back.is_finished(), "a route restored before the persist");
+            drop(persist);
+            evict.join().unwrap();
+            // Then it warm-restarted exactly what the persist wrote: a
+            // snapshot, and nothing to replay.
+            let back = back.join().unwrap();
+            assert_eq!(back.stats().unwrap().total_facts, 12 * 13 / 2);
+            let durability = back.cell.core.lock().unwrap().session.durability();
+            let durability = durability.unwrap();
+            assert!(durability.loaded_snapshot);
+            assert_eq!(durability.replayed_records, 0);
+        });
+        assert_eq!(conductor.session_count(), 2);
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(snap.counter(M_EVICTIONS), Some(1));
+        assert_eq!(snap.counter(M_EVICTIONS_RESTORED), Some(1));
+        drop(conductor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_strategy_out_of_range_fails_its_open_and_the_restart_skips_it() {
+        let dir = temp_dir("strategy-range");
+        let cfg = ConductorConfig {
+            durable_root: Some(dir.clone()),
+            ..ConductorConfig::default()
+        };
+        let conductor = Conductor::new(cfg.clone());
+        let ids: Vec<u64> = (0..3)
+            .map(|i| {
+                let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+                let h = conductor.route(id).unwrap();
+                h.apply(atoms(&format!("e(a{i},b{i})."))).unwrap();
+                id
+            })
+            .collect();
+        drop(conductor);
+        let bad = dir.join(format!("session-{}", ids[1]));
+        let manifest = bad.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let (from, to) = (
+            "\nchase.strategy round_robin\n",
+            "\nchase.strategy fixed_cycle 3\n",
+        );
+        assert!(text.contains(from), "{text}");
+        std::fs::write(&manifest, text.replace(from, to)).unwrap();
+        assert!(matches!(
+            ChaseSession::open_with(&bad, DurabilityConfig::default()),
+            Err(ServeError::StrategyOutOfRange {
+                index: 3,
+                constraints: 1
+            })
+        ));
+        // The warm restart skips that directory and serves its siblings.
+        let conductor = Conductor::new(cfg);
+        assert_eq!(conductor.session_count(), 2);
+        let snap = conductor.metrics_snapshot();
+        assert_eq!(snap.counter(M_REOPEN_FAILED), Some(1));
+        assert_eq!(
+            conductor.route(ids[1]).unwrap_err(),
+            ServeError::UnknownSession(ids[1])
+        );
+        for i in [0, 2] {
+            let q = ConjunctiveQuery::parse(&format!("q(X) <- e(b{i},X)")).unwrap();
+            let h = conductor.route(ids[i]).unwrap();
+            assert_eq!(
+                h.query(&q, QueryOpts::default()).unwrap(),
+                vec![vec![Term::constant(&format!("a{i}"))]]
+            );
+        }
         drop(conductor);
         let _ = std::fs::remove_dir_all(&dir);
     }

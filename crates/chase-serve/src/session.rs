@@ -259,8 +259,8 @@ pub enum ServeError {
         /// The configured cap.
         max_snapshots: usize,
     },
-    /// The session is gone (closed, evicted, or poisoned by a panic in its
-    /// dispatcher); it can no longer be addressed.
+    /// The session is gone (closed, evicted, or killed by a panic in one of
+    /// its requests); it can no longer be addressed.
     SessionGone,
     /// A durability operation failed: the write-ahead log or a snapshot
     /// could not be read or written, a durable directory's manifest does
@@ -513,12 +513,7 @@ impl SessionBuilder {
     /// [`ServeError::Durability`] instead of panicking. For in-memory
     /// builders the only error is [`ServeError::StrategyOutOfRange`].
     pub fn try_build(self) -> Result<ChaseSession, ServeError> {
-        let constraints = self.set.len();
-        for strategy in [&self.cfg.chase.strategy, &self.cfg.sqo_chase.strategy] {
-            if let Some(index) = strategy.out_of_range(constraints) {
-                return Err(ServeError::StrategyOutOfRange { index, constraints });
-            }
-        }
+        check_strategies(&self.set, &self.cfg)?;
         let Some(dir) = self.durable_dir else {
             return Ok(build_in_memory(self.set, self.cfg, &self.instance));
         };
@@ -597,6 +592,20 @@ fn build_in_memory(set: ConstraintSet, cfg: SessionConfig, instance: &Instance) 
     }
 }
 
+/// Refuse a configuration whose chase or SQO strategy names a constraint
+/// index Σ does not have (`Strategy::out_of_range`): the engine would panic
+/// on it. Building and reopening both check here, so a hand-edited or
+/// foreign manifest fails the open instead of the process.
+fn check_strategies(set: &ConstraintSet, cfg: &SessionConfig) -> Result<(), ServeError> {
+    let constraints = set.len();
+    for strategy in [&cfg.chase.strategy, &cfg.sqo_chase.strategy] {
+        if let Some(index) = strategy.out_of_range(constraints) {
+            return Err(ServeError::StrategyOutOfRange { index, constraints });
+        }
+    }
+    Ok(())
+}
+
 /// Render an `io::Error` into the serve layer's clonable error type.
 fn dur_err(e: io::Error) -> ServeError {
     ServeError::Durability(e.to_string())
@@ -655,6 +664,7 @@ impl DecodedSession {
         cfg: SessionConfig,
         durability: DurabilityConfig,
     ) -> Result<DecodedSession, ServeError> {
+        check_strategies(&set, &cfg)?;
         let (wal, records, truncated_bytes) = Wal::open(&dir).map_err(dur_err)?;
         let snapshot = wal::load_newest_snapshot(&dir);
         let snapshot_epoch = snapshot.as_ref().map_or(0, |(epoch, _)| *epoch);
@@ -798,7 +808,9 @@ impl ChaseSession {
     /// # Errors
     /// [`ServeError::Durability`] when the directory has no manifest, the
     /// manifest or log cannot be read, or the log is inconsistent (epoch
-    /// discontinuity, records following a poisoning batch).
+    /// discontinuity, records following a poisoning batch);
+    /// [`ServeError::StrategyOutOfRange`] when the manifest's strategy names
+    /// a constraint its Σ does not have.
     pub fn open(dir: impl AsRef<Path>) -> Result<ChaseSession, ServeError> {
         ChaseSession::open_with(dir, DurabilityConfig::default())
     }
@@ -1222,8 +1234,8 @@ fn render_batch(batch: &[Atom]) -> String {
 
 /// The series a session exports besides its recorder's lock-free sinks:
 /// its [`SessionStats`] and, when durable, its [`DurabilityStats`]. The
-/// conductor's dispatcher refreshes a copy after every message, so a
-/// metrics scrape reads it without locking the session.
+/// conductor refreshes a copy before a request that can move it returns,
+/// so a metrics scrape reads it without locking the session.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionSeries {
     stats: SessionStats,

@@ -1,9 +1,9 @@
 //! session_server: a stdin-driven REPL that speaks the `chase-serve`
 //! **wire protocol** to a session server over TCP — the serving layer end
-//! to end: a conductor scheduling tenant sessions on a bounded worker
-//! pool, batched
-//! inserts with warm re-chase, certain-answer queries served from the
-//! published snapshot, and server-side snapshot/restore.
+//! to end: a conductor serving tenant sessions, each request on its
+//! connection's thread under its session's lock, batched inserts with warm
+//! re-chase, certain-answer queries served from the published snapshot,
+//! and server-side snapshot/restore.
 //!
 //! By default the example starts its own loopback server on an ephemeral
 //! port and connects to it, so it exercises the real framed protocol even
@@ -24,8 +24,6 @@
 //!   `--serve` mode): sessions log to `<dir>/session-<id>` and a restarted
 //!   server **warm-restarts** every session it finds there, same ids. This
 //!   is the crash-recovery path `docs/OPERATIONS.md` walks through;
-//! * `--workers <n>` — size the session worker pool (`0` is clamped to
-//!   one worker);
 //! * `--evict-after <secs>` — TTL for idle sessions: durable
 //!   ones persist + tear down and warm-restart transparently on the next
 //!   touch (`attach <id>` works), non-durable ones answer `Evicted`.
@@ -198,13 +196,10 @@ fn main() {
     };
 
     // Durable servers log every session under this root and warm-restart
-    // whatever a previous process left there. `--workers` sizes the
-    // session worker pool; `--evict-after` puts a TTL on idle sessions.
+    // whatever a previous process left there. `--evict-after` puts a TTL
+    // on idle sessions.
     let conductor_cfg = || ConductorConfig {
         durable_root: flag("--durable").map(std::path::PathBuf::from),
-        workers: flag("--workers")
-            .map(|v| v.parse().expect("--workers takes a count"))
-            .unwrap_or_else(|| ConductorConfig::default().workers),
         evict_after: flag("--evict-after").map(|v| {
             std::time::Duration::from_secs_f64(v.parse().expect("--evict-after takes seconds"))
         }),

@@ -22,8 +22,8 @@
 //! * `serve` ([`chase_serve`]) — the serving layer: long-lived incremental
 //!   chase sessions with warm re-chase over update batches, certain-answer
 //!   queries, snapshot/restore forking, a multi-tenant TCP session
-//!   server (sessions scheduled on a bounded worker pool behind a framed
-//!   wire protocol), and durable sessions (write-ahead log + columnar
+//!   server (each request run on its connection's thread under its
+//!   session's lock, behind a framed wire protocol), and durable sessions (write-ahead log + columnar
 //!   snapshots with warm restart);
 //! * `corpus` ([`chase_corpus`]) — every example of the paper plus synthetic
 //!   workload generators.

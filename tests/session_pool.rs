@@ -1,10 +1,11 @@
-//! The bounded worker pool, pinned at serving scale: **thousands of
-//! mostly-idle sessions cost run-queue entries, not OS threads.**
+//! The session fleet, pinned at serving scale: **thousands of mostly-idle
+//! sessions cost map entries, not OS threads.** Every request runs on its
+//! caller's thread under its session's one lock.
 //!
-//! * **No starvation.** A 4-worker pool soaked with hundreds of sessions
-//!   (thousands under `CHASE_POOL_FULL=1`) acknowledges every session's
-//!   apply and then answers every session's read-your-writes query — no
-//!   tenant waits forever behind a busy neighbour.
+//! * **No starvation.** Four client threads sharing hundreds of sessions
+//!   (thousands under `CHASE_POOL_FULL=1`) get every session's apply
+//!   acknowledged, and then every session answers its read-your-writes
+//!   query — no tenant waits forever behind a busy neighbour.
 //!
 //! * **Eviction round-trip.** A durable session idled past `evict_after`
 //!   is persisted and torn down; the next touch warm-restarts it from its
@@ -12,10 +13,9 @@
 //!   indistinguishable — isomorphic cores via [`core_of`] and exact
 //!   certain-answer agreement — from a twin that was never evicted.
 //!
-//! * **Fault containment.** An EGD-poisoned chase mid-dispatch, or an
-//!   injected panic inside a dispatch, wedges nothing: the worker marks
-//!   that one session poisoned, requeues nothing, and keeps serving every
-//!   other tenant.
+//! * **Fault containment.** An EGD-poisoned chase, or an injected panic
+//!   inside a request, wedges nothing: the calling thread marks that one
+//!   session poisoned and goes on serving every other tenant.
 //!
 //! The quick tier keeps CI fast; `CHASE_POOL_FULL=1` runs the ≥2k-session
 //! soak from the acceptance criteria.
@@ -70,45 +70,45 @@ fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Soak: no starvation, bounded workers
+// Soak: no starvation, a few client threads
 // ---------------------------------------------------------------------------
 
-/// Hundreds-to-thousands of sessions on a 4-worker pool: every apply is
-/// acknowledged, every session then answers its own read-your-writes
-/// query, and the pool never grew beyond its 4 threads.
+/// Client threads driving the soak: a fixed few, never one per session.
+const SOAK_CLIENTS: usize = 4;
+
+/// Hundreds-to-thousands of sessions driven by 4 client threads: every
+/// apply is acknowledged, and every session then answers its own
+/// read-your-writes query.
 #[test]
 fn a_four_worker_pool_serves_thousands_of_sessions_without_starvation() {
     let n = soak_sessions();
     let conductor = Conductor::new(ConductorConfig {
         max_sessions: n + 8,
-        workers: 4,
-        dispatch_budget: 8,
         ..ConductorConfig::default()
     });
     let sigma = ConstraintSet::parse("e(X,Y) -> e(Y,X)").unwrap();
+    let fleet: Vec<(usize, u64, SessionHandle)> = (0..n)
+        .map(|i| {
+            let id = conductor.open(sigma.clone()).unwrap();
+            (i, id, conductor.route(id).unwrap())
+        })
+        .collect();
 
-    // Open + enqueue an apply on every session before reading any ack, so
-    // the run queue really holds ~n sessions at once.
-    let mut pending = Vec::with_capacity(n);
-    for i in 0..n {
-        let id = conductor.open(sigma.clone()).unwrap();
-        let h = conductor.route(id).unwrap();
-        let rx = h.apply_async(atoms(&format!("e(s{i},t{i}).")));
-        pending.push((i, id, h, rx));
-    }
-
-    // No starvation: every ack arrives (generous per-recv deadline; the
-    // whole soak finishes orders of magnitude faster).
-    for (i, _, _, rx) in &pending {
-        let out = rx
-            .recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| panic!("session #{i} starved: apply never acknowledged"))
-            .unwrap();
-        assert_eq!(out.total_facts, 2, "session #{i}");
-    }
+    // No starvation: each client thread applies to its share of the fleet,
+    // and every apply is acknowledged.
+    std::thread::scope(|s| {
+        for share in fleet.chunks(n.div_ceil(SOAK_CLIENTS)) {
+            s.spawn(move || {
+                for (i, _, h) in share {
+                    let out = h.apply(atoms(&format!("e(s{i},t{i}).")));
+                    assert_eq!(out.unwrap().total_facts, 2, "session #{i}");
+                }
+            });
+        }
+    });
 
     // Read-your-writes after the ack, for every tenant.
-    for (i, _, h, _) in &pending {
+    for (i, _, h) in &fleet {
         let q = ConjunctiveQuery::parse(&format!("q(X) <- e(t{i},X)")).unwrap();
         let ans = h.query(&q, QueryOpts::default()).unwrap();
         assert_eq!(
@@ -118,9 +118,10 @@ fn a_four_worker_pool_serves_thousands_of_sessions_without_starvation() {
         );
     }
 
-    let text = conductor.metrics_text();
-    assert!(text.contains("chase_pool_workers 4"), "{text}");
-    for (_, id, _, _) in pending.drain(..) {
+    let snap = conductor.metrics_snapshot();
+    assert_eq!(snap.histogram("chase_apply_ns").unwrap().count(), n as u64);
+    assert_eq!(snap.counter("chase_session_panics_total"), Some(0));
+    for (_, id, _) in fleet {
         conductor.close(id).unwrap();
     }
     conductor.shutdown();
@@ -131,14 +132,7 @@ fn a_four_worker_pool_serves_thousands_of_sessions_without_starvation() {
 /// sees the apply pipelined ahead of it.
 #[test]
 fn pipelined_batches_preserve_read_your_writes_across_tenants() {
-    let server = serve(
-        "127.0.0.1:0",
-        ConductorConfig {
-            workers: 4,
-            ..ConductorConfig::default()
-        },
-    )
-    .unwrap();
+    let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let tenants: Vec<u64> = (0..8)
         .map(|_| c.open("e(X,Y) -> e(Y,X)").unwrap())
@@ -196,14 +190,10 @@ fn an_evicted_durable_session_reattaches_equivalent_to_a_never_evicted_twin() {
     let root = test_dir("evict-roundtrip");
     let evicting = Conductor::new(ConductorConfig {
         durable_root: Some(root.clone()),
-        workers: 2,
         evict_after: Some(Duration::from_millis(60)),
         ..ConductorConfig::default()
     });
-    let plain = Conductor::new(ConductorConfig {
-        workers: 2,
-        ..ConductorConfig::default()
-    });
+    let plain = Conductor::new(ConductorConfig::default());
 
     // Existential TGDs so the instances carry labeled nulls — core
     // isomorphism is then a real check, not a set equality.
@@ -271,7 +261,6 @@ fn evicted_transient_sessions_answer_with_the_evicted_error() {
     let server = serve(
         "127.0.0.1:0",
         ConductorConfig {
-            workers: 2,
             evict_after: Some(Duration::from_millis(60)),
             ..ConductorConfig::default()
         },
@@ -298,15 +287,12 @@ fn evicted_transient_sessions_answer_with_the_evicted_error() {
 // Fault containment
 // ---------------------------------------------------------------------------
 
-/// An EGD failure mid-dispatch poisons only its own session: on a
-/// single-worker pool the *same* worker goes on serving the other tenant,
-/// and the poisoned session answers with the poison error, not a hang.
+/// An EGD failure inside an apply poisons only its own session: the
+/// *same* thread goes on serving the other tenant, and the poisoned session
+/// answers with the poison error, not a hang.
 #[test]
 fn an_egd_poisoned_chase_does_not_wedge_its_worker() {
-    let conductor = Conductor::new(ConductorConfig {
-        workers: 1,
-        ..ConductorConfig::default()
-    });
+    let conductor = Conductor::new(ConductorConfig::default());
     let poisoned = conductor
         .open(ConstraintSet::parse("p(X), p(Y) -> X = Y").unwrap())
         .unwrap();
@@ -320,7 +306,7 @@ fn an_egd_poisoned_chase_does_not_wedge_its_worker() {
     let out = hp.apply(atoms("p(a). p(b).")).unwrap();
     assert_eq!(out.reason, StopReason::Failed);
 
-    // The one worker keeps serving the healthy session afterwards.
+    // This thread keeps serving the healthy session afterwards.
     let out = hh.apply(atoms("e(a,b).")).unwrap();
     assert_eq!(out.total_facts, 2);
     let q = ConjunctiveQuery::parse("q(X) <- e(b,X)").unwrap();
@@ -338,15 +324,12 @@ fn an_egd_poisoned_chase_does_not_wedge_its_worker() {
     conductor.shutdown();
 }
 
-/// The panic path: a dispatch that panics is caught by the worker, the
-/// session is marked poisoned and never requeued, and the pool keeps
+/// The panic path: a request that panics is caught on its caller's
+/// thread, the session is marked poisoned and dead, and the conductor keeps
 /// serving everything else. (The injection hook exists only for this pin.)
 #[test]
 fn a_panicking_dispatch_is_caught_poisons_the_session_and_requeues_nothing() {
-    let conductor = Conductor::new(ConductorConfig {
-        workers: 1,
-        ..ConductorConfig::default()
-    });
+    let conductor = Conductor::new(ConductorConfig::default());
     let victim = conductor
         .open(ConstraintSet::parse("e(X,Y) -> e(Y,X)").unwrap())
         .unwrap();
@@ -358,11 +341,11 @@ fn a_panicking_dispatch_is_caught_poisons_the_session_and_requeues_nothing() {
     hv.apply(atoms("e(a,b).")).unwrap();
     hv.inject_panic();
 
-    // The worker survives: the bystander is served by the same thread.
+    // The caller survives: the bystander is served by the same thread.
     let out = hb.apply(atoms("e(x,y).")).unwrap();
     assert_eq!(out.total_facts, 2);
 
-    // The victim is poisoned, its mailbox dead — requeued nothing.
+    // The victim is poisoned on reads and dead to requests.
     let q = ConjunctiveQuery::parse("q(X) <- e(a,X)").unwrap();
     assert!(matches!(
         hv.query(&q, QueryOpts::default()),
@@ -375,7 +358,7 @@ fn a_panicking_dispatch_is_caught_poisons_the_session_and_requeues_nothing() {
     assert!(
         conductor
             .metrics_text()
-            .contains("chase_pool_panics_total 1"),
+            .contains("chase_session_panics_total 1"),
         "panic not counted"
     );
     // Close still releases the slot; the conductor is fully usable.

@@ -9,8 +9,8 @@
 //!   comes back as a [`ProtoError`] value. A v1 (no-correlation) client is
 //!   answered with a clean version error frame, never silence.
 //!
-//! * **The clock.** A query admitted while an apply is chasing inside a
-//!   pool worker is answered from the *published* snapshot: it sees
+//! * **The clock.** A query admitted while an apply is chasing on another
+//!   thread is answered from the *published* snapshot: it sees
 //!   exactly the pre-batch instance (never a torn intermediate state), and
 //!   once the apply's acknowledgement is observed, reads see the post-batch
 //!   instance (read-your-writes).
@@ -301,7 +301,7 @@ fn normalized(mut answers: Vec<Vec<Term>>) -> Vec<Vec<Term>> {
     answers
 }
 
-/// A query answered while an apply is chasing inside a worker sees
+/// A query answered while an apply is chasing on another thread sees
 /// exactly the pre-batch snapshot; after the apply's acknowledgement, the
 /// post-batch instance (read-your-writes). Nothing in between is ever
 /// observable.
@@ -329,10 +329,11 @@ fn query_mid_apply_sees_exactly_the_pre_batch_snapshot() {
     for i in 0..160 {
         batch.push_str(&format!("E(m{i},m{}). ", i + 1));
     }
-    let pending = h.apply_async(atoms(&batch));
+    let writer = h.clone();
+    let pending = std::thread::spawn(move || writer.apply(atoms(&batch)));
 
-    // Issued immediately after enqueueing: the worker is (at most) mid-way
-    // through the batch, and the published snapshot is still pre-batch.
+    // Issued right after the writer starts: it is (at most) mid-way through
+    // the batch, and the published snapshot is still pre-batch.
     let mid = normalized(h.query(&q, QueryOpts::default()).unwrap());
     assert_eq!(
         mid, pre,
@@ -346,7 +347,7 @@ fn query_mid_apply_sees_exactly_the_pre_batch_snapshot() {
         if now != pre {
             break now;
         }
-        if pending.try_recv().is_ok() {
+        if pending.is_finished() {
             // Ack observed: from here on, reads must be post-batch.
             break normalized(h.query(&q, QueryOpts::default()).unwrap());
         }
@@ -356,8 +357,8 @@ fn query_mid_apply_sees_exactly_the_pre_batch_snapshot() {
         2 + 161,
         "post-batch closure from `a`: b, c, m0..m160"
     );
-    // Drain the ack if the loop broke on publication first.
-    let _ = pending.recv();
+    // Collect the ack if the loop broke on publication first.
+    pending.join().unwrap().unwrap();
     let settled = normalized(h.query(&q, QueryOpts::default()).unwrap());
     assert_eq!(settled, post, "after the ack, reads are post-batch");
 }

@@ -17,7 +17,6 @@
 //! substitution (the classic "most constrained first" join heuristic).
 
 use crate::atom::Atom;
-use crate::fx::FxHashMap;
 use crate::instance::Instance;
 use crate::symbol::Sym;
 use crate::term::Term;
@@ -25,10 +24,38 @@ use std::fmt;
 
 /// A substitution: finite mapping from variables (and, in instance mode,
 /// labeled nulls) to ground terms. Constants are always fixed.
+///
+/// Each half is a vector of pairs sorted by key (the variable's `Sym` id,
+/// the null id), not a hash map: a trigger binds three or four variables,
+/// so scanning a few pairs beats hashing (a binary search lost to the hash
+/// map on `matching_micro/star`), and cloning a match copies one small
+/// buffer. The sorted order is canonical, so the derived `PartialEq` is map
+/// equality.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Subst {
-    vars: FxHashMap<Sym, Term>,
-    nulls: FxHashMap<u32, Term>,
+    vars: Vec<(Sym, Term)>,
+    nulls: Vec<(u32, Term)>,
+}
+
+/// Bind `k` in a key-sorted vector, overwriting an existing binding.
+fn bind<K: Ord + Copy>(map: &mut Vec<(K, Term)>, k: K, t: Term) {
+    match map.iter().position(|&(key, _)| key >= k) {
+        Some(i) if map[i].0 == k => map[i].1 = t,
+        Some(i) => map.insert(i, (k, t)),
+        None => map.push((k, t)),
+    }
+}
+
+/// The binding of `k` in a key-sorted vector.
+fn lookup<K: Ord + Copy>(map: &[(K, Term)], k: K) -> Option<Term> {
+    map.iter().find(|&&(key, _)| key == k).map(|&(_, t)| t)
+}
+
+/// Remove the binding of `k` from a key-sorted vector, if any.
+fn unbind<K: Ord + Copy>(map: &mut Vec<(K, Term)>, k: K) {
+    if let Some(i) = map.iter().position(|&(key, _)| key == k) {
+        map.remove(i);
+    }
 }
 
 impl Subst {
@@ -39,38 +66,39 @@ impl Subst {
 
     /// Build a substitution from variable bindings.
     pub fn from_vars(bindings: impl IntoIterator<Item = (Sym, Term)>) -> Subst {
-        Subst {
-            vars: bindings.into_iter().collect(),
-            nulls: FxHashMap::default(),
+        let mut mu = Subst::new();
+        for (v, t) in bindings {
+            mu.bind_var(v, t);
         }
+        mu
     }
 
     /// Bind a variable.
     pub fn bind_var(&mut self, v: Sym, t: Term) {
-        self.vars.insert(v, t);
+        bind(&mut self.vars, v, t);
     }
 
     /// Bind a labeled null (instance mode).
     pub fn bind_null(&mut self, n: u32, t: Term) {
-        self.nulls.insert(n, t);
+        bind(&mut self.nulls, n, t);
     }
 
     /// Binding of a variable, if any.
     pub fn var(&self, v: Sym) -> Option<Term> {
-        self.vars.get(&v).copied()
+        lookup(&self.vars, v)
     }
 
     /// Binding of a null, if any.
     pub fn null(&self, n: u32) -> Option<Term> {
-        self.nulls.get(&n).copied()
+        lookup(&self.nulls, n)
     }
 
     /// Apply to a term: bound variables/nulls are replaced, everything else
     /// (including unbound variables) is returned unchanged.
     pub fn apply(&self, t: Term) -> Term {
         match t {
-            Term::Var(v) => self.vars.get(&v).copied().unwrap_or(t),
-            Term::Null(n) => self.nulls.get(&n).copied().unwrap_or(t),
+            Term::Var(v) => self.var(v).unwrap_or(t),
+            Term::Null(n) => self.null(n).unwrap_or(t),
             Term::Const(_) => t,
         }
     }
@@ -87,16 +115,14 @@ impl Subst {
 
     /// Variable bindings, sorted by variable name (deterministic).
     pub fn var_bindings(&self) -> Vec<(Sym, Term)> {
-        let mut v: Vec<(Sym, Term)> = self.vars.iter().map(|(&k, &t)| (k, t)).collect();
+        let mut v = self.vars.clone();
         v.sort_by_key(|(k, _)| k.as_str());
         v
     }
 
     /// Null bindings, sorted by null id (deterministic).
     pub fn null_bindings(&self) -> Vec<(u32, Term)> {
-        let mut v: Vec<(u32, Term)> = self.nulls.iter().map(|(&k, &t)| (k, t)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
+        self.nulls.clone()
     }
 
     /// True iff no variable or null is bound.
@@ -252,12 +278,8 @@ impl<'a> Searcher<'a> {
     fn unwind(&mut self, undo: Vec<Undo>) {
         for u in undo {
             match u {
-                Undo::Var(v) => {
-                    self.subst.vars.remove(&v);
-                }
-                Undo::Null(n) => {
-                    self.subst.nulls.remove(&n);
-                }
+                Undo::Var(v) => unbind(&mut self.subst.vars, v),
+                Undo::Null(n) => unbind(&mut self.subst.nulls, n),
             }
         }
     }
@@ -618,6 +640,92 @@ mod tests {
                 counts.windows(2).all(|w| w[0] == w[1]),
                 "configs disagree on {pat}: {counts:?}"
             );
+        }
+    }
+
+    mod subst_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const VARS: [&str; 6] = ["Zeta", "X", "Y1", "A", "W", "Mid"];
+        const CONSTS: [&str; 3] = ["a", "b", "c7"];
+
+        /// SplitMix64: one random stream per proptest seed.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn ground(x: u64) -> Term {
+            if x.is_multiple_of(2) {
+                Term::constant(CONSTS[(x / 2 % 3) as usize])
+            } else {
+                Term::null((x / 2 % 4) as u32)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+            #[test]
+            fn subst_behaves_like_a_sorted_map(seed in any::<u64>(), len in 0usize..24) {
+                let mut state = seed;
+                let mut mu = Subst::new();
+                let mut vars: BTreeMap<&str, Term> = BTreeMap::new();
+                let mut nulls: BTreeMap<u32, Term> = BTreeMap::new();
+                for _ in 0..len {
+                    let (key, t) = (next(&mut state), ground(next(&mut state)));
+                    if key.is_multiple_of(3) {
+                        let n = (key / 3 % 5) as u32;
+                        mu.bind_null(n, t);
+                        nulls.insert(n, t);
+                    } else {
+                        let name = VARS[(key / 3 % 6) as usize];
+                        mu.bind_var(Sym::new(name), t);
+                        vars.insert(name, t);
+                    }
+                }
+                for name in VARS {
+                    let v = Sym::new(name);
+                    prop_assert_eq!(mu.var(v), vars.get(name).copied());
+                    prop_assert_eq!(mu.apply(Term::Var(v)), vars.get(name).copied().unwrap_or(Term::Var(v)));
+                }
+                for n in 0..5 {
+                    prop_assert_eq!(mu.null(n), nulls.get(&n).copied());
+                    prop_assert_eq!(mu.apply(Term::Null(n)), nulls.get(&n).copied().unwrap_or(Term::Null(n)));
+                }
+                prop_assert_eq!(mu.apply(Term::constant("a")), Term::constant("a"));
+                let model_vars: Vec<(Sym, Term)> = vars.iter().map(|(&k, &t)| (Sym::new(k), t)).collect();
+                let model_nulls: Vec<(u32, Term)> = nulls.iter().map(|(&k, &t)| (k, t)).collect();
+                prop_assert_eq!(mu.var_bindings(), &model_vars[..]);
+                prop_assert_eq!(mu.null_bindings(), &model_nulls[..]);
+                prop_assert_eq!(mu.is_empty(), vars.is_empty() && nulls.is_empty());
+                let text: Vec<String> = vars
+                    .iter()
+                    .map(|(k, t)| format!("{k}→{t}"))
+                    .chain(nulls.iter().map(|(n, t)| format!("_n{n}→{t}")))
+                    .collect();
+                prop_assert_eq!(format!("{mu:?}"), format!("{{{}}}", text.join(", ")));
+                // The same bindings made in another order compare equal; one
+                // changed binding does not.
+                let mut rebuilt = Subst::new();
+                for &(n, t) in model_nulls.iter().rev() {
+                    rebuilt.bind_null(n, t);
+                }
+                for &(v, t) in model_vars.iter().rev() {
+                    rebuilt.bind_var(v, t);
+                }
+                prop_assert_eq!(&rebuilt, &mu);
+                if let Some(&(v, t)) = model_vars.first() {
+                    let other = if t == Term::constant("a") { Term::constant("b") } else { Term::constant("a") };
+                    rebuilt.bind_var(v, other);
+                    prop_assert!(rebuilt != mu);
+                }
+            }
         }
     }
 }

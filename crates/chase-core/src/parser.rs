@@ -32,9 +32,11 @@ use crate::instance::Instance;
 use crate::symbol::Sym;
 use crate::term::Term;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TokKind {
-    Ident(String),
+/// A token. Identifiers borrow from the lexed text, so lexing allocates
+/// only the token vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TokKind<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     Comma,
@@ -45,157 +47,68 @@ enum TokKind {
     Eof,
 }
 
-#[derive(Debug, Clone)]
-struct Tok {
-    kind: TokKind,
+#[derive(Debug, Clone, Copy)]
+struct Tok<'a> {
+    kind: TokKind<'a>,
     line: usize,
     col: usize,
 }
 
-fn lex(text: &str) -> Result<Vec<Tok>, CoreError> {
+/// Split `text` into tokens. Scans bytes: every token and separator is
+/// ASCII, and a non-ASCII char is legal only inside a comment, which ends
+/// at an ASCII `\n`. Columns count chars, comments included.
+fn lex(text: &str) -> Result<Vec<Tok<'_>>, CoreError> {
+    let bytes = text.as_bytes();
     let mut toks = Vec::new();
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut chars = text.chars().peekable();
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if c == Some('\n') {
-                line += 1;
-                col = 1;
-            } else if c.is_some() {
-                col += 1;
+    let (mut i, mut line, mut col) = (0usize, 1usize, 1usize);
+    let err = |line, col, msg: String| Err(CoreError::Parse { line, col, msg });
+    while let Some(&b) = bytes.get(i) {
+        let next = bytes.get(i + 1).copied();
+        let (kind, len) = match b {
+            b'\n' => {
+                (i, line, col) = (i + 1, line + 1, 1);
+                continue;
             }
-            c
-        }};
-    }
-    loop {
-        let (tl, tc) = (line, col);
-        let c = match chars.peek().copied() {
-            None => break,
-            Some(c) => c,
+            b' ' | b'\t' | b'\r' => {
+                (i, col) = (i + 1, col + 1);
+                continue;
+            }
+            b'#' | b'/' if b == b'#' || next == Some(b'/') => {
+                let end = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                col += text[i..end].chars().count();
+                i = end;
+                continue;
+            }
+            b'/' => return err(line, col, "unexpected '/' (expected '//' comment)".into()),
+            b'(' => (TokKind::LParen, 1),
+            b')' => (TokKind::RParen, 1),
+            b',' => (TokKind::Comma, 1),
+            b'.' => (TokKind::Dot, 1),
+            b'=' => (TokKind::Eq, 1),
+            b'-' if next == Some(b'>') => (TokKind::Arrow, 2),
+            b'-' => return err(line, col, "unexpected '-' (expected '->')".into()),
+            b'<' if next == Some(b'-') => (TokKind::LArrow, 2),
+            b'<' => return err(line, col, "unexpected '<' (expected '<-')".into()),
+            c if c.is_ascii_alphanumeric() || c == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+                    .count();
+                (TokKind::Ident(&text[i..i + len]), len)
+            }
+            _ => {
+                let other = text[i..]
+                    .chars()
+                    .next()
+                    .expect("lexing stops on char boundaries");
+                return err(line, col, format!("unexpected character {other:?}"));
+            }
         };
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
-            }
-            '#' => {
-                while chars.peek().is_some() && *chars.peek().unwrap() != '\n' {
-                    bump!();
-                }
-            }
-            '/' => {
-                bump!();
-                if chars.peek() == Some(&'/') {
-                    while chars.peek().is_some() && *chars.peek().unwrap() != '\n' {
-                        bump!();
-                    }
-                } else {
-                    return Err(CoreError::Parse {
-                        line: tl,
-                        col: tc,
-                        msg: "unexpected '/' (expected '//' comment)".into(),
-                    });
-                }
-            }
-            '(' => {
-                bump!();
-                toks.push(Tok {
-                    kind: TokKind::LParen,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ')' => {
-                bump!();
-                toks.push(Tok {
-                    kind: TokKind::RParen,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ',' => {
-                bump!();
-                toks.push(Tok {
-                    kind: TokKind::Comma,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '.' => {
-                bump!();
-                toks.push(Tok {
-                    kind: TokKind::Dot,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '=' => {
-                bump!();
-                toks.push(Tok {
-                    kind: TokKind::Eq,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '-' => {
-                bump!();
-                if chars.peek() == Some(&'>') {
-                    bump!();
-                    toks.push(Tok {
-                        kind: TokKind::Arrow,
-                        line: tl,
-                        col: tc,
-                    });
-                } else {
-                    return Err(CoreError::Parse {
-                        line: tl,
-                        col: tc,
-                        msg: "unexpected '-' (expected '->')".into(),
-                    });
-                }
-            }
-            '<' => {
-                bump!();
-                if chars.peek() == Some(&'-') {
-                    bump!();
-                    toks.push(Tok {
-                        kind: TokKind::LArrow,
-                        line: tl,
-                        col: tc,
-                    });
-                } else {
-                    return Err(CoreError::Parse {
-                        line: tl,
-                        col: tc,
-                        msg: "unexpected '<' (expected '<-')".into(),
-                    });
-                }
-            }
-            c if c.is_ascii_alphanumeric() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push(Tok {
-                    kind: TokKind::Ident(s),
-                    line: tl,
-                    col: tc,
-                });
-            }
-            other => {
-                return Err(CoreError::Parse {
-                    line: tl,
-                    col: tc,
-                    msg: format!("unexpected character {other:?}"),
-                });
-            }
-        }
+        toks.push(Tok { kind, line, col });
+        (i, col) = (i + len, col + len);
     }
     toks.push(Tok {
         kind: TokKind::Eof,
@@ -205,15 +118,15 @@ fn lex(text: &str) -> Result<Vec<Tok>, CoreError> {
     Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
     /// May `_n<k>` nulls appear (instances yes, constraints/queries no)?
     allow_nulls: bool,
 }
 
-impl Parser {
-    fn new(text: &str, allow_nulls: bool) -> Result<Parser, CoreError> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str, allow_nulls: bool) -> Result<Parser<'a>, CoreError> {
         Ok(Parser {
             toks: lex(text)?,
             pos: 0,
@@ -221,8 +134,8 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> &TokKind {
-        &self.toks[self.pos].kind
+    fn peek(&self) -> TokKind<'a> {
+        self.toks[self.pos].kind
     }
 
     fn here(&self) -> (usize, usize) {
@@ -238,16 +151,16 @@ impl Parser {
         })
     }
 
-    fn advance(&mut self) -> TokKind {
-        let k = self.toks[self.pos].kind.clone();
+    fn advance(&mut self) -> TokKind<'a> {
+        let k = self.peek();
         if k != TokKind::Eof {
             self.pos += 1;
         }
         k
     }
 
-    fn expect(&mut self, kind: TokKind, what: &str) -> Result<(), CoreError> {
-        if *self.peek() == kind {
+    fn expect(&mut self, kind: TokKind<'a>, what: &str) -> Result<(), CoreError> {
+        if self.peek() == kind {
             self.advance();
             Ok(())
         } else {
@@ -256,7 +169,7 @@ impl Parser {
     }
 
     fn at_eof(&self) -> bool {
-        *self.peek() == TokKind::Eof
+        self.peek() == TokKind::Eof
     }
 
     fn term_from_ident(&self, name: &str) -> Result<Term, CoreError> {
@@ -293,7 +206,7 @@ impl Parser {
             TokKind::Ident(name) => {
                 // The token has been consumed; error positions will point
                 // just past it, which is close enough for diagnostics.
-                self.term_from_ident(&name)
+                self.term_from_ident(name)
             }
             other => self.err(format!("expected a term, found {other:?}")),
         }
@@ -309,10 +222,10 @@ impl Parser {
         }
         self.expect(TokKind::LParen, "'('")?;
         let mut terms = Vec::new();
-        if *self.peek() != TokKind::RParen {
+        if self.peek() != TokKind::RParen {
             loop {
                 terms.push(self.parse_term()?);
-                if *self.peek() == TokKind::Comma {
+                if self.peek() == TokKind::Comma {
                     self.advance();
                 } else {
                     break;
@@ -320,12 +233,12 @@ impl Parser {
             }
         }
         self.expect(TokKind::RParen, "')'")?;
-        Ok(Atom::new(pred.as_str(), terms))
+        Ok(Atom::new(pred, terms))
     }
 
     fn parse_atom_list(&mut self) -> Result<Vec<Atom>, CoreError> {
         let mut atoms = vec![self.parse_atom()?];
-        while *self.peek() == TokKind::Comma {
+        while self.peek() == TokKind::Comma {
             self.advance();
             atoms.push(self.parse_atom()?);
         }
@@ -333,7 +246,7 @@ impl Parser {
     }
 
     fn parse_constraint(&mut self) -> Result<Constraint, CoreError> {
-        let body = if *self.peek() == TokKind::Arrow {
+        let body = if self.peek() == TokKind::Arrow {
             Vec::new()
         } else {
             self.parse_atom_list()?
@@ -351,14 +264,14 @@ impl Parser {
                         TokKind::Ident(name)
                             if name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) =>
                         {
-                            vars.push(Sym::new(&name));
+                            vars.push(Sym::new(name));
                         }
                         other => {
                             return self
                                 .err(format!("expected an existential variable, found {other:?}"))
                         }
                     }
-                    if *self.peek() == TokKind::Comma {
+                    if self.peek() == TokKind::Comma {
                         self.advance();
                     } else {
                         break;
@@ -373,7 +286,7 @@ impl Parser {
         // identifier.
         if declared_existentials.is_none()
             && matches!(self.peek(), TokKind::Ident(_))
-            && self.toks.get(self.pos + 1).map(|t| &t.kind) == Some(&TokKind::Eq)
+            && self.toks.get(self.pos + 1).map(|t| t.kind) == Some(TokKind::Eq)
         {
             let left = match self.advance() {
                 TokKind::Ident(name) => name,
@@ -384,12 +297,12 @@ impl Parser {
                 TokKind::Ident(name) => name,
                 other => return self.err(format!("expected a variable, found {other:?}")),
             };
-            for v in [&left, &right] {
+            for v in [left, right] {
                 if !v.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
                     return self.err(format!("EGD equates variables, got {v}"));
                 }
             }
-            let egd = Egd::new(body, Sym::new(&left), Sym::new(&right))?;
+            let egd = Egd::new(body, Sym::new(left), Sym::new(right))?;
             return Ok(Constraint::Egd(egd));
         }
 
@@ -467,7 +380,7 @@ pub fn parse_facts(text: &str) -> Result<Vec<Atom>, CoreError> {
             return Err(CoreError::NonGroundAtom(atom.to_string()));
         }
         facts.push(atom);
-        if *p.peek() == TokKind::Dot {
+        if p.peek() == TokKind::Dot {
             p.advance();
         }
     }
@@ -643,6 +556,69 @@ mod tests {
         match err {
             CoreError::Parse { line, .. } => assert_eq!(line, 1),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_locations_and_messages_are_pinned() {
+        // (entry point, input, line, col, message). Columns count chars, not
+        // bytes — comments with multi-byte chars included.
+        type Entry = fn(&str) -> Result<(), CoreError>;
+        let facts: Entry = |t| parse_facts(t).map(drop);
+        let query: Entry = |t| parse_query(t).map(drop);
+        let constraint: Entry = |t| parse_constraint(t).map(drop);
+        let table: [(Entry, &str, usize, usize, &str); 10] = [
+            (
+                facts,
+                "S(a). /",
+                1,
+                7,
+                "unexpected '/' (expected '//' comment)",
+            ),
+            (
+                constraint,
+                "S(X) - T(X)",
+                1,
+                6,
+                "unexpected '-' (expected '->')",
+            ),
+            (query, "q(X) < S(X)", 1, 6, "unexpected '<' (expected '<-')"),
+            (
+                facts,
+                "S(a). # café ✓ naïve\n  T(é).",
+                2,
+                5,
+                "unexpected character 'é'",
+            ),
+            (facts, "S(a). T(bé).", 1, 10, "unexpected character 'é'"),
+            (facts, "S(a, b", 1, 7, "expected ')', found Eof"),
+            (facts, "S(a, b # ¬✓é", 1, 13, "expected ')', found Eof"),
+            (
+                facts,
+                "S(_n99999999999).",
+                1,
+                16,
+                "null id out of range in _n99999999999",
+            ),
+            (
+                query,
+                "q(X) <- S(X, _n1)",
+                1,
+                17,
+                "labeled null _n1 is only legal inside instances",
+            ),
+            (facts, "S(a).\n\tE(a", 2, 5, "expected ')', found Eof"),
+        ];
+        for (entry, text, line, col, msg) in table {
+            assert_eq!(
+                entry(text).unwrap_err(),
+                CoreError::Parse {
+                    line,
+                    col,
+                    msg: msg.into()
+                },
+                "on {text:?}"
+            );
         }
     }
 

@@ -140,10 +140,15 @@ impl From<io::Error> for ProtoError {
 // ---------------------------------------------------------------------------
 
 /// Write one frame: `u32` LE payload length, then the payload bytes.
+///
+/// The frame goes to `w` in one write, so on an unbuffered `TCP_NODELAY`
+/// socket it leaves as one segment, not a 4-byte one and then the rest.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME as usize);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -846,6 +851,42 @@ mod tests {
         let (back_corr, back) = Response::read_from(&mut cursor).unwrap().unwrap();
         assert_eq!(back_corr, corr);
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Records every `write` call a frame takes.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let req = Request::Apply {
+            session: 3,
+            facts: "S(a). E(a,b).".into(),
+        };
+        let resp = Response::Answers {
+            tuples: vec![vec!["a".into(), "b".into()]],
+        };
+        fn writes(frame: impl FnOnce(&mut Writes) -> io::Result<()>) -> Vec<Vec<u8>> {
+            let mut w = Writes::default();
+            frame(&mut w).unwrap();
+            w.0
+        }
+        for (written, payload) in [
+            (writes(|w| req.write_to(w, 9)), req.encode(9)),
+            (writes(|w| resp.write_to(w, 9)), resp.encode(9)),
+        ] {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend(payload);
+            assert_eq!(written, vec![frame]);
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use chase_core::parser::parse_facts;
 use chase_core::{ConjunctiveQuery, ConstraintSet};
+use chase_obs::Counter;
 
 use crate::conductor::{Conductor, ConductorConfig, SessionHandle};
 use crate::proto::{ErrorCode, ProtoError, Request, Response};
@@ -85,6 +86,10 @@ pub struct Server {
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
+/// Counts connections answered with an error because the OS refused
+/// their thread.
+const M_CONNECTIONS_REFUSED: &str = "chase_connections_refused_total";
+
 /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
 /// framed protocol traffic with the given admission policy.
 pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Server> {
@@ -92,18 +97,13 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Serve
     let addr = listener.local_addr()?;
     let conductor = Arc::new(Conductor::new(cfg));
     let stop = Arc::new(AtomicBool::new(false));
+    let refused = conductor.metrics().counter(M_CONNECTIONS_REFUSED);
     let accept_conductor = Arc::clone(&conductor);
     let accept_stop = Arc::clone(&stop);
     let accept_thread = thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let conductor = Arc::clone(&accept_conductor);
-            let stop = Arc::clone(&accept_stop);
-            thread::spawn(move || connection(stream, conductor, stop));
-        }
+        accept_loop(listener, accept_conductor, accept_stop, refused, |f| {
+            thread::Builder::new().spawn(f).map(drop)
+        })
     });
     Ok(Server {
         conductor,
@@ -111,6 +111,39 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Serve
         stop,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// Accept connections until `stop` is raised, running each on a thread
+/// that `spawn` starts. When the OS refuses that thread, the connection
+/// gets one `Internal` error frame and is closed, `refused` counts it, and
+/// the loop goes on.
+fn accept_loop(
+    listener: TcpListener,
+    conductor: Arc<Conductor>,
+    stop: Arc<AtomicBool>,
+    refused: Counter,
+    spawn: impl Fn(Box<dyn FnOnce() + Send>) -> io::Result<()>,
+) {
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let stream = Arc::new(stream);
+        let (conn, conductor, stop) = (
+            Arc::clone(&stream),
+            Arc::clone(&conductor),
+            Arc::clone(&stop),
+        );
+        if let Err(e) = spawn(Box::new(move || connection(&conn, &conductor, &stop))) {
+            refused.inc();
+            let _ = Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("server could not start a connection thread: {e}"),
+            }
+            .write_to(&mut &*stream, 0);
+        }
+    }
 }
 
 impl Server {
@@ -150,14 +183,10 @@ impl Drop for Server {
 
 /// One connection: read frames, dispatch against the conductor, write
 /// replies. Exits on client close, malformed traffic, or server shutdown.
-fn connection(stream: TcpStream, conductor: Arc<Conductor>, stop: Arc<AtomicBool>) {
+fn connection(stream: &TcpStream, conductor: &Conductor, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = stream;
+    let (reader, mut writer) = (stream, stream);
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -173,12 +202,12 @@ fn connection(stream: TcpStream, conductor: Arc<Conductor>, stop: Arc<AtomicBool
         }
         // A frame has started: pauses are tolerated up to its deadline.
         let mut frame = FrameReader {
-            stream: &reader,
+            stream: reader,
             deadline: Instant::now() + FRAME_DEADLINE,
         };
         let message = match Request::read_from(&mut frame) {
             Ok(Some((corr, req))) => {
-                let reply = respond(&conductor, req);
+                let reply = respond(conductor, req);
                 if reply.write_to(&mut writer, corr).is_err() {
                     return;
                 }
@@ -526,8 +555,57 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_refused_connection_thread_is_answered_and_the_next_connection_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conductor = Arc::new(Conductor::new(ConductorConfig::default()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let refused = conductor.metrics().counter(M_CONNECTIONS_REFUSED);
+        let accept = {
+            let (conductor, stop) = (Arc::clone(&conductor), Arc::clone(&stop));
+            thread::spawn(move || {
+                // The first spawn fails as if the OS were out of threads.
+                let first = AtomicBool::new(true);
+                accept_loop(listener, conductor, stop, refused, |f| {
+                    if first.swap(false, Ordering::SeqCst) {
+                        Err(io::Error::other("injected spawn failure"))
+                    } else {
+                        thread::Builder::new().spawn(f).map(drop)
+                    }
+                })
+            })
+        };
+        let mut turned_away = TcpStream::connect(addr).unwrap();
+        let (corr, reply) = Response::read_from(&mut turned_away).unwrap().unwrap();
+        assert_eq!(corr, 0);
+        match reply {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("injected spawn failure"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert_eq!(Response::read_from(&mut turned_away).unwrap(), None);
+        let mut c = Client::connect(addr).unwrap();
+        let s = c.open("S(X) -> T(X)").unwrap();
+        assert_eq!(c.apply(s, "S(a).").unwrap().total_facts, 2);
+        assert!(conductor
+            .metrics_text()
+            .contains("chase_connections_refused_total 1"));
+        drop(c);
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept.join().unwrap();
+        conductor.shutdown();
+    }
+
+    #[test]
     fn loopback_session_lifecycle() {
         let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
+        assert!(server
+            .conductor()
+            .metrics_text()
+            .contains("chase_connections_refused_total 0"));
         let mut c = Client::connect(server.addr()).unwrap();
         let s = c.open("rail(X,Y,D) -> rail(Y,X,D)").unwrap();
         let out = c.apply(s, "rail(berlin,paris,d9).").unwrap();

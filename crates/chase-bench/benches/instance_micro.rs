@@ -1,7 +1,5 @@
 //! Instance-store microbench: insert/dedup/merge throughput of the interned
-//! columnar fact store against a faithful replica of the pre-interning
-//! store (`Vec<Atom>` + `FxHashSet<Atom>` dedup + `(Sym, pos, Term)`-keyed
-//! positional index, merges as drain-and-reinsert of owned atoms).
+//! columnar fact store.
 //!
 //! Workloads:
 //!
@@ -10,80 +8,15 @@
 //! * `insert_null` — null-heavy: the same shape with a fresh labeled null
 //!   per fact (the chase's steady-state insert mix), replayed twice;
 //! * `merge` — EGD-merge pressure: a null-linked chain collapsed by a
-//!   sequence of `merge_terms` calls, each a full remap/rebuild.
+//!   sequence of `merge_terms` calls.
 //!
-//! The old-store replica reproduces the seed implementation's per-insert
-//! work exactly: a `contains` probe hashing the whole atom, an owned-atom
-//! clone into the dedup set, and one `(Sym, u32, Term)` bucket insertion
-//! per position — so the printed speedup is the storage layer's win, not a
-//! workload artifact. Both stores are asserted to agree on the final fact
-//! count before anything is timed.
+//! The store's contents are checked against a brute-force scan in
+//! `tests/instance_store.rs`; this bench only times it.
 
 use chase_bench::{print_table, scaled, Row};
-use chase_core::fx::{FxHashMap, FxHashSet};
-use chase_core::{Atom, Instance, Sym, Term};
+use chase_core::{Atom, Instance, Term};
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
-
-/// Replica of the pre-interning fact store's hot paths (see module docs).
-#[derive(Clone, Default)]
-struct OldStore {
-    atoms: Vec<Atom>,
-    set: FxHashSet<Atom>,
-    by_pred: FxHashMap<Sym, Vec<u32>>,
-    by_pos: FxHashMap<(Sym, u32, Term), Vec<u32>>,
-    distinct: FxHashMap<(Sym, u32), u32>,
-    next_null: u32,
-}
-
-impl OldStore {
-    fn insert(&mut self, atom: Atom) -> bool {
-        if self.set.contains(&atom) {
-            return false;
-        }
-        let idx = self.atoms.len() as u32;
-        for (i, &t) in atom.terms().iter().enumerate() {
-            if let Term::Null(n) = t {
-                self.next_null = self.next_null.max(n + 1);
-            }
-            let bucket = self.by_pos.entry((atom.pred(), i as u32, t)).or_default();
-            if bucket.is_empty() {
-                *self.distinct.entry((atom.pred(), i as u32)).or_insert(0) += 1;
-            }
-            bucket.push(idx);
-        }
-        self.by_pred.entry(atom.pred()).or_default().push(idx);
-        self.set.insert(atom.clone());
-        self.atoms.push(atom);
-        true
-    }
-
-    fn merge_terms(&mut self, from: Term, to: Term) -> usize {
-        if from == to {
-            return 0;
-        }
-        let old = std::mem::take(&mut self.atoms);
-        let next_null = self.next_null;
-        self.set.clear();
-        self.by_pred.clear();
-        self.by_pos.clear();
-        self.distinct.clear();
-        let mut rewritten = 0;
-        for a in old {
-            let b = a.replace(from, to);
-            if b != a {
-                rewritten += 1;
-            }
-            let _ = self.insert(b);
-        }
-        self.next_null = self.next_null.max(next_null);
-        rewritten
-    }
-
-    fn len(&self) -> usize {
-        self.atoms.len()
-    }
-}
 
 /// A constant-heavy fact stream: `E(a_{i mod k}, b_i)` plus a skewed
 /// `T(a, b, c)` triple relation, replayed `rounds` times (every round after
@@ -156,23 +89,7 @@ fn build_interned(stream: &[Atom]) -> usize {
     i.len()
 }
 
-fn build_old(stream: &[Atom]) -> usize {
-    let mut i = OldStore::default();
-    for a in stream {
-        i.insert(a.clone());
-    }
-    i.len()
-}
-
 fn run_merges_interned(base: &Instance, merges: &[(Term, Term)]) -> usize {
-    let mut i = base.clone();
-    for &(from, to) in merges {
-        i.merge_terms(from, to);
-    }
-    i.len()
-}
-
-fn run_merges_old(base: &OldStore, merges: &[(Term, Term)]) -> usize {
     let mut i = base.clone();
     for &(from, to) in merges {
         i.merge_terms(from, to);
@@ -184,7 +101,6 @@ struct Prepared {
     const_stream: Vec<Atom>,
     null_stream: Vec<Atom>,
     merge_base_interned: Instance,
-    merge_base_old: OldStore,
     merges: Vec<(Term, Term)>,
 }
 
@@ -194,24 +110,13 @@ fn prepare() -> Prepared {
     let null_stream = null_stream(n, 2);
     let (merge_atoms, merges) = merge_workload(scaled(1024, 128));
     let mut merge_base_interned = Instance::new();
-    let mut merge_base_old = OldStore::default();
     for a in &merge_atoms {
         merge_base_interned.insert(a.clone());
-        merge_base_old.insert(a.clone());
     }
-    // The two stores must agree fact for fact before any timing means
-    // anything.
-    assert_eq!(build_interned(&const_stream), build_old(&const_stream));
-    assert_eq!(build_interned(&null_stream), build_old(&null_stream));
-    assert_eq!(
-        run_merges_interned(&merge_base_interned, &merges),
-        run_merges_old(&merge_base_old, &merges)
-    );
     Prepared {
         const_stream,
         null_stream,
         merge_base_interned,
-        merge_base_old,
         merges,
     }
 }
@@ -219,42 +124,25 @@ fn prepare() -> Prepared {
 fn print_shape(p: &Prepared) {
     let time = |f: &dyn Fn() -> usize| {
         let t0 = std::time::Instant::now();
-        black_box(f());
-        t0.elapsed()
+        let facts = black_box(f());
+        (t0.elapsed(), facts)
     };
-    let mut rows = Vec::new();
-    for (name, interned, old) in [
-        (
-            "insert_const",
-            time(&|| build_interned(&p.const_stream)),
-            time(&|| build_old(&p.const_stream)),
-        ),
-        (
-            "insert_null",
-            time(&|| build_interned(&p.null_stream)),
-            time(&|| build_old(&p.null_stream)),
-        ),
+    let rows: Vec<Row> = [
+        ("insert_const", time(&|| build_interned(&p.const_stream))),
+        ("insert_null", time(&|| build_interned(&p.null_stream))),
         (
             "merge",
             time(&|| run_merges_interned(&p.merge_base_interned, &p.merges)),
-            time(&|| run_merges_old(&p.merge_base_old, &p.merges)),
         ),
-    ] {
-        rows.push(Row::new(
-            name,
-            vec![
-                format!("{interned:.2?}"),
-                format!("{old:.2?}"),
-                format!(
-                    "{:.1}x",
-                    old.as_secs_f64() / interned.as_secs_f64().max(1e-9)
-                ),
-            ],
-        ));
-    }
+    ]
+    .into_iter()
+    .map(|(name, (elapsed, facts))| {
+        Row::new(name, vec![format!("{elapsed:.2?}"), facts.to_string()])
+    })
+    .collect();
     print_table(
-        "Instance store — interned columnar vs owned-atom replica",
-        &["workload", "interned", "oldstore", "speedup"],
+        "Instance store — interned columnar",
+        &["workload", "interned", "facts"],
         &rows,
     );
 }
@@ -265,20 +153,11 @@ fn bench(c: &mut Criterion, p: &Prepared) {
     g.bench_with_input(BenchmarkId::new("insert_const", "interned"), p, |b, p| {
         b.iter(|| build_interned(black_box(&p.const_stream)))
     });
-    g.bench_with_input(BenchmarkId::new("insert_const", "oldstore"), p, |b, p| {
-        b.iter(|| build_old(black_box(&p.const_stream)))
-    });
     g.bench_with_input(BenchmarkId::new("insert_null", "interned"), p, |b, p| {
         b.iter(|| build_interned(black_box(&p.null_stream)))
     });
-    g.bench_with_input(BenchmarkId::new("insert_null", "oldstore"), p, |b, p| {
-        b.iter(|| build_old(black_box(&p.null_stream)))
-    });
     g.bench_with_input(BenchmarkId::new("merge", "interned"), p, |b, p| {
         b.iter(|| run_merges_interned(black_box(&p.merge_base_interned), &p.merges))
-    });
-    g.bench_with_input(BenchmarkId::new("merge", "oldstore"), p, |b, p| {
-        b.iter(|| run_merges_old(black_box(&p.merge_base_old), &p.merges))
     });
     g.finish();
 }

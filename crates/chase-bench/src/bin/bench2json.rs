@@ -103,41 +103,6 @@ fn parse_results(input: &str, use_min: bool) -> Vec<Measurement> {
     results
 }
 
-/// Extract `name value` metric lines between a bench's
-/// `metrics_exposition_begin`/`metrics_exposition_end` markers (the
-/// chase-obs exposition dump), in print order. Lines outside a marked
-/// block — including measurement lines — are never metrics.
-fn parse_exposition(input: &str) -> Vec<(String, i128)> {
-    let mut out = Vec::new();
-    let mut inside = false;
-    for line in input.lines() {
-        match line.trim() {
-            "metrics_exposition_begin" => inside = true,
-            "metrics_exposition_end" => inside = false,
-            l if inside => {
-                if let Some((name, value)) = l.rsplit_once(' ') {
-                    if let Ok(v) = value.parse::<i128>() {
-                        out.push((name.to_string(), v));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    // Concatenated bench runs repeat the dump; keep each key's *last*
-    // value (the most recent scrape) so the embedded object stays one
-    // value per key.
-    let mut seen = std::collections::HashSet::new();
-    let mut dedup: Vec<(String, i128)> = Vec::new();
-    for (name, value) in out.into_iter().rev() {
-        if seen.insert(name.clone()) {
-            dedup.push((name, value));
-        }
-    }
-    dedup.reverse();
-    dedup
-}
-
 /// A parsed `BENCH_<sha>.json` baseline: the `quick` flag and each result's
 /// `(label, median_ns)`.
 struct Baseline {
@@ -418,17 +383,7 @@ fn main() {
             comma
         );
     }
-    println!("  ],");
-    // The chase-obs exposition dump, embedded verbatim as one flat object
-    // so the trajectory carries the server's per-stage timings alongside
-    // the medians. Keys keep their `{label}` blocks; values are integers.
-    let metrics = parse_exposition(&input);
-    println!("  \"metrics\": {{");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        println!("    \"{}\": {value}{comma}", json_escape(name));
-    }
-    println!("  }}");
+    println!("  ]");
     println!("}}");
 }
 
@@ -475,41 +430,8 @@ g/bench time: [11.00 µs 14.00 µs 30.00 µs]\n";
     }
 
     #[test]
-    fn repeated_exposition_dumps_keep_the_last_value() {
-        let input = "\
-metrics_exposition_begin\nchase_x 1\nchase_y 5\nmetrics_exposition_end\n\
-metrics_exposition_begin\nchase_x 2\nmetrics_exposition_end\n";
-        assert_eq!(
-            parse_exposition(input),
-            vec![("chase_y".to_string(), 5), ("chase_x".to_string(), 2)]
-        );
-    }
-
-    #[test]
     fn escapes_json_strings() {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-    }
-
-    #[test]
-    fn extracts_marked_exposition_blocks_only() {
-        let input = "\
-## some bench\n\
-chase_apply_ns_p50_ns 11\n\
-metrics_exposition_begin\n\
-chase_sessions_open 2\n\
-chase_phase_ns_p99_ns{phase=\"insert\"} 4351\n\
-not a metric line\n\
-metrics_exposition_end\n\
-chase_sessions_open 99\n";
-        let m = parse_exposition(input);
-        assert_eq!(
-            m,
-            vec![
-                ("chase_sessions_open".to_string(), 2),
-                ("chase_phase_ns_p99_ns{phase=\"insert\"}".to_string(), 4351),
-            ]
-        );
-        assert!(parse_exposition("no markers here\nchase_x 1\n").is_empty());
     }
 
     const BASELINE: &str = r#"{

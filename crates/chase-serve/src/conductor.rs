@@ -331,17 +331,7 @@ impl SessionHandle {
             return Err(ServeError::Poisoned(r));
         }
         if published.quiescent {
-            let target = if opts.sqo {
-                self.cell.rewrites.rewrite(q)
-            } else {
-                None
-            };
-            let target = target.as_ref().unwrap_or(q);
-            return Ok(if opts.all {
-                target.evaluate(&published.instance)
-            } else {
-                target.evaluate_certain(&published.instance)
-            });
+            return Ok(self.cell.rewrites.answer(q, opts, &published.instance));
         }
         self.locked(|core, cell| {
             let out = core.session.query((q, opts));
@@ -1917,6 +1907,33 @@ mod tests {
         sweep_now();
         assert_eq!(conductor.session_count(), 0);
         assert_eq!(conductor.route(id).unwrap_err(), ServeError::Evicted(id));
+    }
+
+    #[test]
+    fn a_quiescent_read_never_takes_the_session_lock() {
+        let conductor = Conductor::new(ConductorConfig::default());
+        let id = conductor.open(sigma("e(X,Y) -> e(Y,X)")).unwrap();
+        let h = conductor.route(id).unwrap();
+        h.apply(atoms("e(a,b).")).unwrap();
+        // Holding the core stands in for an apply in flight: a read that
+        // queued behind it would never answer while the guard lives.
+        let busy = h.cell.core.lock().unwrap();
+        let reader = h.clone();
+        let (tx, rx) = mpsc::channel();
+        let pending = thread::spawn(move || {
+            let q = ConjunctiveQuery::parse("q(X,Y) <- e(X,Y)").unwrap();
+            let _ = tx.send(reader.query(&q, QueryOpts::default()));
+        });
+        let mut answers = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a quiescent read waited for the session lock")
+            .unwrap();
+        answers.sort();
+        let (a, b) = (Term::constant("a"), Term::constant("b"));
+        assert_eq!(answers, vec![vec![a, b], vec![b, a]]);
+        drop(busy);
+        pending.join().unwrap();
+        conductor.close(id).unwrap();
     }
 
     #[test]

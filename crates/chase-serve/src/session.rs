@@ -1071,17 +1071,10 @@ impl ChaseSession {
         self.quiesce()?;
         // A non-quiescent instance (after a budget stop) need not satisfy
         // Σ, and Σ-equivalent rewritings only agree on instances that do.
-        let target = if opts.sqo && self.state.quiescent() {
-            self.rewrites.rewrite(q)
-        } else {
-            None
-        };
-        let target = target.as_ref().unwrap_or(q);
-        Ok(if opts.all {
-            target.evaluate(self.state.instance())
-        } else {
-            target.evaluate_certain(self.state.instance())
-        })
+        let sqo = opts.sqo && self.state.quiescent();
+        Ok(self
+            .rewrites
+            .answer(q, QueryOpts { sqo, ..opts }, self.state.instance()))
     }
 
     /// Chase pending work before answering (no-op when quiescent).
@@ -1412,6 +1405,25 @@ impl RewriteCache {
             owned.push_back(key);
         }
         choice
+    }
+
+    /// Answer `q` on `instance` as `opts` asks: through its cached
+    /// rewriting when `opts.sqo`, else as written. The one query-answering
+    /// path of a session and of a handle's snapshot read; callers pass
+    /// `sqo` only for an instance that satisfies Σ.
+    pub(crate) fn answer(
+        &self,
+        q: &ConjunctiveQuery,
+        opts: QueryOpts,
+        instance: &Instance,
+    ) -> Vec<Vec<Term>> {
+        let target = if opts.sqo { self.rewrite(q) } else { None };
+        let target = target.as_ref().unwrap_or(q);
+        if opts.all {
+            target.evaluate(instance)
+        } else {
+            target.evaluate_certain(instance)
+        }
     }
 
     fn owned(&self) -> MutexGuard<'_, VecDeque<Arc<str>>> {

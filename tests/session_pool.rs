@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 // Harness
 // ---------------------------------------------------------------------------
 
-/// Sessions in the soak: 256 in CI, ≥2048 when `CHASE_POOL_FULL=1`.
+/// Sessions in the soak: 256 by default, ≥2048 when `CHASE_POOL_FULL=1`.
 fn soak_sessions() -> usize {
     if std::env::var("CHASE_POOL_FULL").is_ok() {
         2048

@@ -24,8 +24,8 @@
 //! `chase_termination::phase_schedule` computes runs either engine phase by
 //! phase.
 //!
-//! The delta engine's run state (trigger pool, dead-trigger memo, plan
-//! cache, monitor, counters) is reified as a resumable [`EngineState`]:
+//! The delta engine's run state (trigger pool, oblivious fired-trigger
+//! memo, plan cache, monitor, counters) is reified as a resumable [`EngineState`]:
 //! one-shot entry points build and tear one down per call, while
 //! [`EngineState::insert_batch`] + [`chase_resume`] keep it warm across
 //! base-fact update batches — the primitive behind the `chase-serve`

@@ -32,27 +32,32 @@
 //!   can become satisfied). The pool indexes each TGD's triggers per head
 //!   atom by their frontier values, so a new atom looks up the few
 //!   triggers it can satisfy instead of scanning the pool;
-//! * triggers found satisfied are memoized in a dead-set so the standard
-//!   chase's "not already satisfied" check never runs twice for the same
-//!   `(constraint, assignment)` pair.
+//! * a satisfied trigger is dropped, not remembered. Without a merge, a
+//!   body match is discovered only through a new atom of its image, and no
+//!   atom is new twice, so each trigger is probed at most once. A merge can
+//!   make a match's image new again; the rediscovered trigger then pays one
+//!   activity probe, which answers "satisfied" for good, because
+//!   satisfaction is monotone under inserts and survives the renaming.
 //!
 //! EGD merges are delta-driven too. The store returns a
 //! [`chase_core::MergeEffect`] naming the rows the merge rewrote, and the
 //! engine repairs its structures from that delta: pooled substitutions and
-//! dead/fired memo keys are remapped through `from ↦ to` (normalized keys
-//! sort by variable *name*, so the substitution renormalizes them in
-//! place), remapped pool triggers are re-validated in full, and the
-//! rewritten rows seed the same semi-naive re-matching and head
-//! revalidation a TGD delta uses — no pool rebuild, no memo wipe.
+//! (oblivious mode) fired memo keys are remapped through `from ↦ to`
+//! (normalized keys sort by variable *name*, so the substitution
+//! renormalizes them in place), remapped pool triggers are re-validated in
+//! full, and the rewritten rows seed the same semi-naive re-matching and
+//! head revalidation a TGD delta uses — no pool rebuild, no memo wipe.
 //!
-//! The dead and fired memos are `KeyMemo`s: the key set plus, for each
-//! labeled null, the member keys that bind it. A merge only ever renames a
-//! null, so the memo remap visits just the keys listed under `from`,
-//! skipping entries already renamed away through another null they bind,
-//! and never scans the whole memo. A key that binds no null (every key of
-//! a null-free workload) is never listed: inserting it costs one hash and
-//! no clone, as in a plain set; under a Σ without EGDs no key is listed at
-//! all. The pool is still scanned for keys that mention `from`.
+//! The oblivious chase's fired memo is a `KeyMemo`: the key set plus, for
+//! each labeled null, the member keys that bind it. A forgotten fired
+//! trigger would fire again — a wrong step, not an extra probe — so this
+//! memo cannot go the way of the satisfied triggers. A merge only ever
+//! renames a null, so the memo remap visits just the keys listed under
+//! `from`, skipping entries already renamed away through another null they
+//! bind, and never scans the whole memo. A key that binds no null is never
+//! listed: inserting it costs one hash and no clone, as in a plain set;
+//! under a Σ without EGDs no key is listed at all. The pool is still
+//! scanned for keys that mention `from`.
 //!
 //! All matching work — pool rebuilds, semi-naive delta re-matching, head
 //! revalidation, and the naive reference's full re-enumeration — goes
@@ -513,7 +518,7 @@ impl TriggerPool {
 
 /// The resumable core of a chase run: the instance together with every
 /// incrementally maintained matching structure — the trigger pool, the
-/// dead/fired memos, the compiled [`Matcher`] plan cache, the monitor
+/// oblivious fired memo, the compiled [`Matcher`] plan cache, the monitor
 /// graph, and the cumulative step/null counters.
 ///
 /// A one-shot [`chase`] builds an `EngineState`, drives it to a stop, and
@@ -523,11 +528,12 @@ impl TriggerPool {
 /// semi-naively from the batch delta, so [`chase_resume`] continues the
 /// chase warm instead of rebuilding pool, memos, and plans from scratch.
 ///
-/// Warm continuation is sound because everything memoized is monotone
+/// Warm continuation is sound because the pool's verdicts are monotone
 /// under the chase's own operations: added atoms (chase steps *or*
 /// base-fact batches) never un-satisfy a TGD trigger and never change an
-/// EGD trigger's bindings, and EGD merges rename terms permanently, so the
-/// dead-set stays valid once its keys are remapped through the merge.
+/// EGD trigger's bindings, and EGD merges rename terms permanently, so a
+/// trigger dropped as satisfied stays satisfied, and a fired one stays
+/// fired once its key is remapped through the merge.
 /// Trigger selection stays canonical, so a resumed chase is some legal
 /// chase sequence of the accumulated base facts.
 ///
@@ -545,13 +551,6 @@ pub struct EngineState {
     /// Oblivious mode: triggers that already fired, keyed per constraint so
     /// membership probes borrow the key instead of cloning it.
     fired: Vec<KeyMemo>,
-    /// Standard mode, delta engine: triggers known to be satisfied, keyed
-    /// per constraint. This is monotone — added atoms never un-satisfy a
-    /// TGD trigger and never change an EGD trigger's bindings — so
-    /// membership means the "not already satisfied" check can be skipped
-    /// for good. EGD merges remap the keys through `from ↦ to` (a
-    /// satisfied trigger stays satisfied under the renaming).
-    dead: Vec<KeyMemo>,
     /// The incrementally maintained active-trigger queue (delta engine only).
     pool: TriggerPool,
     /// Per-constraint body predicates, for delta → constraint dispatch.
@@ -618,7 +617,6 @@ impl EngineState {
             fresh_nulls: 0,
             monitor,
             fired: vec![KeyMemo::new(renames); set.len()],
-            dead: vec![KeyMemo::new(renames); set.len()],
             pool: TriggerPool::new(set, cfg.mode),
             body_preds,
             key_orders,
@@ -772,10 +770,6 @@ struct Run<'a> {
     nulls0: usize,
 }
 
-/// A trigger discovered by delta re-matching:
-/// `(constraint, key, assignment, fireable-now)`.
-type FoundTrigger = (usize, TriggerKey, Subst, bool);
-
 /// Does this normalized key bind some variable to `t`?
 fn key_mentions(key: &TriggerKey, t: Term) -> bool {
     key.iter().any(|&(_, bound)| bound == t)
@@ -799,9 +793,9 @@ fn remap_subst(mu: &Subst, from: Term, to: Term) -> Subst {
     nu
 }
 
-/// A per-constraint memo of trigger keys — the dead set (standard mode)
-/// or the fired set (oblivious mode) — that an EGD merge can rename in
-/// O(keys binding the merged-away null) instead of a scan of every key.
+/// A per-constraint memo of the oblivious chase's fired trigger keys that
+/// an EGD merge can rename in O(keys binding the merged-away null) instead
+/// of a scan of every key.
 ///
 /// `by_null` lists, under each null, the member keys that bind it. It is
 /// append-only between remaps and may hold stale entries: a key binding
@@ -853,8 +847,8 @@ impl KeyMemo {
 
     /// Rename every member key binding `from` through `from ↦ to`. Renamed
     /// keys can collide with existing members; set union is exactly what
-    /// the dead and fired memo semantics want (both facts — "satisfied" /
-    /// "already fired" — hold for the collided key either way).
+    /// the fired memo's semantics want ("already fired" holds for the
+    /// collided key either way).
     ///
     /// Only a null is ever merged away (the paper's EGD rule replaces a
     /// null), so a constant `from` binds no listed key and renames nothing.
@@ -872,13 +866,6 @@ impl KeyMemo {
             if self.keys.remove(&key) {
                 self.insert(remap_key(&key, from, to));
             }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        if let Some(by_null) = &mut self.by_null {
-            by_null.clear();
         }
     }
 }
@@ -973,16 +960,12 @@ impl<'a> Run<'a> {
         let EngineState {
             inst,
             fired,
-            dead,
             pool,
             matcher,
             key_orders,
             ..
         } = &mut **st;
         pool.clear();
-        for d in dead.iter_mut() {
-            d.clear();
-        }
         let matcher = &*matcher;
         for (ci, c) in set.enumerate() {
             matcher.for_each_body_hom(ci, c, inst, &mut |mu| {
@@ -1000,10 +983,20 @@ impl<'a> Run<'a> {
     }
 
     /// Semi-naive re-matching of the `affected` constraints against `delta`
-    /// (a subset of the instance), deduplicated per constraint and filtered
-    /// against triggers already pooled, dead, or fired.
-    fn collect_delta_matches(&self, affected: &[usize], delta: &[Atom]) -> Vec<FoundTrigger> {
+    /// (a subset of the instance): the fireable triggers not yet pooled, as
+    /// `(constraint, key, assignment)`, deduplicated per constraint.
+    ///
+    /// A satisfied trigger found again costs one activity probe here: no
+    /// memo remembers it. Without an EGD that never happens — a match is
+    /// found only through a new atom of its image, and no atom is new
+    /// twice — so under such a Σ a found trigger is never already pooled.
+    fn collect_delta_matches(
+        &self,
+        affected: &[usize],
+        delta: &[Atom],
+    ) -> Vec<(usize, TriggerKey, Subst)> {
         let mut out = Vec::new();
+        let egd_free = cfg!(debug_assertions) && !self.set.iter().any(Constraint::is_egd);
         for &ci in affected {
             let c = &self.set[ci];
             // The map both dedups matches reported once per delta atom they
@@ -1011,7 +1004,6 @@ impl<'a> Run<'a> {
             // trigger.
             let mut found: FxHashMap<TriggerKey, Subst> = FxHashMap::default();
             let pool = &self.st.pool;
-            let dead = &self.st.dead;
             let fired = &self.st.fired;
             let mode = self.cfg.mode;
             let order = &self.st.key_orders[ci];
@@ -1019,24 +1011,28 @@ impl<'a> Run<'a> {
                 .matcher
                 .for_each_delta_match(ci, c, &self.st.inst, delta, &mut |mu| {
                     let key = normalize_in(order, mu);
-                    let known = pool.contains(ci, &key)
-                        || match mode {
-                            ChaseMode::Standard => dead[ci].contains(&key),
-                            ChaseMode::Oblivious => fired[ci].contains(&key),
-                        }
+                    let pooled = pool.contains(ci, &key);
+                    debug_assert!(
+                        !(egd_free && pooled),
+                        "an EGD-free delta rediscovered pooled trigger {ci} {key:?}"
+                    );
+                    let known = pooled
+                        || (mode == ChaseMode::Oblivious && fired[ci].contains(&key))
                         || found.contains_key(&key);
                     if !known {
                         found.insert(key, mu.clone());
                     }
                     false
                 });
-            for (key, mu) in found {
-                let fires = match mode {
-                    ChaseMode::Standard => self.st.matcher.is_active(ci, c, &self.st.inst, &mu),
-                    ChaseMode::Oblivious => true,
-                };
-                out.push((ci, key, mu, fires));
-            }
+            let (inst, matcher) = (&self.st.inst, &self.st.matcher);
+            out.extend(
+                found
+                    .into_iter()
+                    .filter(|(_, mu)| {
+                        mode == ChaseMode::Oblivious || matcher.is_active(ci, c, inst, mu)
+                    })
+                    .map(|(key, mu)| (ci, key, mu)),
+            );
         }
         out
     }
@@ -1076,7 +1072,7 @@ impl<'a> Run<'a> {
                     head_rests(head)
                 };
                 let (inst, matcher) = (&self.st.inst, &self.st.matcher);
-                let now_dead: Vec<TriggerKey> = candidates
+                let satisfied: Vec<TriggerKey> = candidates
                     .into_iter()
                     .filter(|&key| {
                         let mu = &pool.pools[ci][key];
@@ -1084,9 +1080,8 @@ impl<'a> Run<'a> {
                     })
                     .cloned()
                     .collect();
-                for key in now_dead {
+                for key in satisfied {
                     self.st.pool.remove(ci, &key);
-                    self.st.dead[ci].insert(key);
                 }
             }
         }
@@ -1099,35 +1094,24 @@ impl<'a> Run<'a> {
         if affected.is_empty() {
             return;
         }
-        for (ci, key, mu, fires) in self.collect_delta_matches(&affected, added) {
-            match self.cfg.mode {
-                ChaseMode::Standard => {
-                    if fires {
-                        self.st.pool.insert(ci, key, mu);
-                    } else {
-                        self.st.dead[ci].insert(key);
-                    }
-                }
-                ChaseMode::Oblivious => {
-                    self.st.pool.insert(ci, key, mu);
-                }
-            }
+        for (ci, key, mu) in self.collect_delta_matches(&affected, added) {
+            self.st.pool.insert(ci, key, mu);
         }
     }
 
-    /// Repair the pool and memos after an EGD merge — the delta-shaped
-    /// replacement for the old conservative full rebuild:
+    /// Repair the pool after an EGD merge — the delta-shaped replacement
+    /// for the old conservative full rebuild:
     ///
-    /// 1. **Remap.** The dead memo's keys and every pooled trigger whose
-    ///    key mentions `from` are rewritten through `from ↦ to`
-    ///    (normalized keys sort by variable *name*, so substituting the
-    ///    bound terms renormalizes them in place; equal bound variables
-    ///    imply equal substitutions, so key collisions are idempotent). A
-    ///    remapped pooled trigger is re-admitted only if it is still
-    ///    active under its new bindings — a *full* activity check, because
-    ///    the remapped head instantiation can coincide with an unchanged
-    ///    fact, and an EGD's sides can have become equal — and not already
-    ///    dead (or fired, oblivious mode) under its new name.
+    /// 1. **Remap.** Every pooled trigger whose key mentions `from` is
+    ///    rewritten through `from ↦ to` (normalized keys sort by variable
+    ///    *name*, so substituting the bound terms renormalizes them in
+    ///    place; equal bound variables imply equal substitutions, so key
+    ///    collisions are idempotent). A remapped pooled trigger is
+    ///    re-admitted only if it is still active under its new bindings —
+    ///    a *full* activity check, because the remapped head instantiation
+    ///    can coincide with an unchanged fact, and an EGD's sides can have
+    ///    become equal — and not already pooled (or fired, oblivious mode)
+    ///    under its new name.
     /// 2. **Re-match.** The surviving rewritten rows, returned, are the
     ///    merge's delta: the caller gives them the exact maintenance a TGD
     ///    step's added atoms get ([`Run::apply_delta`] — head revalidation
@@ -1141,7 +1125,6 @@ impl<'a> Run<'a> {
     /// rewritten rows — so delta seeding discovers it.
     fn apply_merge_delta(&mut self, m: &MergeEffect) -> Vec<Atom> {
         for ci in 0..self.set.len() {
-            self.st.dead[ci].remap(m.from, m.to);
             let stale: Vec<TriggerKey> = self.st.pool.pools[ci]
                 .keys()
                 .filter(|k| key_mentions(k, m.from))
@@ -1155,25 +1138,8 @@ impl<'a> Run<'a> {
                     .expect("stale key just listed");
                 let key = remap_key(&key, m.from, m.to);
                 let mu = remap_subst(&mu, m.from, m.to);
-                let known = self.st.pool.contains(ci, &key)
-                    || match self.cfg.mode {
-                        ChaseMode::Standard => self.st.dead[ci].contains(&key),
-                        ChaseMode::Oblivious => self.st.fired[ci].contains(&key),
-                    };
-                if known {
-                    continue;
-                }
-                let c = &self.set[ci];
-                let fires = match self.cfg.mode {
-                    ChaseMode::Standard => self.st.matcher.is_active(ci, c, &self.st.inst, &mu),
-                    ChaseMode::Oblivious => true,
-                };
-                if fires {
+                if !self.st.pool.contains(ci, &key) && self.fires(ci, &self.set[ci], &mu, &key) {
                     self.st.pool.insert(ci, key, mu);
-                } else if self.cfg.mode == ChaseMode::Standard {
-                    // Inactive under the renaming is inactive for good:
-                    // satisfaction is monotone and the renaming permanent.
-                    self.st.dead[ci].insert(key);
                 }
             }
         }
@@ -1270,11 +1236,6 @@ impl<'a> Run<'a> {
                 // soon as the data doubles.
                 self.st.matcher.refresh(self.set, &self.st.inst);
                 if !self.naive {
-                    if self.cfg.mode == ChaseMode::Standard {
-                        // The fired trigger is satisfied by its own head
-                        // instantiation from now on.
-                        self.st.dead[ci].insert(key.clone());
-                    }
                     self.apply_delta(&added);
                 }
                 (added, fresh_nulls, None, (0, 0))
@@ -2045,7 +2006,7 @@ mod tests {
         assert!(memo.by_null.is_none());
         let set = ConstraintSet::parse("S(X) -> E(X,Y), S(Y)").unwrap();
         let st = EngineState::new(&Instance::new(), &set, &ChaseConfig::default());
-        assert!(st.dead.iter().chain(&st.fired).all(|m| m.by_null.is_none()));
+        assert!(st.fired.iter().all(|m| m.by_null.is_none()));
     }
 
     /// Against a scan of a plain set: random keys over a few nulls and

@@ -25,8 +25,8 @@ pub enum Phase {
     /// Applying a TGD step's head: inserting facts / allocating nulls.
     Insert,
     /// One effective EGD merge: rewriting the store's facts and indexes,
-    /// then remapping the trigger memos and pool (not the delta re-match,
-    /// which is [`Phase::DeltaMatch`]).
+    /// then remapping the trigger pool and, in oblivious mode, the fired
+    /// memo (not the delta re-match, which is [`Phase::DeltaMatch`]).
     MergeRepair,
     /// Building or pruning the trigger pool.
     PoolMaintain,

@@ -5,8 +5,8 @@
 //! The serving layer: long-lived **incremental chase sessions** over the
 //! engines of this workspace. Where `chase-engine` chases one instance
 //! once and returns, a [`ChaseSession`] stays resident — it owns the
-//! columnar instance, the delta engine's warm trigger pool and memo, and
-//! the `chase-plan` plan cache — and absorbs **update batches**, each one
+//! columnar instance, the delta engine's warm trigger pool, and the
+//! `chase-plan` plan cache — and absorbs **update batches**, each one
 //! continued semi-naively from the batch delta instead of re-chasing from
 //! scratch. On top of the warm state it answers **certain-answer
 //! conjunctive queries** (optionally routed through `chase-sqo`

@@ -42,6 +42,11 @@ use crate::session::{ChaseOutcome, QueryOpts, ServeError, SessionStats};
 /// How often an idle connection thread wakes to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// How long the accept loop pauses after a failed `accept`. The error that
+/// matters, running out of file descriptors, leaves the connection queued,
+/// so an immediate retry fails again at once and would spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// How long a request frame may take to arrive once its first byte has.
 const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
@@ -90,6 +95,9 @@ pub struct Server {
 /// their thread.
 const M_CONNECTIONS_REFUSED: &str = "chase_connections_refused_total";
 
+/// Counts `accept` calls that failed (each followed by [`ACCEPT_BACKOFF`]).
+const M_ACCEPT_ERRORS: &str = "chase_accept_errors_total";
+
 /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
 /// framed protocol traffic with the given admission policy.
 pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Server> {
@@ -98,12 +106,18 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Serve
     let conductor = Arc::new(Conductor::new(cfg));
     let stop = Arc::new(AtomicBool::new(false));
     let refused = conductor.metrics().counter(M_CONNECTIONS_REFUSED);
+    let accept_errors = conductor.metrics().counter(M_ACCEPT_ERRORS);
     let accept_conductor = Arc::clone(&conductor);
     let accept_stop = Arc::clone(&stop);
     let accept_thread = thread::spawn(move || {
-        accept_loop(listener, accept_conductor, accept_stop, refused, |f| {
-            thread::Builder::new().spawn(f).map(drop)
-        })
+        accept_loop(
+            listener.incoming(),
+            accept_conductor,
+            accept_stop,
+            refused,
+            accept_errors,
+            |f| thread::Builder::new().spawn(f).map(drop),
+        )
     });
     Ok(Server {
         conductor,
@@ -113,22 +127,29 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ConductorConfig) -> io::Result<Serve
     })
 }
 
-/// Accept connections until `stop` is raised, running each on a thread
-/// that `spawn` starts. When the OS refuses that thread, the connection
-/// gets one `Internal` error frame and is closed, `refused` counts it, and
-/// the loop goes on.
+/// Accept connections from `incoming` until `stop` is raised, running
+/// each on a thread that `spawn` starts. A failed `accept` counts in
+/// `accept_errors` and is followed by an [`ACCEPT_BACKOFF`] pause. When the
+/// OS refuses a connection's thread, the connection gets one `Internal`
+/// error frame and is closed, and `refused` counts it. Either way the loop
+/// goes on.
 fn accept_loop(
-    listener: TcpListener,
+    incoming: impl Iterator<Item = io::Result<TcpStream>>,
     conductor: Arc<Conductor>,
     stop: Arc<AtomicBool>,
     refused: Counter,
+    accept_errors: Counter,
     spawn: impl Fn(Box<dyn FnOnce() + Send>) -> io::Result<()>,
 ) {
-    for stream in listener.incoming() {
+    for stream in incoming {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            accept_errors.inc();
+            thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         let stream = Arc::new(stream);
         let (conn, conductor, stop) = (
             Arc::clone(&stream),
@@ -561,12 +582,18 @@ mod tests {
         let conductor = Arc::new(Conductor::new(ConductorConfig::default()));
         let stop = Arc::new(AtomicBool::new(false));
         let refused = conductor.metrics().counter(M_CONNECTIONS_REFUSED);
+        let accept_errors = conductor.metrics().counter(M_ACCEPT_ERRORS);
+        let started = Instant::now();
         let accept = {
             let (conductor, stop) = (Arc::clone(&conductor), Arc::clone(&stop));
             thread::spawn(move || {
-                // The first spawn fails as if the OS were out of threads.
+                // Three accepts fail first, as when the process is out of
+                // file descriptors; then the first spawn fails as if the
+                // OS were out of threads.
+                let failed = (0..3).map(|_| Err(io::Error::other("injected accept failure")));
+                let incoming = failed.chain(listener.incoming());
                 let first = AtomicBool::new(true);
-                accept_loop(listener, conductor, stop, refused, |f| {
+                accept_loop(incoming, conductor, stop, refused, accept_errors, |f| {
                     if first.swap(false, Ordering::SeqCst) {
                         Err(io::Error::other("injected spawn failure"))
                     } else {
@@ -585,13 +612,14 @@ mod tests {
             }
             other => panic!("expected an error frame, got {other:?}"),
         }
+        assert!(started.elapsed() >= 3 * ACCEPT_BACKOFF);
         assert_eq!(Response::read_from(&mut turned_away).unwrap(), None);
         let mut c = Client::connect(addr).unwrap();
         let s = c.open("S(X) -> T(X)").unwrap();
         assert_eq!(c.apply(s, "S(a).").unwrap().total_facts, 2);
-        assert!(conductor
-            .metrics_text()
-            .contains("chase_connections_refused_total 1"));
+        let metrics = conductor.metrics_text();
+        assert!(metrics.contains("chase_accept_errors_total 3"));
+        assert!(metrics.contains("chase_connections_refused_total 1"));
         drop(c);
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
@@ -602,10 +630,9 @@ mod tests {
     #[test]
     fn loopback_session_lifecycle() {
         let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
-        assert!(server
-            .conductor()
-            .metrics_text()
-            .contains("chase_connections_refused_total 0"));
+        let metrics = server.conductor().metrics_text();
+        assert!(metrics.contains("chase_connections_refused_total 0"));
+        assert!(metrics.contains("chase_accept_errors_total 0"));
         let mut c = Client::connect(server.addr()).unwrap();
         let s = c.open("rail(X,Y,D) -> rail(Y,X,D)").unwrap();
         let out = c.apply(s, "rail(berlin,paris,d9).").unwrap();

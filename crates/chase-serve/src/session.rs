@@ -2,8 +2,8 @@
 //! constraint set, and the delta engine's warm run state.
 //!
 //! A session owns a `chase_engine::EngineState` — the columnar
-//! [`Instance`], the incrementally maintained trigger pool and dead-trigger
-//! memo, and the compiled `chase-plan` plan cache — and keeps all of it
+//! [`Instance`], the incrementally maintained trigger pool, and the
+//! compiled `chase-plan` plan cache — and keeps all of it
 //! alive across update batches. [`ChaseSession::apply`] ingests a batch of
 //! base facts and continues the chase *semi-naively from the batch delta*:
 //! only constraints whose bodies can see the new atoms are re-matched, only

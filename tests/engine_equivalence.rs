@@ -15,7 +15,8 @@
 use chase_core::homomorphism::hom_equivalent;
 use chase_corpus::families;
 use chase_corpus::random::{
-    random_egd_mix, random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig,
+    merge_storm_sigma, merge_storm_stream, random_egd_mix, random_instance, random_tgds,
+    MergeStormConfig, RandomInstanceConfig, RandomTgdConfig,
 };
 use chase_engine::{
     chase, chase_naive, chase_resume, ChaseConfig, ChaseMode, EngineState, Strategy,
@@ -668,4 +669,37 @@ fn warm_batches_agree_through_merges_that_remap_pooled_triggers() {
             "R(q,b). R(r,d). S(e). F(e,p).",
         ],
     );
+}
+
+#[test]
+fn warm_batches_agree_over_a_merge_storm_stream() {
+    // Consecutive merge-storm episodes with each episode's entities renamed
+    // apart, as a durable merge-storm tenant sends them. A `Val` batch
+    // merges an invented null into its ground value and rewrites the rows
+    // that bind it, so the delta re-match finds every trigger those rows
+    // feed again, under its renamed key. Each was fired or found satisfied
+    // before the merge and must stay out of the pool.
+    let attributes = 2;
+    let mut batches: Vec<String> = Vec::new();
+    for episode in 0..2 {
+        let (_, stream) = merge_storm_stream(&MergeStormConfig {
+            entities: 4,
+            attributes,
+            values: 3,
+            batches: 4,
+            seed: 17 + episode,
+        });
+        for batch in stream {
+            let mut text = String::new();
+            for a in &batch {
+                let terms: Vec<String> = a.terms().iter().map(|t| t.to_string()).collect();
+                let (entity, rest) = terms.split_first().expect("an entity first");
+                let rest: String = rest.iter().map(|t| format!(",{t}")).collect();
+                text.push_str(&format!("{}(p{episode}{entity}{rest}). ", a.pred()));
+            }
+            batches.push(text);
+        }
+    }
+    let batches: Vec<&str> = batches.iter().map(String::as_str).collect();
+    assert_warm_batches_agree(&merge_storm_sigma(attributes).to_string(), &batches);
 }

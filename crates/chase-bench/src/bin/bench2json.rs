@@ -11,7 +11,10 @@
 //! and becomes `{"group", "workload", "engine", "label", "median_ns"}`,
 //! where `group` is the first `/`-segment of the label, `engine` the last,
 //! and `workload` whatever sits between (falling back to the group for
-//! short labels). Usage:
+//! short labels). The summary's `quick` flag comes from the sweep's
+//! `criterion-mode: quick|full` lines (one per bench binary; a sweep that
+//! mixes modes is refused), and from this process's own
+//! `CHASE_BENCH_QUICK` only when the sweep has no mode line. Usage:
 //!
 //! ```text
 //! cargo bench -p chase-bench | cargo run -p chase-bench --bin bench2json -- --sha "$GITHUB_SHA"
@@ -101,6 +104,29 @@ fn parse_results(input: &str, use_min: bool) -> Vec<Measurement> {
     });
     results.dedup_by(|later, first| later.label == first.label);
     results
+}
+
+/// Whether the sweep in `input` ran in quick mode, read from the
+/// `criterion-mode:` line each bench binary prints. `env` answers only for a
+/// sweep without mode lines (output from before the line existed). A sweep
+/// whose binaries disagree is an error: its medians mix two budgets.
+fn sweep_quick(input: &str, env: impl FnOnce() -> bool) -> Result<bool, String> {
+    let mut quick = None;
+    for line in input.lines() {
+        let Some(mode) = line.trim().strip_prefix("criterion-mode: ") else {
+            continue;
+        };
+        let q = match mode {
+            "quick" => true,
+            "full" => false,
+            _ => return Err(format!("unknown criterion mode {mode:?}")),
+        };
+        if quick.is_some_and(|seen| seen != q) {
+            return Err("the sweep mixes quick and full bench binaries".to_string());
+        }
+        quick = Some(q);
+    }
+    Ok(quick.unwrap_or_else(env))
 }
 
 /// A parsed `BENCH_<sha>.json` baseline: the `quick` flag and each result's
@@ -302,7 +328,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    let quick = chase_bench::quick();
+    let quick = sweep_quick(&input, chase_bench::quick).unwrap_or_else(|e| {
+        eprintln!("bench2json: {e}");
+        std::process::exit(2);
+    });
     if let Some(path) = &baseline_path {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("bench2json: cannot read baseline {path}: {e}");
@@ -427,6 +456,20 @@ g/bench time: [11.00 µs 14.00 µs 30.00 µs]\n";
         // --stat min: per-line minima, folded to the smallest.
         let results = parse_results(input, true);
         assert!((results[0].median_ns - 9000.0).abs() < 1.0, "min of mins");
+    }
+
+    #[test]
+    fn quick_comes_from_the_sweep_not_the_environment() {
+        let sweep = "criterion-mode: quick\n## g\ng/a time: [1.00 µs 2.00 µs 3.00 µs]\n\
+                     criterion-mode: quick\ng/b time: [1.00 µs 2.00 µs 3.00 µs]\n";
+        assert_eq!(sweep_quick(sweep, || false), Ok(true));
+        assert_eq!(sweep_quick("criterion-mode: full\n", || true), Ok(false));
+        // No mode line: the environment decides.
+        assert_eq!(
+            sweep_quick("g/a time: [1.00 µs 2.00 µs 3.00 µs]\n", || true),
+            Ok(true)
+        );
+        assert!(sweep_quick("criterion-mode: quick\ncriterion-mode: full\n", || true).is_err());
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub use atom::Atom;
 pub use constraint::{Constraint, ConstraintSet, Egd, Tgd};
 pub use cq::ConjunctiveQuery;
 pub use error::CoreError;
-pub use homomorphism::{
-    exists_extension, exists_hom, find_all_homs, find_hom, unify_atom, HomConfig, Subst,
-};
+pub use homomorphism::{exists_extension, exists_hom, find_all_homs, find_hom, unify_atom, Subst};
 pub use instance::{FactId, FactView, Instance, MergeEffect};
 pub use schema::{PosSet, Position, Schema};
 pub use snapshot::{crc32, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

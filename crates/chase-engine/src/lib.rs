@@ -46,4 +46,4 @@ pub use runner::{
     EngineState, ResumeOutcome, StepRecord, StopReason, Strategy,
 };
 pub use step::{apply_step, StepEffect};
-pub use trigger::{active_triggers, first_active_trigger, head_rests, is_active, Matcher};
+pub use trigger::{active_triggers, first_active_trigger, is_active, Matcher};

@@ -61,13 +61,12 @@
 //!
 //! All matching work — pool rebuilds, semi-naive delta re-matching, head
 //! revalidation, and the naive reference's full re-enumeration — goes
-//! through a [`Matcher`]: with `ChaseConfig::use_planner` (the default) each
-//! constraint body and head is compiled once per statistics epoch into a
-//! `chase-plan` join program (greedy bind-first/smallest-relation-first atom
-//! order, exact-row probes for fully bound atoms), and with the planner off
-//! the classic backtracking searcher runs instead. Both enumerate the same
-//! homomorphism sets and triggers are selected canonically by normalized
-//! assignment, so traces are bit-identical planner-on vs planner-off.
+//! through a [`Matcher`]: each constraint body and head is compiled once per
+//! statistics epoch into a `chase-plan` join program (greedy
+//! bind-first/smallest-relation-first atom order, exact-row probes for fully
+//! bound atoms). The programs enumerate the same homomorphism sets as the
+//! classic backtracking searcher, and triggers are selected canonically by
+//! normalized assignment, so enumeration order never reaches a trace.
 //!
 //! This replaces the seed engine's per-step full re-enumeration — a
 //! backtracking search over the whole instance for every constraint on every
@@ -83,7 +82,7 @@
 
 use crate::monitor::MonitorGraph;
 use crate::step::{apply_step, StepEffect};
-use crate::trigger::{head_rests, key_order, normalize_in, Matcher};
+use crate::trigger::{key_order, normalize_in, Matcher};
 use chase_core::fx::{FxHashMap, FxHashSet, FxHasher};
 use chase_core::homomorphism::Subst;
 use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Term};
@@ -164,12 +163,6 @@ pub struct ChaseConfig {
     pub keep_trace: bool,
     /// Maintain (and return) the monitor graph even without a depth guard.
     pub keep_monitor: bool,
-    /// Route all trigger matching through the `chase-plan` cost-guided join
-    /// programs (the default). With `false`, every
-    /// matching path runs the classic backtracking searcher instead.
-    /// Trigger selection is canonical either way, so traces are
-    /// bit-identical planner-on vs planner-off — only the cost differs.
-    pub use_planner: bool,
 }
 
 impl Default for ChaseConfig {
@@ -182,7 +175,6 @@ impl Default for ChaseConfig {
             monitor_depth: None,
             keep_trace: false,
             keep_monitor: false,
-            use_planner: true,
         }
     }
 }
@@ -559,9 +551,8 @@ pub struct EngineState {
     /// normalizing a match never sorts by name.
     key_orders: Vec<Vec<Sym>>,
     /// The matching engine every trigger query goes through: compiled
-    /// `chase-plan` join programs (planner on) or the classic searcher
-    /// (planner off). Refreshed when the instance's statistics epoch
-    /// moves; it only ever reads the instance.
+    /// `chase-plan` join programs. Refreshed when the instance's statistics
+    /// epoch moves; it only ever reads the instance.
     matcher: Matcher,
     /// Facts rewritten by EGD merges, cumulative across every run over
     /// this state (merge-cost observability for the serving layer).
@@ -587,9 +578,9 @@ pub struct EngineState {
 
 impl EngineState {
     /// Build fresh state for chasing `instance` under `set`/`cfg`: clones
-    /// the instance, compiles the matcher (planner permitting), and sets up
-    /// the dispatch tables. The trigger pool itself is populated lazily by
-    /// the first run (or resume) over the state.
+    /// the instance, compiles the matcher, and sets up the dispatch tables.
+    /// The trigger pool itself is populated lazily by the first run (or
+    /// resume) over the state.
     pub fn new(instance: &Instance, set: &ConstraintSet, cfg: &ChaseConfig) -> EngineState {
         let monitor = if cfg.monitor_depth.is_some() || cfg.keep_monitor {
             Some(MonitorGraph::new())
@@ -606,11 +597,7 @@ impl EngineState {
             .any(|(_, c)| matches!(c, Constraint::Egd(_)));
         let inst = instance.clone();
         let recorder = chase_obs::global().clone();
-        let matcher = if cfg.use_planner {
-            Matcher::planned_with(set, &inst, recorder.clone())
-        } else {
-            Matcher::unplanned()
-        };
+        let matcher = Matcher::planned_with(set, &inst, recorder.clone());
         EngineState {
             inst,
             steps: 0,
@@ -968,7 +955,7 @@ impl<'a> Run<'a> {
         pool.clear();
         let matcher = &*matcher;
         for (ci, c) in set.enumerate() {
-            matcher.for_each_body_hom(ci, c, inst, &mut |mu| {
+            matcher.for_each_body_hom(ci, inst, &mut |mu| {
                 let key = normalize_in(&key_orders[ci], mu);
                 let fires = match cfg.mode {
                     ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
@@ -1063,20 +1050,12 @@ impl<'a> Run<'a> {
                 if candidates.is_empty() {
                     continue;
                 }
-                // Per-slot head rests feed only the unplanned revalidation
-                // path; the planned matcher has its own compiled head-rest
-                // programs, so skip the atom clones when the planner is on.
-                let rests = if self.st.matcher.is_planned() {
-                    Vec::new()
-                } else {
-                    head_rests(head)
-                };
                 let (inst, matcher) = (&self.st.inst, &self.st.matcher);
                 let satisfied: Vec<TriggerKey> = candidates
                     .into_iter()
                     .filter(|&key| {
                         let mu = &pool.pools[ci][key];
-                        matcher.head_newly_satisfied(ci, head, &rests, inst, added, mu)
+                        matcher.head_newly_satisfied(ci, head, inst, added, mu)
                     })
                     .cloned()
                     .collect();
@@ -1157,7 +1136,7 @@ impl<'a> Run<'a> {
         let mut best: Option<(TriggerKey, Subst)> = None;
         self.st
             .matcher
-            .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
+            .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
                 let key = normalize_in(&self.st.key_orders[ci], mu);
                 if best.as_ref().is_none_or(|(bk, _)| key < *bk) && self.fires(ci, c, mu, &key) {
                     best = Some((key, mu.clone()));
@@ -1175,7 +1154,7 @@ impl<'a> Run<'a> {
             let mut per: BTreeMap<TriggerKey, Subst> = BTreeMap::new();
             self.st
                 .matcher
-                .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
+                .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
                     let key = normalize_in(&self.st.key_orders[ci], mu);
                     if !per.contains_key(&key) && self.fires(ci, c, mu, &key) {
                         per.insert(key, mu.clone());
@@ -1758,37 +1737,28 @@ mod tests {
         assert_eq!(res.fresh_nulls, 7);
     }
 
-    /// Drive both engines over the same inputs — with the planner on *and*
-    /// off — and demand bit-identical traces across all four runs: the
-    /// contract that makes the bench comparisons honest.
+    /// Drive both engines over the same inputs and demand bit-identical
+    /// traces: the contract that makes the bench comparisons honest.
     fn assert_engines_agree(set: &str, inst: &str, cfg: &ChaseConfig) {
         let (set, inst) = parse(set, inst);
         let mut cfg = cfg.clone();
         cfg.keep_trace = true;
-        let mut unplanned_cfg = cfg.clone();
-        unplanned_cfg.use_planner = false;
         let fast = chase(&inst, &set, &cfg);
-        let runs = [
-            ("naive planned", chase_naive(&inst, &set, &cfg)),
-            ("delta unplanned", chase(&inst, &set, &unplanned_cfg)),
-            ("naive unplanned", chase_naive(&inst, &set, &unplanned_cfg)),
-        ];
-        for (label, slow) in &runs {
-            assert_eq!(fast.reason, slow.reason, "{label}");
-            assert_eq!(fast.steps, slow.steps, "{label}");
-            assert_eq!(fast.fresh_nulls, slow.fresh_nulls, "{label}");
-            assert_eq!(fast.instance, slow.instance, "{label}");
-            assert_eq!(fast.trace.len(), slow.trace.len(), "{label}");
-            for (a, b) in fast.trace.iter().zip(&slow.trace) {
-                assert_eq!(a.constraint, b.constraint, "{label}");
-                assert_eq!(a.assignment, b.assignment, "{label}");
-                assert_eq!(a.ground_body, b.ground_body, "{label}");
-                assert_eq!(a.added, b.added, "{label}");
-                assert_eq!(a.fresh_nulls, b.fresh_nulls, "{label}");
-                assert_eq!(a.merged, b.merged, "{label}");
-                assert_eq!(a.merge_rewritten, b.merge_rewritten, "{label}");
-                assert_eq!(a.merge_collapsed, b.merge_collapsed, "{label}");
-            }
+        let slow = chase_naive(&inst, &set, &cfg);
+        assert_eq!(fast.reason, slow.reason);
+        assert_eq!(fast.steps, slow.steps);
+        assert_eq!(fast.fresh_nulls, slow.fresh_nulls);
+        assert_eq!(fast.instance, slow.instance);
+        assert_eq!(fast.trace.len(), slow.trace.len());
+        for (a, b) in fast.trace.iter().zip(&slow.trace) {
+            assert_eq!(a.constraint, b.constraint);
+            assert_eq!(a.assignment, b.assignment);
+            assert_eq!(a.ground_body, b.ground_body);
+            assert_eq!(a.added, b.added);
+            assert_eq!(a.fresh_nulls, b.fresh_nulls);
+            assert_eq!(a.merged, b.merged);
+            assert_eq!(a.merge_rewritten, b.merge_rewritten);
+            assert_eq!(a.merge_collapsed, b.merge_collapsed);
         }
     }
 

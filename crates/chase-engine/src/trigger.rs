@@ -6,18 +6,17 @@
 //! *oblivious* step applies whenever the body maps, regardless of
 //! satisfaction.
 //!
-//! All enumeration here is expressed over a [`Matcher`] — either the
-//! `chase-plan` cost-guided join programs (planner on) or the classic
-//! backtracking searcher (planner off). Both enumerate the same
+//! The engines enumerate through a [`Matcher`] (the `chase-plan`
+//! cost-guided join programs). The free functions here run the classic
+//! backtracking searcher instead, in its deterministic order, for callers
+//! with no plan cache (`core_of`, `bfs`). Both enumerate the same
 //! homomorphism *sets*; since triggers are identified by their normalized
 //! assignment and selected canonically, every function whose result is a
-//! set or a canonical element is enumeration-order-independent. The free
-//! functions here keep their historical (searcher-order) behavior by
-//! running unplanned.
+//! set or a canonical element is enumeration-order-independent.
 
 use chase_core::fx::FxHashSet;
 use chase_core::homomorphism::{for_each_hom, Subst};
-use chase_core::{Atom, Constraint, Instance, Sym, Term};
+use chase_core::{Constraint, Instance, Sym, Term};
 pub use chase_plan::Matcher;
 
 /// Is `(c, µ)` an active (standard-chase) trigger? Assumes `µ` maps the body
@@ -45,11 +44,10 @@ pub fn first_active_trigger(c: &Constraint, inst: &Instance) -> Option<Subst> {
 
 /// All active triggers of `c`, deduplicated, in deterministic order.
 pub fn active_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
-    let m = Matcher::unplanned();
     let mut out: Vec<Subst> = Vec::new();
     let mut seen: FxHashSet<Vec<(Sym, Term)>> = FxHashSet::default();
-    m.for_each_body_hom(0, c, inst, &mut |mu| {
-        if m.is_active(0, c, inst, mu) {
+    for_each_hom(c.body(), inst, &Subst::new(), false, &mut |mu| {
+        if is_active(c, inst, mu) {
             let key = normalize(c, mu);
             if seen.insert(key) {
                 out.push(mu.clone());
@@ -58,21 +56,6 @@ pub fn active_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
         false
     });
     out
-}
-
-/// Per-slot "rest of the head": `rests[j]` is the head with atom `j`
-/// removed. Precomputed once per revalidation pass and shared (read-only)
-/// across revalidation workers.
-pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
-    (0..head.len())
-        .map(|j| {
-            head.iter()
-                .enumerate()
-                .filter(|&(k, _)| k != j)
-                .map(|(_, b)| b.clone())
-                .collect()
-        })
-        .collect()
 }
 
 /// Canonical form of an assignment: bindings of the universal variables,
@@ -102,7 +85,7 @@ pub(crate) fn normalize_in(order: &[Sym], mu: &Subst) -> Vec<(Sym, Term)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_core::ConstraintSet;
+    use chase_core::{Atom, ConstraintSet};
 
     /// The trigger keys `m` enumerates for constraint `ci` — every body
     /// homomorphism, or only the active ones — deduplicated and sorted.
@@ -114,8 +97,22 @@ mod tests {
         active_only: bool,
     ) -> Vec<Vec<(Sym, Term)>> {
         let mut keys: Vec<Vec<(Sym, Term)>> = Vec::new();
-        m.for_each_body_hom(ci, c, inst, &mut |mu| {
+        m.for_each_body_hom(ci, inst, &mut |mu| {
             if !active_only || m.is_active(ci, c, inst, mu) {
+                keys.push(normalize(c, mu));
+            }
+            false
+        });
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    /// [`trigger_keys`] through the backtracking searcher: the reference.
+    fn reference_keys(c: &Constraint, inst: &Instance, active_only: bool) -> Vec<Vec<(Sym, Term)>> {
+        let mut keys: Vec<Vec<(Sym, Term)>> = Vec::new();
+        for_each_hom(c.body(), inst, &Subst::new(), false, &mut |mu| {
+            if !active_only || is_active(c, inst, mu) {
                 keys.push(normalize(c, mu));
             }
             false
@@ -139,7 +136,7 @@ mod tests {
     fn oblivious_triggers_ignore_satisfaction() {
         let set = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
         let sat = Instance::parse("S(a). E(a,b).").unwrap();
-        let m = Matcher::unplanned();
+        let m = Matcher::planned(&set, &sat);
         assert_eq!(trigger_keys(&m, 0, &set[0], &sat, true).len(), 0);
         assert_eq!(trigger_keys(&m, 0, &set[0], &sat, false).len(), 1);
     }
@@ -167,7 +164,6 @@ mod tests {
         let mut inst = Instance::parse("S(a). S(b).").unwrap();
         let mus = active_triggers(c, &inst);
         assert_eq!(mus.len(), 2);
-        let rests = head_rests(t.head());
         let added = vec![
             Atom::new("E", vec![Term::constant("a"), Term::constant("b")]),
             Atom::new("T", vec![Term::constant("b")]),
@@ -175,9 +171,10 @@ mod tests {
         for a in &added {
             inst.insert(a.clone());
         }
+        let m = Matcher::planned(&set, &inst);
         for mu in &mus {
             assert_eq!(
-                Matcher::unplanned().head_newly_satisfied(0, t.head(), &rests, &inst, &added, mu),
+                m.head_newly_satisfied(0, t.head(), &inst, &added, mu),
                 !is_active(c, &inst, mu),
                 "disagreement for {mu}"
             );
@@ -194,25 +191,24 @@ mod tests {
         .unwrap();
         let inst = Instance::parse("E(a,b). E(b,c). E(a,c). S(a). S(z).").unwrap();
         let planned = Matcher::planned(&set, &inst);
-        let unplanned = Matcher::unplanned();
         for (ci, c) in set.enumerate() {
             assert_eq!(
                 trigger_keys(&planned, ci, c, &inst, true),
-                trigger_keys(&unplanned, ci, c, &inst, true),
+                reference_keys(c, &inst, true),
                 "active trigger sets differ on constraint {ci}"
             );
             assert_eq!(
                 trigger_keys(&planned, ci, c, &inst, false),
-                trigger_keys(&unplanned, ci, c, &inst, false),
+                reference_keys(c, &inst, false),
                 "oblivious trigger sets differ on constraint {ci}"
             );
-            // The free function is the unplanned path.
+            // The free function is the searcher path.
             let mut free: Vec<_> = active_triggers(c, &inst)
                 .iter()
                 .map(|mu| normalize(c, mu))
                 .collect();
             free.sort();
-            assert_eq!(free, trigger_keys(&unplanned, ci, c, &inst, true));
+            assert_eq!(free, reference_keys(c, &inst, true));
         }
     }
 

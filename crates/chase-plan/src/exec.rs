@@ -45,7 +45,7 @@ struct RunState {
 /// Seed bindings for variables the compiler did not assume bound are
 /// honored (over-binding narrows the search); seed bindings for variables
 /// outside the pattern ride along into the substitutions handed to the
-/// callback, which extend the seed like the unplanned searcher's do.
+/// callback, which extend the seed like the backtracking searcher's do.
 pub fn for_each_match(
     prog: &JoinProgram,
     inst: &Instance,
@@ -87,7 +87,7 @@ fn step(
         // some matched atom), so overwriting `out`'s bindings in place
         // yields exactly `seed` extended by the current registers. The
         // substitution is only valid for the duration of the callback, like
-        // the unplanned searcher's. This is the one place ids become
+        // the backtracking searcher's. This is the one place ids become
         // [`chase_core::Term`]s again.
         for (r, &v) in prog.vars.iter().enumerate() {
             let t = st.regs[r].expect("all registers bound at a complete match");

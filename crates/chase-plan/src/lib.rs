@@ -25,9 +25,9 @@
 //! The [`Matcher`] bundles the compiled programs per constraint — full
 //! body, per-slot delta bodies, head, per-slot head rests — behind one
 //! handle the engines thread through trigger enumeration, with plan-cache
-//! invalidation on statistics-epoch changes. A planner-off matcher routes
-//! everything through the unplanned searcher instead; both enumerate the
-//! same homomorphism sets, so engine traces are bit-identical either way.
+//! invalidation on statistics-epoch changes. It is the engines' only
+//! matcher; the unplanned searcher stays the reference the tests pin it
+//! against, since both enumerate the same homomorphism sets.
 
 pub mod exec;
 pub mod matcher;

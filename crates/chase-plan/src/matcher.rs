@@ -22,16 +22,15 @@
 //! leaves the plans exactly as good as they were.
 //! Between refreshes the matcher is plain read-only data.
 //!
-//! An **unplanned** matcher ([`Matcher::unplanned`]) answers every query
-//! through the classic backtracking searcher instead — the planner-off
-//! reference the equivalence tests pin traces against. Either way the same
-//! homomorphism sets come back; only enumeration order and cost differ, and
-//! the engines' canonical (normalized-key) trigger selection makes traces
-//! independent of enumeration order.
+//! The classic backtracking searcher (`chase_core::homomorphism`) is the
+//! reference: the tests pin every matcher query against it. Both return
+//! the same homomorphism multisets; only enumeration order and cost differ,
+//! and the engines' canonical (normalized-key) trigger selection makes
+//! traces independent of enumeration order.
 
 use crate::exec::{exists_match, for_each_match};
 use crate::plan::{compile, JoinProgram};
-use chase_core::homomorphism::{exists_extension, for_each_hom, unify_atom, Subst};
+use chase_core::homomorphism::{unify_atom, Subst};
 use chase_core::{Atom, Constraint, ConstraintSet, Instance, Sym};
 use chase_obs::{EventKind, Phase, Recorder};
 
@@ -92,7 +91,7 @@ fn compile_constraint(c: &Constraint, stats: &Instance) -> ConstraintPlans {
     }
 }
 
-/// A planner-on cache: the compiled programs plus everything needed to
+/// The plan cache: the compiled programs plus everything needed to
 /// decide staleness — the set they were compiled from and the instance
 /// statistics stamp at compile time.
 #[derive(Debug, Clone)]
@@ -111,13 +110,11 @@ struct PlanCache {
     recompiles: u64,
 }
 
-/// The matching engine handle threaded through trigger enumeration: either
-/// a plan cache (planner on) or a marker that routes every query through
-/// the unplanned backtracking searcher (planner off).
+/// The matching engine handle threaded through trigger enumeration: a plan
+/// cache for one constraint set.
 #[derive(Debug, Clone)]
 pub struct Matcher {
-    /// `None` = unplanned.
-    cache: Option<PlanCache>,
+    cache: PlanCache,
     /// Telemetry sink for plan-compile timings and recompile events;
     /// write-only (never consulted by planning), so it cannot perturb plan
     /// choice or enumeration order. Disabled by default.
@@ -125,15 +122,7 @@ pub struct Matcher {
 }
 
 impl Matcher {
-    /// A planner-off matcher: every query runs the classic searcher.
-    pub fn unplanned() -> Matcher {
-        Matcher {
-            cache: None,
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// A planner-on matcher for `set`, compiled against `inst`'s current
+    /// A matcher for `set`, compiled against `inst`'s current
     /// statistics.
     pub fn planned(set: &ConstraintSet, inst: &Instance) -> Matcher {
         Matcher::planned_with(set, inst, Recorder::disabled())
@@ -143,12 +132,12 @@ impl Matcher {
     /// initial compile so the first `PlanCompile` phase is captured too.
     pub fn planned_with(set: &ConstraintSet, inst: &Instance, recorder: Recorder) -> Matcher {
         let mut m = Matcher {
-            cache: Some(PlanCache {
+            cache: PlanCache {
                 set: set.clone(),
                 plans: Vec::new(),
                 stamp: None,
                 recompiles: 0,
-            }),
+            },
             recorder,
         };
         m.refresh(set, inst);
@@ -160,30 +149,23 @@ impl Matcher {
         self.recorder = recorder;
     }
 
-    /// Is the planner on?
-    pub fn is_planned(&self) -> bool {
-        self.cache.is_some()
+    /// The compiled plans for constraint `ci` (for `EXPLAIN` dumps and
+    /// tests).
+    pub fn plans(&self, ci: usize) -> &ConstraintPlans {
+        &self.cache.plans[ci]
     }
 
-    /// The compiled plans for constraint `ci`, if the planner is on (for
-    /// `EXPLAIN` dumps and tests).
-    pub fn plans(&self, ci: usize) -> Option<&ConstraintPlans> {
-        self.cache.as_ref().map(|c| &c.plans[ci])
-    }
-
-    /// How many times the plan cache has recompiled (0 for unplanned
-    /// matchers). A stable count across calls that *could* have recompiled
-    /// — e.g. update batches that only duplicate existing facts — is the
-    /// observable the serving layer's plan-cache-reuse tests pin.
+    /// How many times the plan cache has recompiled. A stable count across
+    /// calls that *could* have recompiled — e.g. update batches that only
+    /// duplicate existing facts — is the observable the serving layer's
+    /// plan-cache-reuse tests pin.
     pub fn recompile_count(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.recompiles)
+        self.cache.recompiles
     }
 
     /// Force recompilation at the next [`Matcher::refresh`].
     pub fn invalidate(&mut self) {
-        if let Some(cache) = &mut self.cache {
-            cache.stamp = None;
-        }
+        self.cache.stamp = None;
     }
 
     /// Recompile the plans if they are stale — the instance's statistics
@@ -192,16 +174,13 @@ impl Matcher {
     /// compiled for, or [`Matcher::invalidate`] was called. Merges alone
     /// don't invalidate: the store keeps its statistics current through
     /// [`Instance::merge_terms`]. Returns `true` if a recompile happened.
-    /// No-op for unplanned matchers.
     ///
     /// Stale plans compiled from the *same* set are never incorrect — the
     /// executor re-verifies every candidate — so skipping refresh only
     /// costs speed. A changed set, however, would execute the wrong
     /// programs, which is why refresh compares it.
     pub fn refresh(&mut self, set: &ConstraintSet, inst: &Instance) -> bool {
-        let Some(cache) = &mut self.cache else {
-            return false;
-        };
+        let cache = &mut self.cache;
         let stamp = inst.stats_epoch();
         // The structural set comparison runs on every call, including the
         // per-step fast path — deliberately: a same-length different set
@@ -226,18 +205,15 @@ impl Matcher {
 
     /// Enumerate every body homomorphism of constraint `ci` extending the
     /// empty substitution. Same set as
-    /// [`for_each_hom`]`(c.body(), inst, ..)`; order is plan-dependent.
+    /// `chase_core::homomorphism::for_each_hom(body, inst, ..)`; order is
+    /// plan-dependent.
     pub fn for_each_body_hom(
         &self,
         ci: usize,
-        c: &Constraint,
         inst: &Instance,
         cb: &mut dyn FnMut(&Subst) -> bool,
     ) -> bool {
-        match &self.cache {
-            Some(cache) => for_each_match(&cache.plans[ci].body, inst, &Subst::new(), cb),
-            None => for_each_hom(c.body(), inst, &Subst::new(), false, cb),
-        }
+        for_each_match(&self.cache.plans[ci].body, inst, &Subst::new(), cb)
     }
 
     /// Semi-naive delta enumeration for constraint `ci`: every body
@@ -255,57 +231,27 @@ impl Matcher {
         delta: &[Atom],
         cb: &mut dyn FnMut(&Subst) -> bool,
     ) -> bool {
-        let body = c.body();
-        match &self.cache {
-            Some(cache) => {
-                for (j, pattern) in body.iter().enumerate() {
-                    for a in delta {
-                        let Some(mu0) = unify_atom(pattern, a, &Subst::new()) else {
-                            continue;
-                        };
-                        if for_each_match(&cache.plans[ci].body_delta[j], inst, &mu0, cb) {
-                            return true;
-                        }
-                    }
+        for (j, pattern) in c.body().iter().enumerate() {
+            for a in delta {
+                let Some(mu0) = unify_atom(pattern, a, &Subst::new()) else {
+                    continue;
+                };
+                if for_each_match(&self.cache.plans[ci].body_delta[j], inst, &mu0, cb) {
+                    return true;
                 }
-                false
-            }
-            None => {
-                for (j, pattern) in body.iter().enumerate() {
-                    let mut rest: Vec<Atom> = Vec::new();
-                    let mut have_rest = false;
-                    for a in delta {
-                        let Some(mu0) = unify_atom(pattern, a, &Subst::new()) else {
-                            continue;
-                        };
-                        if !have_rest {
-                            rest = without(body, j);
-                            have_rest = true;
-                        }
-                        if for_each_hom(&rest, inst, &mu0, false, cb) {
-                            return true;
-                        }
-                    }
-                }
-                false
             }
         }
+        false
     }
 
     /// Can the TGD head of constraint `ci` be satisfied under `mu` — the
     /// `exists_extension` activity check.
     ///
     /// # Panics
-    /// Planner on: panics if `ci` is not a TGD (EGDs have no head plan).
-    pub fn head_satisfiable(&self, ci: usize, head: &[Atom], inst: &Instance, mu: &Subst) -> bool {
-        match &self.cache {
-            Some(cache) => exists_match(
-                cache.plans[ci].head.as_ref().expect("head plan for a TGD"),
-                inst,
-                mu,
-            ),
-            None => exists_extension(head, inst, mu),
-        }
+    /// Panics if `ci` is not a TGD (EGDs have no head plan).
+    pub fn head_satisfiable(&self, ci: usize, inst: &Instance, mu: &Subst) -> bool {
+        let head = self.cache.plans[ci].head.as_ref();
+        exists_match(head.expect("head plan for a TGD"), inst, mu)
     }
 
     /// Is `(ci, µ)` an active (standard-chase) trigger? Assumes `µ` maps the
@@ -313,7 +259,7 @@ impl Matcher {
     /// `chase_engine::trigger::is_active`.
     pub fn is_active(&self, ci: usize, c: &Constraint, inst: &Instance, mu: &Subst) -> bool {
         match c {
-            Constraint::Tgd(t) => !self.head_satisfiable(ci, t.head(), inst, mu),
+            Constraint::Tgd(_) => !self.head_satisfiable(ci, inst, mu),
             Constraint::Egd(e) => mu.var(e.left()) != mu.var(e.right()),
         }
     }
@@ -321,15 +267,12 @@ impl Matcher {
     /// Did adding `added` (already inserted into `inst`) newly satisfy the
     /// TGD head of `ci` under the pooled trigger `mu`? Delta-seeded, like
     /// the body re-match: a *new* head extension must map at least one head
-    /// atom onto a delta atom, so only those pairs are tried. `rests[j]`
-    /// (from `chase_engine::head_rests`) is the head with atom `j` removed
-    /// and is only consulted on the unplanned path (the planned path has
-    /// its own per-slot programs).
+    /// atom onto a delta atom, so only those pairs are tried, each completed
+    /// by the slot's head-rest program.
     pub fn head_newly_satisfied(
         &self,
         ci: usize,
         head: &[Atom],
-        rests: &[Vec<Atom>],
         inst: &Instance,
         added: &[Atom],
         mu: &Subst,
@@ -344,10 +287,7 @@ impl Matcher {
                 for (v, term) in nu0.var_bindings() {
                     seed.bind_var(v, term);
                 }
-                match &self.cache {
-                    Some(cache) => exists_match(&cache.plans[ci].head_rests[j], inst, &seed),
-                    None => exists_extension(&rests[j], inst, &seed),
-                }
+                exists_match(&self.cache.plans[ci].head_rests[j], inst, &seed)
             })
         })
     }
@@ -356,8 +296,51 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_core::homomorphism::find_all_homs;
+    use chase_core::homomorphism::{exists_extension, find_all_homs, for_each_hom};
     use chase_core::Term;
+
+    /// Reference delta enumeration: each body slot unified with each delta
+    /// atom, the rest of the body completed by the backtracking searcher.
+    fn reference_delta(c: &Constraint, inst: &Instance, delta: &[Atom]) -> Vec<Subst> {
+        let mut out = Vec::new();
+        for (j, pattern) in c.body().iter().enumerate() {
+            let rest = without(c.body(), j);
+            for a in delta {
+                if let Some(mu0) = unify_atom(pattern, a, &Subst::new()) {
+                    for_each_hom(&rest, inst, &mu0, false, &mut |mu| {
+                        out.push(mu.clone());
+                        false
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference activity: the searcher's head-extension check.
+    fn reference_active(c: &Constraint, inst: &Instance, mu: &Subst) -> bool {
+        match c {
+            Constraint::Tgd(t) => !exists_extension(t.head(), inst, mu),
+            Constraint::Egd(e) => mu.var(e.left()) != mu.var(e.right()),
+        }
+    }
+
+    /// Reference head revalidation: some head atom unifies with an added
+    /// atom under `mu`, and the searcher extends that to the rest of the
+    /// head.
+    fn reference_newly_satisfied(
+        head: &[Atom],
+        inst: &Instance,
+        added: &[Atom],
+        mu: &Subst,
+    ) -> bool {
+        (0..head.len()).any(|j| {
+            added.iter().any(|a| {
+                unify_atom(&head[j], a, mu)
+                    .is_some_and(|seed| exists_extension(&without(head, j), inst, &seed))
+            })
+        })
+    }
 
     fn sorted_bindings(homs: Vec<Subst>) -> Vec<Vec<(Sym, Term)>> {
         let mut v: Vec<Vec<(Sym, Term)>> = homs.into_iter().map(|m| m.var_bindings()).collect();
@@ -375,15 +358,14 @@ mod tests {
         .unwrap();
         let inst = Instance::parse("E(a,b). E(b,c). E(c,d). E(a,c). S(a). S(c).").unwrap();
         let planned = Matcher::planned(&set, &inst);
-        let unplanned = Matcher::unplanned();
         for (ci, c) in set.enumerate() {
             let mut a = Vec::new();
-            planned.for_each_body_hom(ci, c, &inst, &mut |mu| {
+            planned.for_each_body_hom(ci, &inst, &mut |mu| {
                 a.push(mu.clone());
                 false
             });
             let mut b = Vec::new();
-            unplanned.for_each_body_hom(ci, c, &inst, &mut |mu| {
+            for_each_hom(c.body(), &inst, &Subst::new(), false, &mut |mu| {
                 b.push(mu.clone());
                 false
             });
@@ -401,7 +383,7 @@ mod tests {
             for mu in find_all_homs(c.body(), &inst) {
                 assert_eq!(
                     planned.is_active(ci, c, &inst, &mu),
-                    unplanned.is_active(ci, c, &inst, &mu)
+                    reference_active(c, &inst, &mu)
                 );
             }
         }
@@ -416,17 +398,13 @@ mod tests {
             vec![Term::constant("b"), Term::constant("c")],
         )];
         let planned = Matcher::planned(&set, &inst);
-        let unplanned = Matcher::unplanned();
-        let collect = |m: &Matcher| {
-            let mut out = Vec::new();
-            m.for_each_delta_match(0, &set[0], &inst, &delta, &mut |mu| {
-                out.push(mu.clone());
-                false
-            });
-            sorted_bindings(out)
-        };
-        let a = collect(&planned);
-        let b = collect(&unplanned);
+        let mut out = Vec::new();
+        planned.for_each_delta_match(0, &set[0], &inst, &delta, &mut |mu| {
+            out.push(mu.clone());
+            false
+        });
+        let a = sorted_bindings(out);
+        let b = sorted_bindings(reference_delta(&set[0], &inst, &delta));
         assert_eq!(a, b);
         // E(b,c) seeds both slots: (a,b,c) via slot 1 and (b,c,d) via slot 0.
         assert_eq!(a.len(), 2);
@@ -462,8 +440,6 @@ mod tests {
         m.invalidate();
         assert!(m.refresh(&set, &inst), "invalidate forces recompile");
         assert_eq!(m.recompile_count(), before + 1, "one count per recompile");
-        assert!(!Matcher::unplanned().refresh(&set, &inst));
-        assert_eq!(Matcher::unplanned().recompile_count(), 0);
     }
 
     #[test]
@@ -492,7 +468,7 @@ mod tests {
         let mut m = Matcher::planned(&set_a, &inst);
         assert!(m.refresh(&set_b, &inst), "set change forces recompile");
         let mut homs = Vec::new();
-        m.for_each_body_hom(0, &set_b[0], &inst, &mut |mu| {
+        m.for_each_body_hom(0, &inst, &mut |mu| {
             homs.push(mu.var_bindings());
             false
         });
@@ -509,12 +485,11 @@ mod tests {
         let mut inst = Instance::parse("S(a). S(b).").unwrap();
         let planned = Matcher::planned(&set, &inst);
         let mut mus = Vec::new();
-        planned.for_each_body_hom(0, c, &inst, &mut |mu| {
+        planned.for_each_body_hom(0, &inst, &mut |mu| {
             mus.push(mu.clone());
             false
         });
         assert_eq!(mus.len(), 2);
-        let rests: Vec<Vec<Atom>> = (0..t.head().len()).map(|j| without(t.head(), j)).collect();
         let added = vec![
             Atom::new("E", vec![Term::constant("a"), Term::constant("b")]),
             Atom::new("T", vec![Term::constant("b")]),
@@ -523,7 +498,7 @@ mod tests {
             inst.insert(a.clone());
         }
         for mu in &mus {
-            let newly = planned.head_newly_satisfied(0, t.head(), &rests, &inst, &added, mu);
+            let newly = planned.head_newly_satisfied(0, t.head(), &inst, &added, mu);
             assert_eq!(
                 newly,
                 !planned.is_active(0, c, &inst, mu),
@@ -531,7 +506,7 @@ mod tests {
             );
             assert_eq!(
                 newly,
-                Matcher::unplanned().head_newly_satisfied(0, t.head(), &rests, &inst, &added, mu)
+                reference_newly_satisfied(t.head(), &inst, &added, mu)
             );
         }
     }

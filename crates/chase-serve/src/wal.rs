@@ -472,7 +472,6 @@ fn render_chase_cfg(out: &mut String, prefix: &str, c: &ChaseConfig) {
     ));
     out.push_str(&format!("{prefix}.keep_trace {}\n", c.keep_trace));
     out.push_str(&format!("{prefix}.keep_monitor {}\n", c.keep_monitor));
-    out.push_str(&format!("{prefix}.use_planner {}\n", c.use_planner));
 }
 
 fn join_usize(v: &[usize]) -> String {
@@ -593,7 +592,12 @@ fn apply_cfg_line(c: &mut ChaseConfig, key: &str, value: &str) -> Result<(), Str
         "monitor_depth" => c.monitor_depth = parse_opt_usize(key, value)?,
         "keep_trace" => c.keep_trace = parse_bool(key, value)?,
         "keep_monitor" => c.keep_monitor = parse_bool(key, value)?,
-        "use_planner" => c.use_planner = parse_bool(key, value)?,
+        // Manifests written while the planner could be switched off carry
+        // this key; both settings gave bit-identical traces, so it is read
+        // and ignored.
+        "use_planner" => {
+            parse_bool(key, value)?;
+        }
         _ => return Err(format!("unknown config key {key:?}")),
     }
     Ok(())
@@ -759,7 +763,6 @@ mod tests {
                 monitor_depth: Some(4),
                 keep_trace: true,
                 keep_monitor: true,
-                use_planner: false,
             },
             use_sqo: false,
             sqo_chase: ChaseConfig {
@@ -784,6 +787,20 @@ mod tests {
         let (_, cfg4) = read_manifest(&dir).unwrap().unwrap();
         assert_eq!(cfg4, cfg3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_use_planner_lines_are_ignored() {
+        let set = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
+        let cfg = SessionConfig::default();
+        let text = render_manifest(&set, &cfg);
+        assert!(!text.contains("use_planner"));
+        let legacy = text
+            .replacen("use_sqo ", "chase.use_planner false\nuse_sqo ", 1)
+            .replacen("sigma\n", "sqo_chase.use_planner true\nsigma\n", 1);
+        assert_eq!(parse_manifest(&legacy).unwrap(), (set, cfg));
+        let bad = text.replacen("sigma\n", "chase.use_planner maybe\nsigma\n", 1);
+        assert!(parse_manifest(&bad).is_err(), "the value is still checked");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * `engine` ([`chase_engine`]) — the chase procedure (standard/oblivious),
 //!   strategies, budgets, and the monitor-graph guard of Section 4.2;
 //! * `plan` ([`chase_plan`]) — cost-guided join-plan compilation and the
-//!   secondary-index matcher behind trigger enumeration (the
-//!   `ChaseConfig::use_planner` knob);
+//!   secondary-index matcher behind all of the engines' trigger
+//!   enumeration;
 //! * `termination` ([`chase_termination`]) — weak acyclicity, (c-)stratification,
 //!   safety, restriction systems, inductive restriction, the T-hierarchy,
 //!   and data-dependent analysis;

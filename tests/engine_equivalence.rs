@@ -5,7 +5,7 @@
 //! per-step re-enumeration — same trigger fired at every step, so the same
 //! trace, step count, fresh-null count, and final instance — under every
 //! strategy, including Theorem 2's phase order (`Strategy::Phased` over
-//! `phase_schedule`), and with the join planner on or off. These tests hold
+//! `phase_schedule`). These tests hold
 //! the engines against each other over the `chase-corpus` random families
 //! and the named corpus families, across strategies and chase modes. On
 //! terminating runs the results must additionally be homomorphically
@@ -181,9 +181,7 @@ fn assert_traces_equal(
 }
 
 /// The two-way check under the set's phase schedule: naive and delta must
-/// replay the same trace, with the join planner on *and* off (planning
-/// changes matching cost and enumeration order, never which trigger is
-/// selected).
+/// replay the same trace.
 fn assert_two_way(
     set: &chase_core::ConstraintSet,
     inst: &chase_core::Instance,
@@ -206,15 +204,9 @@ fn assert_two_way_phased(
         keep_trace: true,
         ..ChaseConfig::default()
     };
-    let mut cfg_off = cfg.clone();
-    cfg_off.use_planner = false;
     let delta = chase(inst, set, &cfg);
     let naive = chase_naive(inst, set, &cfg);
     assert_traces_equal("naive vs delta", &naive, &delta, set, inst)?;
-    let delta_off = chase(inst, set, &cfg_off);
-    assert_traces_equal("planner-off delta vs delta", &delta_off, &delta, set, inst)?;
-    let naive_off = chase_naive(inst, set, &cfg_off);
-    assert_traces_equal("planner-off naive vs delta", &naive_off, &delta, set, inst)?;
     if delta.terminated() {
         prop_assert!(
             hom_equivalent(&delta.instance, &naive.instance),
@@ -515,7 +507,7 @@ fn egd_workloads_agree() {
 /// the pooled triggers they satisfy. A final round-robin resume drains the
 /// backlog: a trigger that revalidation missed fires there although
 /// satisfied, and the traces part. Every case runs under several budgets
-/// and strategies, planner on and off.
+/// and strategies.
 ///
 /// Constraint 0 is a filler, `Wait(X) -> Waited(X)`, and every batch brings
 /// four fresh `Wait` facts. A cycle that visits the filler four times
@@ -531,47 +523,42 @@ fn assert_warm_batches_agree(sigma: &str, batches: &[&str]) {
         Strategy::Random { seed: 5 },
         Strategy::FixedCycle([0, 0, 0, 0].into_iter().chain(1..n).collect()),
     ];
-    for use_planner in [true, false] {
-        let drain = ChaseConfig {
-            max_steps: Some(200),
-            keep_trace: true,
-            use_planner,
-            ..ChaseConfig::default()
-        };
-        for strategy in &strategies {
-            for max_steps in budgets {
-                let cfg = ChaseConfig {
-                    strategy: strategy.clone(),
-                    max_steps,
-                    ..drain.clone()
-                };
-                let label =
-                    format!("{sigma} / {strategy:?} / {max_steps:?} / planner {use_planner}");
-                let mut st = EngineState::new(&chase_core::Instance::new(), &set, &cfg);
-                let resume_agrees = |st: &mut EngineState, cfg: &ChaseConfig, at: &str| {
-                    let before = st.instance().clone();
-                    let warm = chase_resume(st, &set, cfg);
-                    let naive = chase_naive(&before, &set, cfg);
-                    assert_eq!(warm.reason, naive.reason, "{at}: stop reason");
-                    assert_eq!(warm.steps, naive.steps, "{at}: steps");
-                    assert_eq!(warm.fresh_nulls, naive.fresh_nulls, "{at}: nulls");
-                    assert_eq!(
-                        format!("{:?}", warm.trace),
-                        format!("{:?}", naive.trace),
-                        "{at}: trace"
-                    );
-                    assert_eq!(st.instance(), &naive.instance, "{at}: instance");
-                };
-                for (b, text) in batches.iter().enumerate() {
-                    let text =
-                        format!("{text} Wait(w{b}a). Wait(w{b}b). Wait(w{b}c). Wait(w{b}d).");
-                    let atoms = chase_core::Instance::parse(&text).unwrap().atoms();
-                    st.insert_batch(&set, &cfg, atoms).unwrap();
-                    resume_agrees(&mut st, &cfg, &format!("{label} / batch {b}"));
-                }
-                resume_agrees(&mut st, &drain, &format!("{label} / drain"));
-                assert!(st.quiescent(), "{label}: the drain left triggers pooled");
+    let drain = ChaseConfig {
+        max_steps: Some(200),
+        keep_trace: true,
+        ..ChaseConfig::default()
+    };
+    for strategy in &strategies {
+        for max_steps in budgets {
+            let cfg = ChaseConfig {
+                strategy: strategy.clone(),
+                max_steps,
+                ..drain.clone()
+            };
+            let label = format!("{sigma} / {strategy:?} / {max_steps:?}");
+            let mut st = EngineState::new(&chase_core::Instance::new(), &set, &cfg);
+            let resume_agrees = |st: &mut EngineState, cfg: &ChaseConfig, at: &str| {
+                let before = st.instance().clone();
+                let warm = chase_resume(st, &set, cfg);
+                let naive = chase_naive(&before, &set, cfg);
+                assert_eq!(warm.reason, naive.reason, "{at}: stop reason");
+                assert_eq!(warm.steps, naive.steps, "{at}: steps");
+                assert_eq!(warm.fresh_nulls, naive.fresh_nulls, "{at}: nulls");
+                assert_eq!(
+                    format!("{:?}", warm.trace),
+                    format!("{:?}", naive.trace),
+                    "{at}: trace"
+                );
+                assert_eq!(st.instance(), &naive.instance, "{at}: instance");
+            };
+            for (b, text) in batches.iter().enumerate() {
+                let text = format!("{text} Wait(w{b}a). Wait(w{b}b). Wait(w{b}c). Wait(w{b}d).");
+                let atoms = chase_core::Instance::parse(&text).unwrap().atoms();
+                st.insert_batch(&set, &cfg, atoms).unwrap();
+                resume_agrees(&mut st, &cfg, &format!("{label} / batch {b}"));
             }
+            resume_agrees(&mut st, &drain, &format!("{label} / drain"));
+            assert!(st.quiescent(), "{label}: the drain left triggers pooled");
         }
     }
 }

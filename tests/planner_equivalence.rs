@@ -4,12 +4,12 @@
 //! body enumeration, semi-naive delta re-matching, head activity checks,
 //! and delta-seeded head revalidation. Plans change cost, never results;
 //! everything the engines' trace equivalence rests on is pinned here at the
-//! matcher level.
+//! matcher level, against reference helpers written over the searcher.
 
-use chase_core::homomorphism::{find_all_homs, Subst};
-use chase_core::{Atom, ConstraintSet, Instance, Sym, Term};
+use chase_core::homomorphism::{exists_extension, find_all_homs, for_each_hom, unify_atom, Subst};
+use chase_core::{Atom, Constraint, ConstraintSet, Instance, Sym, Term};
 use chase_corpus::random::{random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig};
-use chase_engine::{head_rests, Matcher};
+use chase_engine::Matcher;
 use chase_plan::Access;
 use proptest::prelude::*;
 
@@ -21,9 +21,9 @@ fn multiset(homs: &[Subst]) -> Vec<Vec<(Sym, Term)>> {
     v
 }
 
-fn collect_body(m: &Matcher, ci: usize, set: &ConstraintSet, inst: &Instance) -> Vec<Subst> {
+fn collect_body(m: &Matcher, ci: usize, inst: &Instance) -> Vec<Subst> {
     let mut out = Vec::new();
-    m.for_each_body_hom(ci, &set[ci], inst, &mut |mu| {
+    m.for_each_body_hom(ci, inst, &mut |mu| {
         out.push(mu.clone());
         false
     });
@@ -45,19 +45,70 @@ fn collect_delta(
     out
 }
 
-/// The whole matcher surface, planned vs unplanned, on one workload.
+/// `atoms` without the atom at `j`.
+fn without(atoms: &[Atom], j: usize) -> Vec<Atom> {
+    let mut rest = atoms.to_vec();
+    rest.remove(j);
+    rest
+}
+
+/// Reference body enumeration: the backtracking searcher.
+fn reference_body(c: &Constraint, inst: &Instance) -> Vec<Subst> {
+    let mut out = Vec::new();
+    for_each_hom(c.body(), inst, &Subst::new(), false, &mut |mu| {
+        out.push(mu.clone());
+        false
+    });
+    out
+}
+
+/// Reference delta enumeration: each body slot unified with each delta
+/// atom, the rest of the body completed by the searcher.
+fn reference_delta(c: &Constraint, inst: &Instance, delta: &[Atom]) -> Vec<Subst> {
+    let mut out = Vec::new();
+    for (j, pattern) in c.body().iter().enumerate() {
+        let rest = without(c.body(), j);
+        for a in delta {
+            if let Some(mu0) = unify_atom(pattern, a, &Subst::new()) {
+                for_each_hom(&rest, inst, &mu0, false, &mut |mu| {
+                    out.push(mu.clone());
+                    false
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Reference activity of a TGD trigger: no head extension exists.
+fn reference_active(head: &[Atom], inst: &Instance, mu: &Subst) -> bool {
+    !exists_extension(head, inst, mu)
+}
+
+/// Reference head revalidation: some head atom unifies with a delta atom
+/// under `mu`, and the searcher extends that to the rest of the head.
+fn reference_newly_satisfied(head: &[Atom], inst: &Instance, delta: &[Atom], mu: &Subst) -> bool {
+    (0..head.len()).any(|j| {
+        delta.iter().any(|a| {
+            unify_atom(&head[j], a, mu)
+                .is_some_and(|seed| exists_extension(&without(head, j), inst, &seed))
+        })
+    })
+}
+
+/// The whole matcher surface, planned vs the searcher reference, on one
+/// workload.
 fn assert_matchers_agree(
     set: &ConstraintSet,
     inst: &Instance,
     delta_len: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let planned = Matcher::planned(set, inst);
-    let unplanned = Matcher::unplanned();
     let delta: Vec<Atom> = inst.atoms().iter().take(delta_len).cloned().collect();
     for (ci, c) in set.enumerate() {
         // Full-body enumeration: same multiset as the classic searcher.
-        let p = collect_body(&planned, ci, set, inst);
-        let u = collect_body(&unplanned, ci, set, inst);
+        let p = collect_body(&planned, ci, inst);
+        let u = reference_body(c, inst);
         prop_assert_eq!(
             multiset(&p),
             multiset(&u),
@@ -75,7 +126,7 @@ fn assert_matchers_agree(
         // Delta re-matching: same multiset (per-delta-atom multiplicity
         // included — both report a match once per delta atom seeding it).
         let pd = collect_delta(&planned, ci, set, inst, &delta);
-        let ud = collect_delta(&unplanned, ci, set, inst, &delta);
+        let ud = reference_delta(c, inst, &delta);
         prop_assert_eq!(
             multiset(&pd),
             multiset(&ud),
@@ -88,18 +139,17 @@ fn assert_matchers_agree(
         // Head checks: activity and delta-seeded revalidation agree hom by
         // hom.
         let Some(t) = c.as_tgd() else { continue };
-        let rests = head_rests(t.head());
         for mu in &u {
             prop_assert_eq!(
                 planned.is_active(ci, c, inst, mu),
-                unplanned.is_active(ci, c, inst, mu),
+                reference_active(t.head(), inst, mu),
                 "activity differs for constraint {} under {}",
                 ci,
                 mu
             );
             prop_assert_eq!(
-                planned.head_newly_satisfied(ci, t.head(), &rests, inst, &delta, mu),
-                unplanned.head_newly_satisfied(ci, t.head(), &rests, inst, &delta, mu),
+                planned.head_newly_satisfied(ci, t.head(), inst, &delta, mu),
+                reference_newly_satisfied(t.head(), inst, &delta, mu),
                 "head revalidation differs for constraint {} under {}",
                 ci,
                 mu
@@ -205,7 +255,7 @@ fn probe_and_partly_bound_steps_agree() {
     let planned = Matcher::planned(&set, &inst);
     let steps: Vec<(Access, usize, usize)> = (0..set.len())
         .flat_map(|ci| {
-            let p = planned.plans(ci).expect("planner on");
+            let p = planned.plans(ci);
             std::iter::once(&p.body)
                 .chain(&p.head)
                 .flat_map(|prog| &prog.steps)
@@ -237,7 +287,7 @@ fn refresh_keeps_equivalence_across_epochs() {
             inst.insert(Atom::new("S", vec![Term::constant(&format!("v{i}"))]));
         }
         planned.refresh(&set, &inst);
-        let p = collect_body(&planned, 0, &set, &inst);
+        let p = collect_body(&planned, 0, &inst);
         assert_eq!(
             multiset(&p),
             multiset(&find_all_homs(set[0].body(), &inst)),

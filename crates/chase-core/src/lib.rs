@@ -18,13 +18,16 @@
 //! * the constraint language of the paper — tuple-generating dependencies
 //!   ([`Tgd`]) and equality-generating dependencies ([`Egd`]) — plus
 //!   [`ConjunctiveQuery`]s,
-//! * a plain-text [`parser`] for constraints, instances and queries.
+//! * a plain-text [`parser`] for constraints, instances and queries,
+//! * the one binary grammar ([`bytes`]) under instance snapshots and the
+//!   serving layer's wire frames and write-ahead log.
 //!
 //! Everything in this crate is deterministic: iteration orders are fixed by
 //! insertion order or by explicit sorting, so chase sequences built on top of
 //! it are reproducible.
 
 pub mod atom;
+pub mod bytes;
 pub mod constraint;
 pub mod cq;
 pub mod error;
@@ -38,12 +41,13 @@ pub mod symbol;
 pub mod term;
 
 pub use atom::Atom;
+pub use bytes::crc32;
 pub use constraint::{Constraint, ConstraintSet, Egd, Tgd};
 pub use cq::ConjunctiveQuery;
 pub use error::CoreError;
 pub use homomorphism::{exists_extension, exists_hom, find_all_homs, find_hom, unify_atom, Subst};
 pub use instance::{FactId, FactView, Instance, MergeEffect};
 pub use schema::{PosSet, Position, Schema};
-pub use snapshot::{crc32, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use symbol::Sym;
 pub use term::{Term, TermId};

@@ -23,12 +23,13 @@
 //!
 //! # On-disk layout (version 1)
 //!
-//! All integers little-endian. The whole byte string is:
+//! The fields are [`crate::bytes`]'s `u8`/`u32`/`str`, and the whole byte
+//! string is one `seal` (the content below, then a `u32` CRC-32 of it):
 //!
 //! ```text
 //! magic   "CSNP"                       4 bytes
 //! version u8 = 1
-//! symtab  u32 count, then per name: u32 len, <len> UTF-8 bytes
+//! symtab  u32 count, then per name: str
 //! nulls   u32 next_null                 (exact counter, not derived)
 //! tables  u32 count, then per table:
 //!           u32 pred   (symtab index)
@@ -36,7 +37,6 @@
 //!           u32 rows
 //!           arity columns of <rows> u32 file-local term ids
 //! order   u32 count, then per fact: u32 table, u32 row
-//! crc     u32 CRC-32 (IEEE) of every preceding byte
 //! ```
 //!
 //! A *file-local term id* keeps the null tag bit: nulls are stored verbatim,
@@ -56,6 +56,7 @@
 //! assert_eq!(back, inst);
 //! ```
 
+use crate::bytes::{crc32, split_seal, DecodeError, Reader, Writer};
 use crate::fx::FxHashMap;
 use crate::instance::Instance;
 use crate::symbol::Sym;
@@ -117,72 +118,14 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), the checksum guarding both
-/// snapshot files and WAL records in the serving layer.
-///
-/// Hand-rolled (the workspace takes no external dependencies); the table is
-/// built on first use and the function is pure, so callers may share it
-/// freely across threads.
-///
-/// ```
-/// use chase_core::snapshot::crc32;
-///
-/// // The standard check value for CRC-32/IEEE.
-/// assert_eq!(crc32(b"123456789"), 0xCBF43926);
-/// assert_eq!(crc32(b""), 0);
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> SnapshotError {
+        match e {
+            DecodeError::Short => SnapshotError::Truncated,
+            DecodeError::Utf8 => SnapshotError::BadUtf8,
+            DecodeError::Bool(_) => SnapshotError::Corrupt("bad boolean"),
+            DecodeError::Trailing(_) => SnapshotError::Corrupt("trailing bytes"),
         }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// Little-endian primitive writers over a growing byte buffer.
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.at.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 }
 
@@ -237,34 +180,30 @@ impl Instance {
             col_locals.push(cols);
         }
 
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        put_u32(&mut out, names.len() as u32);
+        let mut w = Writer(SNAPSHOT_MAGIC.to_vec());
+        w.u8(SNAPSHOT_VERSION);
+        w.u32(names.len() as u32);
         for name in &names {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
+            w.str(name);
         }
-        put_u32(&mut out, self.next_null);
-        put_u32(&mut out, self.tables.len() as u32);
+        w.u32(self.next_null);
+        w.u32(self.tables.len() as u32);
         for (i, t) in self.tables.iter().enumerate() {
-            put_u32(&mut out, pred_locals[i]);
-            put_u32(&mut out, t.cols.len() as u32);
-            put_u32(&mut out, t.rows);
+            w.u32(pred_locals[i]);
+            w.u32(t.cols.len() as u32);
+            w.u32(t.rows);
             for col in &col_locals[i] {
                 for &v in col {
-                    put_u32(&mut out, v);
+                    w.u32(v);
                 }
             }
         }
-        put_u32(&mut out, self.locs.len() as u32);
+        w.u32(self.locs.len() as u32);
         for loc in &self.locs {
-            put_u32(&mut out, loc.table);
-            put_u32(&mut out, loc.row);
+            w.u32(loc.table);
+            w.u32(loc.row);
         }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
+        w.seal()
     }
 
     /// Decode a snapshot produced by [`Instance::to_snapshot_bytes`].
@@ -276,20 +215,14 @@ impl Instance {
     /// with a freshly built instance holding the same atoms; the null
     /// counter is restored exactly.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Instance, SnapshotError> {
-        if bytes.len() < 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        // CRC covers everything up to the trailing checksum word.
-        let (content, tail) = bytes.split_at(bytes.len() - 4);
-        let found = u32::from_le_bytes(tail.try_into().unwrap());
-        let expected = crc32(content);
-        let mut c = Cursor {
-            bytes: content,
-            at: 0,
-        };
-        if c.take(4)? != SNAPSHOT_MAGIC {
+        // The magic is checked before the seal, so foreign bytes read as
+        // `BadMagic` rather than as a checksum mismatch.
+        let (content, found) = split_seal(bytes)?;
+        let mut c = Reader::new(content);
+        if c.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
+        let expected = crc32(content);
         if expected != found {
             return Err(SnapshotError::BadChecksum { expected, found });
         }
@@ -301,10 +234,7 @@ impl Instance {
         let sym_count = c.u32()? as usize;
         let mut syms = Vec::with_capacity(sym_count.min(1 << 16));
         for _ in 0..sym_count {
-            let len = c.u32()? as usize;
-            let raw = c.take(len)?;
-            let name = std::str::from_utf8(raw).map_err(|_| SnapshotError::BadUtf8)?;
-            syms.push(Sym::new(name));
+            syms.push(Sym::new(c.str()?));
         }
         let next_null = c.u32()?;
         let resolve = |v: u32, syms: &[Sym]| -> Result<TermId, SnapshotError> {
@@ -376,9 +306,7 @@ impl Instance {
                 return Err(SnapshotError::Corrupt("duplicate fact content"));
             }
         }
-        if c.at != content.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
+        c.finish()?;
         // Restore the null counter exactly; replay only raised it to
         // max(null)+1, which undershoots after merges collapsed high nulls.
         if inst.next_null > next_null {

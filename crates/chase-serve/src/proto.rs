@@ -1,5 +1,5 @@
 //! The session server's wire protocol: versioned request/response enums
-//! with a hand-rolled byte codec over length-prefixed frames.
+//! over length-prefixed frames, written in [`chase_core::bytes`]'s grammar.
 //!
 //! ## Framing
 //!
@@ -33,12 +33,13 @@
 //!
 //! ## Encoding
 //!
-//! Scalars are little-endian (`u32` for lengths/counts, `u64` for ids and
-//! counters), booleans one byte (`0`/`1`), strings a `u32` length followed
-//! by UTF-8 bytes. Structured chase payloads — constraint sets, fact
-//! batches, conjunctive queries, answer terms — are carried as *text* in
-//! the workspace's own surface syntax and re-parsed server-side, so the
-//! protocol inherits the parsers' validation instead of duplicating it.
+//! Frames and fields are [`chase_core::bytes`]'s grammar, the one
+//! definition shared with the WAL and the snapshots: `u32` lengths and
+//! counts, `u64` ids and counters, one-byte booleans, `str` strings.
+//! Structured chase payloads — constraint sets, fact batches, conjunctive
+//! queries, answer terms — are carried as *text* in the workspace's own
+//! surface syntax and re-parsed server-side, so the protocol inherits the
+//! parsers' validation instead of duplicating it.
 //! One-line constraint sets use the `;` separator (see
 //! [`chase_core::ConstraintSet::parse`]); no escaping is required.
 //!
@@ -50,6 +51,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use chase_core::bytes::{DecodeError, Reader, Writer};
 use chase_engine::StopReason;
 
 use crate::session::{ChaseOutcome, QueryOpts, ServeError, SessionStats};
@@ -125,6 +127,17 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<DecodeError> for ProtoError {
+    fn from(e: DecodeError) -> ProtoError {
+        match e {
+            DecodeError::Short => ProtoError::Short,
+            DecodeError::Bool(got) => ProtoError::Tag { got },
+            DecodeError::Utf8 => ProtoError::Utf8,
+            DecodeError::Trailing(extra) => ProtoError::Trailing { extra },
+        }
+    }
+}
+
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> ProtoError {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -143,12 +156,14 @@ impl From<io::Error> for ProtoError {
 ///
 /// The frame goes to `w` in one write, so on an unbuffered `TCP_NODELAY`
 /// socket it leaves as one segment, not a 4-byte one and then the rest.
+///
+/// A payload over [`MAX_FRAME`] is refused with
+/// [`io::ErrorKind::InvalidInput`] before a byte reaches `w`, so the
+/// stream stays in step and the caller can still answer on it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME as usize);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    let mut frame = Writer(Vec::with_capacity(4 + payload.len()));
+    frame.frame(payload, MAX_FRAME)?;
+    w.write_all(&frame.0)?;
     w.flush()
 }
 
@@ -158,20 +173,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// without allocating, and an accepted one is never trusted up front: the
 /// buffer grows with the bytes that actually arrive.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut len = [0u8; 4];
-    // Hand-rolled read loop so a clean EOF before the first byte is
-    // distinguishable from one mid-prefix.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(ProtoError::Truncated),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+    let mut prefix = Vec::with_capacity(4);
+    r.take(4).read_to_end(&mut prefix)?;
+    match prefix.len() {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(ProtoError::Truncated),
     }
-    let len = u32::from_le_bytes(len);
+    let len = Reader::new(&prefix).u32()?;
     if len > MAX_FRAME {
         return Err(ProtoError::Oversized { len });
     }
@@ -183,106 +192,38 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     Ok(Some(payload))
 }
 
-// ---------------------------------------------------------------------------
-// Byte cursor primitives
-// ---------------------------------------------------------------------------
+/// The header every payload opens with: version byte, correlation id, tag.
+trait FrameHeader {
+    fn new(tag: u8, corr: u64) -> Self;
+}
 
-struct Writer(Vec<u8>);
-
-impl Writer {
+impl FrameHeader for Writer {
     fn new(tag: u8, corr: u64) -> Writer {
         let mut w = Writer(vec![PROTO_VERSION]);
         w.u64(corr);
         w.u8(tag);
         w
     }
-
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.0.push(v as u8);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A whole payload: the header, then what `fields` writes.
+fn payload(tag: u8, corr: u64, fields: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new(tag, corr);
+    fields(&mut w);
+    w.0
 }
 
-impl<'a> Reader<'a> {
-    /// Open a payload, checking the version byte and yielding the
-    /// correlation id and tag.
-    fn open(buf: &'a [u8]) -> Result<(u64, u8, Reader<'a>), ProtoError> {
-        let mut r = Reader { buf, pos: 0 };
-        let version = r.u8()?;
-        if version != PROTO_VERSION {
-            return Err(ProtoError::Version { got: version });
-        }
-        let corr = r.u64()?;
-        let tag = r.u8()?;
-        Ok((corr, tag, r))
+/// Open a payload: check the version byte, then yield the correlation id,
+/// the tag and a cursor over the fields.
+fn open(payload: &[u8]) -> Result<(u64, u8, Reader<'_>), ProtoError> {
+    let mut r = Reader::new(payload);
+    let version = r.u8()?;
+    if version != PROTO_VERSION {
+        return Err(ProtoError::Version { got: version });
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Short)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::Short);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            got => Err(ProtoError::Tag { got }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Utf8)
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::Trailing {
-                extra: self.buf.len() - self.pos,
-            })
-        }
-    }
+    let corr = r.u64()?;
+    let tag = r.u8()?;
+    Ok((corr, tag, r))
 }
 
 // ---------------------------------------------------------------------------
@@ -321,24 +262,6 @@ fn get_reason(r: &mut Reader<'_>) -> Result<StopReason, ProtoError> {
     })
 }
 
-fn put_opt_reason(w: &mut Writer, r: &Option<StopReason>) {
-    match r {
-        None => w.u8(0),
-        Some(r) => {
-            w.u8(1);
-            put_reason(w, r);
-        }
-    }
-}
-
-fn get_opt_reason(r: &mut Reader<'_>) -> Result<Option<StopReason>, ProtoError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_reason(r)?)),
-        got => Err(ProtoError::Tag { got }),
-    }
-}
-
 fn put_outcome(w: &mut Writer, o: &ChaseOutcome) {
     put_reason(w, &o.reason);
     w.u64(o.steps as u64);
@@ -366,7 +289,10 @@ fn put_stats(w: &mut Writer, s: &SessionStats) {
     w.u64(s.plan_recompiles);
     w.u64(s.merge_rewritten);
     w.u64(s.merge_collapsed);
-    put_opt_reason(w, &s.last_reason);
+    w.bool(s.last_reason.is_some());
+    if let Some(reason) = &s.last_reason {
+        put_reason(w, reason);
+    }
     w.bool(s.quiescent);
 }
 
@@ -378,20 +304,11 @@ fn get_stats(r: &mut Reader<'_>) -> Result<SessionStats, ProtoError> {
         plan_recompiles: r.u64()?,
         merge_rewritten: r.u64()?,
         merge_collapsed: r.u64()?,
-        last_reason: get_opt_reason(r)?,
+        last_reason: match r.bool()? {
+            true => Some(get_reason(r)?),
+            false => None,
+        },
         quiescent: r.bool()?,
-    })
-}
-
-fn put_opts(w: &mut Writer, o: &QueryOpts) {
-    w.bool(o.all);
-    w.bool(o.sqo);
-}
-
-fn get_opts(r: &mut Reader<'_>) -> Result<QueryOpts, ProtoError> {
-    Ok(QueryOpts {
-        all: r.bool()?,
-        sqo: r.bool()?,
     })
 }
 
@@ -473,69 +390,50 @@ impl Request {
     /// Encode into a frame payload (version byte + correlation id + tag +
     /// fields). The server echoes `corr` on the reply.
     pub fn encode(&self, corr: u64) -> Vec<u8> {
-        let mut w;
         match self {
-            Request::Open { sigma } => {
-                w = Writer::new(1, corr);
-                w.str(sigma);
-            }
-            Request::Apply { session, facts } => {
-                w = Writer::new(2, corr);
+            Request::Open { sigma } => payload(1, corr, |w| w.str(sigma)),
+            Request::Apply { session, facts } => payload(2, corr, |w| {
                 w.u64(*session);
                 w.str(facts);
-            }
-            Request::Query { session, cq, opts } => {
-                w = Writer::new(3, corr);
+            }),
+            Request::Query { session, cq, opts } => payload(3, corr, |w| {
                 w.u64(*session);
                 w.str(cq);
-                put_opts(&mut w, opts);
-            }
-            Request::Snapshot { session } => {
-                w = Writer::new(4, corr);
-                w.u64(*session);
-            }
-            Request::Restore { session, snapshot } => {
-                w = Writer::new(5, corr);
+                w.bool(opts.all);
+                w.bool(opts.sqo);
+            }),
+            Request::Snapshot { session } => payload(4, corr, |w| w.u64(*session)),
+            Request::Restore { session, snapshot } => payload(5, corr, |w| {
                 w.u64(*session);
                 w.u64(*snapshot);
-            }
-            Request::Stats { session } => {
-                w = Writer::new(6, corr);
-                w.u64(*session);
-            }
-            Request::Dump { session } => {
-                w = Writer::new(7, corr);
-                w.u64(*session);
-            }
-            Request::Close { session } => {
-                w = Writer::new(8, corr);
-                w.u64(*session);
-            }
-            Request::Metrics => {
-                w = Writer::new(9, corr);
-            }
-            Request::Persist { session } => {
-                w = Writer::new(10, corr);
-                w.u64(*session);
-            }
+            }),
+            Request::Stats { session } => payload(6, corr, |w| w.u64(*session)),
+            Request::Dump { session } => payload(7, corr, |w| w.u64(*session)),
+            Request::Close { session } => payload(8, corr, |w| w.u64(*session)),
+            Request::Metrics => payload(9, corr, |_| {}),
+            Request::Persist { session } => payload(10, corr, |w| w.u64(*session)),
         }
-        w.0
     }
 
     /// Decode a frame payload into its correlation id and request. Total:
     /// malformed bytes yield a [`ProtoError`], never a panic.
     pub fn decode(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
-        let (corr, tag, mut r) = Reader::open(payload)?;
+        let (corr, tag, mut r) = open(payload)?;
         let req = match tag {
-            1 => Request::Open { sigma: r.str()? },
+            1 => Request::Open {
+                sigma: r.str()?.into(),
+            },
             2 => Request::Apply {
                 session: r.u64()?,
-                facts: r.str()?,
+                facts: r.str()?.into(),
             },
             3 => Request::Query {
                 session: r.u64()?,
-                cq: r.str()?,
-                opts: get_opts(&mut r)?,
+                cq: r.str()?.into(),
+                opts: QueryOpts {
+                    all: r.bool()?,
+                    sqo: r.bool()?,
+                },
             },
             4 => Request::Snapshot { session: r.u64()? },
             5 => Request::Restore {
@@ -572,50 +470,38 @@ impl Request {
 // ---------------------------------------------------------------------------
 
 /// Coarse classification of a server-side failure, carried on the wire
-/// alongside the human-readable message.
+/// (as the discriminant byte) alongside the human-readable message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// A sigma, fact batch or query failed to parse.
-    Parse,
+    Parse = 0,
     /// The session hit a terminal stop earlier ([`ServeError::Poisoned`]).
-    Poisoned,
-    /// A cap is reached: the global session cap ([`ServeError::Capacity`])
-    /// or a session's snapshot cap ([`ServeError::SnapshotCapacity`]).
-    Capacity,
+    Poisoned = 1,
+    /// A cap is reached: the global session cap ([`ServeError::Capacity`]),
+    /// a session's snapshot cap ([`ServeError::SnapshotCapacity`]), or the
+    /// frame cap: a reply over [`MAX_FRAME`] is refused whole, and the
+    /// connection stays open.
+    Capacity = 2,
     /// No such session id ([`ServeError::UnknownSession`]).
-    UnknownSession,
+    UnknownSession = 3,
     /// No such snapshot id ([`ServeError::UnknownSnapshot`]).
-    UnknownSnapshot,
+    UnknownSnapshot = 4,
     /// The session is gone ([`ServeError::SessionGone`]).
-    SessionGone,
+    SessionGone = 5,
     /// Anything else (core rejection, a session template whose strategy
     /// the sigma cannot run, internal failure).
-    Internal,
+    Internal = 6,
     /// A durability operation failed ([`ServeError::Durability`]): the
     /// write-ahead log or a snapshot could not be read or written, or the
     /// session/server is not durable at all.
-    Durability,
+    Durability = 7,
     /// The session idled past the server's TTL and, being non-durable, was
     /// discarded ([`ServeError::Evicted`]). Durable sessions never surface
     /// this — they warm-restart transparently on the next touch.
-    Evicted,
+    Evicted = 8,
 }
 
 impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Parse => 0,
-            ErrorCode::Poisoned => 1,
-            ErrorCode::Capacity => 2,
-            ErrorCode::UnknownSession => 3,
-            ErrorCode::UnknownSnapshot => 4,
-            ErrorCode::SessionGone => 5,
-            ErrorCode::Internal => 6,
-            ErrorCode::Durability => 7,
-            ErrorCode::Evicted => 8,
-        }
-    }
-
     fn from_u8(v: u8) -> Result<ErrorCode, ProtoError> {
         Ok(match v {
             0 => ErrorCode::Parse,
@@ -718,18 +604,10 @@ impl Response {
     /// Encode into a frame payload (version byte + correlation id + tag +
     /// fields). `corr` echoes the request this answers.
     pub fn encode(&self, corr: u64) -> Vec<u8> {
-        let mut w;
         match self {
-            Response::Opened { session } => {
-                w = Writer::new(1, corr);
-                w.u64(*session);
-            }
-            Response::Applied { outcome } => {
-                w = Writer::new(2, corr);
-                put_outcome(&mut w, outcome);
-            }
-            Response::Answers { tuples } => {
-                w = Writer::new(3, corr);
+            Response::Opened { session } => payload(1, corr, |w| w.u64(*session)),
+            Response::Applied { outcome } => payload(2, corr, |w| put_outcome(w, outcome)),
+            Response::Answers { tuples } => payload(3, corr, |w| {
                 w.u32(tuples.len() as u32);
                 for t in tuples {
                     w.u32(t.len() as u32);
@@ -737,76 +615,55 @@ impl Response {
                         w.str(term);
                     }
                 }
-            }
-            Response::Snapshotted { snapshot } => {
-                w = Writer::new(4, corr);
-                w.u64(*snapshot);
-            }
-            Response::Restored => {
-                w = Writer::new(5, corr);
-            }
-            Response::Stats { stats } => {
-                w = Writer::new(6, corr);
-                put_stats(&mut w, stats);
-            }
-            Response::Dump { text } => {
-                w = Writer::new(7, corr);
-                w.str(text);
-            }
-            Response::Closed => {
-                w = Writer::new(8, corr);
-            }
-            Response::Error { code, message } => {
-                w = Writer::new(9, corr);
-                w.u8(code.to_u8());
+            }),
+            Response::Snapshotted { snapshot } => payload(4, corr, |w| w.u64(*snapshot)),
+            Response::Restored => payload(5, corr, |_| {}),
+            Response::Stats { stats } => payload(6, corr, |w| put_stats(w, stats)),
+            Response::Dump { text } => payload(7, corr, |w| w.str(text)),
+            Response::Closed => payload(8, corr, |_| {}),
+            Response::Error { code, message } => payload(9, corr, |w| {
+                w.u8(*code as u8);
                 w.str(message);
-            }
-            Response::Metrics { text } => {
-                w = Writer::new(10, corr);
-                w.str(text);
-            }
-            Response::Persisted { epoch } => {
-                w = Writer::new(11, corr);
-                w.u64(*epoch);
-            }
+            }),
+            Response::Metrics { text } => payload(10, corr, |w| w.str(text)),
+            Response::Persisted { epoch } => payload(11, corr, |w| w.u64(*epoch)),
         }
-        w.0
     }
 
     /// Decode a frame payload into its correlation id and response. Total:
     /// malformed bytes yield a [`ProtoError`], never a panic.
     pub fn decode(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
-        let (corr, tag, mut r) = Reader::open(payload)?;
+        let (corr, tag, mut r) = open(payload)?;
         let resp = match tag {
             1 => Response::Opened { session: r.u64()? },
             2 => Response::Applied {
                 outcome: get_outcome(&mut r)?,
             },
             3 => {
-                let n = r.u32()? as usize;
-                let mut tuples = Vec::new();
-                for _ in 0..n {
-                    let k = r.u32()? as usize;
-                    let mut t = Vec::new();
-                    for _ in 0..k {
-                        t.push(r.str()?);
-                    }
-                    tuples.push(t);
+                let tuple = |r: &mut Reader<'_>| -> Result<Vec<String>, ProtoError> {
+                    (0..r.u32()?).map(|_| Ok(r.str()?.into())).collect()
+                };
+                let tuples = (0..r.u32()?).map(|_| tuple(&mut r));
+                Response::Answers {
+                    tuples: tuples.collect::<Result<_, _>>()?,
                 }
-                Response::Answers { tuples }
             }
             4 => Response::Snapshotted { snapshot: r.u64()? },
             5 => Response::Restored,
             6 => Response::Stats {
                 stats: get_stats(&mut r)?,
             },
-            7 => Response::Dump { text: r.str()? },
+            7 => Response::Dump {
+                text: r.str()?.into(),
+            },
             8 => Response::Closed,
             9 => Response::Error {
                 code: ErrorCode::from_u8(r.u8()?)?,
-                message: r.str()?,
+                message: r.str()?.into(),
             },
-            10 => Response::Metrics { text: r.str()? },
+            10 => Response::Metrics {
+                text: r.str()?.into(),
+            },
             11 => Response::Persisted { epoch: r.u64()? },
             got => return Err(ProtoError::Tag { got }),
         };

@@ -228,8 +228,19 @@ fn connection(stream: &TcpStream, conductor: &Conductor, stop: &AtomicBool) {
         };
         let message = match Request::read_from(&mut frame) {
             Ok(Some((corr, req))) => {
-                let reply = respond(conductor, req);
-                if reply.write_to(&mut writer, corr).is_err() {
+                // `write_frame` refuses a reply over the frame cap before a
+                // byte of it leaves, so an error reply keeps the stream in step.
+                let sent = respond(conductor, req)
+                    .write_to(&mut writer, corr)
+                    .or_else(|e| match e.kind() {
+                        io::ErrorKind::InvalidInput => Response::Error {
+                            code: ErrorCode::Capacity,
+                            message: format!("reply refused: {e}"),
+                        }
+                        .write_to(&mut writer, corr),
+                        _ => Err(e),
+                    });
+                if sent.is_err() {
                     return;
                 }
                 continue;
@@ -433,10 +444,14 @@ impl Client {
             return Ok(Vec::new());
         }
         let base = self.next_corr;
+        // Frame the whole batch before sending any of it, so a request over
+        // the frame cap is refused without leaving replies unread.
+        let mut frames = Vec::new();
         for req in reqs {
             let corr = self.fresh_corr();
-            req.write_to(&mut self.stream, corr)?;
+            req.write_to(&mut frames, corr)?;
         }
+        self.stream.write_all(&frames)?;
         self.stream.flush()?;
         let mut slots: Vec<Option<Result<Response, ClientError>>> =
             (0..reqs.len()).map(|_| None).collect();

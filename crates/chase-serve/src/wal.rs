@@ -15,15 +15,18 @@
 //!
 //! ## WAL record grammar
 //!
-//! The log reuses the framing discipline of [`crate::proto`]: u32-LE length
-//! prefix, version + tag bytes, and a trailing checksum per record.
+//! The log is a sequence of [`chase_core::bytes`] records, the same grammar
+//! the wire protocol and the snapshots are written in:
 //!
 //! ```text
-//! record  := u32 LE payload-length | payload | u32 LE CRC-32(payload)
+//! record  := u32 payload-length | seal(payload)   -- seal = payload | u32 CRC-32
 //! payload := version (u8 = 1) | tag (u8 = 1, batch)
-//!          | epoch (u64 LE)             -- the epoch this batch becomes
-//!          | u32 LE text-length | text  -- facts in surface syntax
+//!          | epoch (u64)                -- the epoch this batch becomes
+//!          | text (str)                 -- facts in surface syntax
 //! ```
+//!
+//! A session snapshot file is one `seal` of `"CSSN" | version (u8 = 1) |
+//! epoch (u64) | instance snapshot (bytes)`.
 //!
 //! Batches travel as *text* in the workspace's fact surface syntax — the
 //! same encoding the wire protocol uses — so the log inherits the parser's
@@ -53,7 +56,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use chase_core::snapshot::crc32;
+use chase_core::bytes::{unseal, Reader, Writer};
 use chase_core::{ConstraintSet, Instance};
 use chase_engine::{ChaseConfig, ChaseMode, Strategy};
 
@@ -207,26 +210,15 @@ impl Wal {
 
     /// Append one batch record; returns the bytes written. The record is in
     /// the OS page cache after this — durability requires [`Wal::fsync`]
-    /// (called per the session's [`FsyncPolicy`]).
+    /// (called per the session's [`FsyncPolicy`]). A record over
+    /// [`MAX_WAL_RECORD`] is refused with [`io::ErrorKind::InvalidInput`]
+    /// and nothing is written.
     pub(crate) fn append(&mut self, epoch: u64, batch: &str) -> io::Result<u64> {
-        let mut payload = Vec::with_capacity(batch.len() + 16);
-        payload.push(WAL_VERSION);
-        payload.push(WAL_TAG_BATCH);
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        payload.extend_from_slice(batch.as_bytes());
-        assert!(
-            payload.len() as u32 <= MAX_WAL_RECORD,
-            "batch text exceeds the WAL record cap"
-        );
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        let record = encode_record(epoch, batch)?;
+        self.file.write_all(&record)?;
+        self.len += record.len() as u64;
         self.appends_since_fsync += 1;
-        Ok(frame.len() as u64)
+        Ok(record.len() as u64)
     }
 
     /// Should this append be flushed under `policy`?
@@ -263,49 +255,41 @@ impl Wal {
     }
 }
 
+/// The record logging `batch` as `epoch`; refused over [`MAX_WAL_RECORD`].
+fn encode_record(epoch: u64, batch: &str) -> io::Result<Vec<u8>> {
+    let mut payload = Writer(vec![WAL_VERSION, WAL_TAG_BATCH]);
+    payload.u64(epoch);
+    payload.str(batch);
+    let mut record = Writer(Vec::with_capacity(payload.0.len() + 8));
+    record
+        .record(&payload.0, MAX_WAL_RECORD)
+        .map_err(|e| io::Error::new(e.kind(), format!("WAL record refused: {e}")))?;
+    Ok(record.0)
+}
+
 /// Decode records until the first torn or corrupt one; returns the records
 /// and the byte length of the valid prefix.
 fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while let Some(rest) = bytes.get(at..) {
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-        if len > MAX_WAL_RECORD {
-            break;
-        }
-        let len = len as usize;
-        if rest.len() < 4 + len + 4 {
-            break;
-        }
-        let payload = &rest[4..4 + len];
-        let stored = u32::from_le_bytes(rest[4 + len..4 + len + 4].try_into().unwrap());
-        if crc32(payload) != stored {
-            break;
-        }
-        let Some(rec) = decode_payload(payload) else {
-            break;
-        };
+    let mut r = Reader::new(bytes);
+    let mut valid = 0;
+    while let Some(rec) = r.record(MAX_WAL_RECORD).and_then(decode_payload) {
         records.push(rec);
-        at += 4 + len + 4;
+        valid = bytes.len() - r.remaining();
     }
-    (records, at as u64)
+    (records, valid as u64)
 }
 
 /// Decode one record payload; `None` on any structural problem (treated as
 /// corruption by the caller).
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    if payload.len() < 14 || payload[0] != WAL_VERSION || payload[1] != WAL_TAG_BATCH {
+    let mut r = Reader::new(payload);
+    if r.u8().ok()? != WAL_VERSION || r.u8().ok()? != WAL_TAG_BATCH {
         return None;
     }
-    let epoch = u64::from_le_bytes(payload[2..10].try_into().unwrap());
-    let text_len = u32::from_le_bytes(payload[10..14].try_into().unwrap()) as usize;
-    if payload.len() != 14 + text_len {
-        return None;
-    }
-    let batch = std::str::from_utf8(&payload[14..]).ok()?.to_string();
+    let epoch = r.u64().ok()?;
+    let batch = r.str().ok()?.to_string();
+    r.finish().ok()?;
     Some(WalRecord { epoch, batch })
 }
 
@@ -321,26 +305,33 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 /// returns the snapshot survives a power cut and the log it covers may be
 /// truncated.
 pub(crate) fn write_snapshot(dir: &Path, epoch: u64, instance: &Instance) -> io::Result<PathBuf> {
-    let body = instance.to_snapshot_bytes();
-    let mut out = Vec::with_capacity(body.len() + 32);
-    out.extend_from_slice(&SESSION_SNAPSHOT_MAGIC);
-    out.push(SESSION_SNAPSHOT_VERSION);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let name = format!("{SNAPSHOT_PREFIX}{epoch:020}{SNAPSHOT_SUFFIX}");
+    write_durably(dir, &name, &encode_snapshot(epoch, instance))
+}
 
-    let final_path = dir.join(format!("{SNAPSHOT_PREFIX}{epoch:020}{SNAPSHOT_SUFFIX}"));
-    let tmp_path = dir.join(format!(".{SNAPSHOT_PREFIX}{epoch:020}.tmp"));
+/// The bytes of a snapshot file for `instance` as of `epoch`.
+fn encode_snapshot(epoch: u64, instance: &Instance) -> Vec<u8> {
+    let mut w = Writer(SESSION_SNAPSHOT_MAGIC.to_vec());
+    w.u8(SESSION_SNAPSHOT_VERSION);
+    w.u64(epoch);
+    w.bytes(&instance.to_snapshot_bytes());
+    w.seal()
+}
+
+/// Replace `dir/name` with `bytes` so that a crash leaves the old file or
+/// the new one, whole: write a temporary file, fsync it, rename it over
+/// `name`, fsync the directory. Returns the final path.
+fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+    let path = dir.join(name);
+    let tmp = dir.join(format!(".{name}.tmp"));
     {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&out)?;
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
-    fs::rename(&tmp_path, &final_path)?;
+    fs::rename(&tmp, &path)?;
     sync_dir(dir)?;
-    Ok(final_path)
+    Ok(path)
 }
 
 /// Make `dir`'s entries durable: a rename or a file creation reaches
@@ -349,27 +340,17 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Decode one snapshot file; `None` when it is unreadable in any way
-/// (snapshots are cache — an invalid one is skipped, never fatal).
-fn read_snapshot(path: &Path) -> Option<(u64, Instance)> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < 4 + 1 + 8 + 4 + 4 {
+/// Decode one snapshot file's bytes; `None` when they are unreadable in
+/// any way (snapshots are cache — an invalid one is skipped, never fatal).
+fn read_snapshot(bytes: &[u8]) -> Option<(u64, Instance)> {
+    let mut r = Reader::new(unseal(bytes)?);
+    if r.take(4).ok()? != SESSION_SNAPSHOT_MAGIC || r.u8().ok()? != SESSION_SNAPSHOT_VERSION {
         return None;
     }
-    let (content, tail) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(tail.try_into().unwrap());
-    if crc32(content) != stored || content[0..4] != SESSION_SNAPSHOT_MAGIC {
-        return None;
-    }
-    if content[4] != SESSION_SNAPSHOT_VERSION {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(content[5..13].try_into().unwrap());
-    let body_len = u32::from_le_bytes(content[13..17].try_into().unwrap()) as usize;
-    if content.len() != 17 + body_len {
-        return None;
-    }
-    let instance = Instance::from_snapshot_bytes(&content[17..]).ok()?;
+    let epoch = r.u64().ok()?;
+    let body = r.bytes().ok()?;
+    r.finish().ok()?;
+    let instance = Instance::from_snapshot_bytes(body).ok()?;
     Some((epoch, instance))
 }
 
@@ -403,7 +384,7 @@ fn snapshot_files(dir: &Path) -> Vec<(u64, PathBuf)> {
 pub(crate) fn load_newest_snapshot(dir: &Path) -> Option<(u64, Instance)> {
     snapshot_files(dir)
         .into_iter()
-        .find_map(|(_, path)| read_snapshot(&path))
+        .find_map(|(_, path)| read_snapshot(&fs::read(path).ok()?))
 }
 
 /// Remove all but the newest `keep` snapshot files (best-effort; removal
@@ -604,20 +585,13 @@ fn apply_cfg_line(c: &mut ChaseConfig, key: &str, value: &str) -> Result<(), Str
 }
 
 /// Write the manifest for a fresh durability directory (atomically, like
-/// snapshots: tmp + fsync + rename + directory fsync).
+/// snapshots: see [`write_durably`]).
 pub(crate) fn write_manifest(
     dir: &Path,
     set: &ConstraintSet,
     cfg: &SessionConfig,
 ) -> io::Result<()> {
-    let tmp = dir.join(".MANIFEST.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(render_manifest(set, cfg).as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(tmp, dir.join(MANIFEST_FILE))?;
-    sync_dir(dir)
+    write_durably(dir, MANIFEST_FILE, render_manifest(set, cfg).as_bytes()).map(drop)
 }
 
 /// Read the manifest in `dir`, if one exists. `Ok(None)` = fresh directory;
@@ -639,7 +613,9 @@ pub(crate) fn is_session_dir(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_core::Term;
     use chase_engine::ChaseConfig;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     fn tempdir(name: &str) -> PathBuf {
         let dir =
@@ -809,5 +785,110 @@ mod tests {
         assert!(read_manifest(&dir).unwrap().is_none());
         assert!(!is_session_dir(&dir));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// SplitMix64: random bytes and instances from one proptest seed (the
+    /// vendored proptest has no collection strategies).
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn term(&mut self) -> String {
+            match self.below(2) {
+                0 => format!("c{}", self.below(6)),
+                _ => format!("_n{}", self.below(6)),
+            }
+        }
+    }
+
+    /// Up to a dozen facts over constants and nulls, with null 5 (when
+    /// present) merged away so the null counter outruns the live nulls.
+    fn random_instance(rng: &mut Mix) -> Instance {
+        let mut text = String::new();
+        for _ in 0..=rng.below(12) {
+            let fact = match rng.below(2) {
+                0 => format!("p({}). ", rng.term()),
+                _ => format!("e({},{}). ", rng.term(), rng.term()),
+            };
+            text.push_str(&fact);
+        }
+        let mut inst = Instance::parse(&text).unwrap();
+        inst.merge_terms(Term::Null(5), Term::Null(0));
+        inst
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Decoding the snapshot side is total. Random bytes, every
+        /// truncation of a valid encoding and every single-bit flip of one
+        /// are refused by the instance snapshot and snapshot file decoders;
+        /// the WAL decoder keeps exactly the whole records before the
+        /// damage. None of them panics.
+        #[test]
+        fn snapshot_side_decoding_is_total(seed in any::<u64>()) {
+            let mut rng = Mix(seed);
+            let inst = random_instance(&mut rng);
+            let snapshot = inst.to_snapshot_bytes();
+            let file = encode_snapshot(rng.below(100), &inst);
+            let records: Vec<WalRecord> = (1..=1 + rng.below(4))
+                .map(|epoch| WalRecord {
+                    epoch,
+                    batch: format!("e({},{}). ", rng.term(), rng.term()),
+                })
+                .collect();
+            let mut wal = Vec::new();
+            let mut ends = vec![0];
+            for r in &records {
+                wal.extend(encode_record(r.epoch, &r.batch).unwrap());
+                ends.push(wal.len());
+            }
+            // What the WAL decoder must keep of a log damaged at byte `at`.
+            let kept = |at: usize| {
+                let k = ends.iter().filter(|&&end| end <= at).count() - 1;
+                (records[..k].to_vec(), ends[k] as u64)
+            };
+
+            prop_assert_eq!(Instance::from_snapshot_bytes(&snapshot), Ok(inst.clone()));
+            prop_assert!(read_snapshot(&file).is_some_and(|(_, back)| back == inst));
+            prop_assert_eq!(decode_records(&wal), (records.clone(), wal.len() as u64));
+
+            let noise: Vec<u8> = (0..rng.below(256)).map(|_| rng.below(256) as u8).collect();
+            prop_assert!(Instance::from_snapshot_bytes(&noise).is_err());
+            prop_assert!(read_snapshot(&noise).is_none());
+            prop_assert_eq!(decode_records(&noise), (Vec::new(), 0));
+
+            for cut in 0..snapshot.len() {
+                prop_assert!(Instance::from_snapshot_bytes(&snapshot[..cut]).is_err());
+            }
+            for cut in 0..file.len() {
+                prop_assert!(read_snapshot(&file[..cut]).is_none());
+            }
+            for cut in 0..wal.len() {
+                prop_assert_eq!(decode_records(&wal[..cut]), kept(cut));
+            }
+
+            let flip = |bytes: &[u8], bit: usize| {
+                let mut bent = bytes.to_vec();
+                bent[bit / 8] ^= 1 << (bit % 8);
+                bent
+            };
+            for bit in 0..snapshot.len() * 8 {
+                prop_assert!(Instance::from_snapshot_bytes(&flip(&snapshot, bit)).is_err());
+            }
+            for bit in 0..file.len() * 8 {
+                prop_assert!(read_snapshot(&flip(&file, bit)).is_none());
+            }
+            for bit in 0..wal.len() * 8 {
+                prop_assert_eq!(decode_records(&flip(&wal, bit)), kept(bit / 8));
+            }
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! test drives a real server over loopback TCP.
 
 use chase::prelude::*;
-use chase::serve::proto::{ErrorCode, Request, Response};
+use chase::serve::proto::{ErrorCode, ProtoError, Request, Response, MAX_FRAME};
 use std::io::Write;
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
@@ -96,5 +97,105 @@ fn a_paused_frame_is_answered_and_a_stalled_one_gets_an_error_frame() {
         other => panic!("expected an error frame, got {other:?}"),
     }
     assert_eq!(Response::read_from(&mut stream).unwrap(), None);
+    server.shutdown();
+}
+
+/// A fresh per-test directory under the system temp dir.
+fn test_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("chase-adversarial-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `count` facts `s(<name>).` whose text is exactly `len` bytes: distinct
+/// names, padded with `x`.
+fn padded_facts(count: usize, len: usize) -> String {
+    let room = len - count * "s().".len();
+    let mut facts = String::with_capacity(len);
+    for i in 0..count {
+        let width = room / count + usize::from(i < room % count);
+        let name = format!("n{i:03}");
+        facts.push_str(&format!("s({name}{}).", "x".repeat(width - name.len())));
+    }
+    assert_eq!(facts.len(), len);
+    facts
+}
+
+/// A legal `Apply` frame can hold a batch whose WAL record would be over
+/// the record cap: the server re-renders the facts, which adds bytes. That
+/// batch is refused with a `Durability` error before anything is logged or
+/// applied, the session keeps serving on the same connection, and a
+/// reopen replays only what was acknowledged.
+#[test]
+fn a_batch_over_the_wal_record_cap_is_refused_and_the_session_lives() {
+    let root = test_dir("wal-record-cap");
+    let server = serve(
+        "127.0.0.1:0",
+        ConductorConfig {
+            durable_root: Some(root.clone()),
+            ..ConductorConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let s = c.open("s(X) -> t(X)").unwrap();
+    // The frame's payload is 22 bytes of header (version, correlation id,
+    // tag, session id, text length) and then the text: a full frame.
+    let facts = padded_facts(100, MAX_FRAME as usize - 22);
+    match c.apply(s, &facts) {
+        Err(ClientError::Server {
+            code: ErrorCode::Durability,
+            message,
+        }) => assert!(message.contains("WAL record"), "{message}"),
+        other => panic!("expected a durability error, got {other:?}"),
+    }
+    drop(facts);
+    assert_eq!(c.apply(s, "s(a).").unwrap().epoch, 1);
+    assert_eq!(c.stats(s).unwrap().total_facts, 2);
+    server.shutdown();
+
+    let back = ChaseSession::open(root.join(format!("session-{s}"))).unwrap();
+    assert_eq!(back.durability().unwrap().replayed_records, 1);
+    assert_eq!(back.stats().epoch, 1);
+    assert_eq!(back.stats().total_facts, 2);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A reply over the frame cap is never sent: the request gets a
+/// `Capacity` error frame under its own correlation id, and the next call
+/// on the same connection is answered normally. A request over the cap is
+/// refused on the client's side before a byte is sent.
+#[test]
+fn a_reply_over_the_frame_cap_is_a_capacity_error_and_the_connection_stays_in_step() {
+    let server = serve("127.0.0.1:0", ConductorConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let s = c.open("s(X) -> t(X)").unwrap();
+    // Two batches of six 1 MiB names; each name appears in an `s` and a
+    // `t` fact, so the dump is ~24 MiB.
+    let mib = 1 << 20;
+    for batch in 0..2 {
+        let facts: String = (0..6)
+            .map(|i| format!("s(n{}{}).", batch * 6 + i, "x".repeat(mib)))
+            .collect();
+        c.apply(s, &facts).unwrap();
+    }
+    match c.dump(s) {
+        Err(ClientError::Server {
+            code: ErrorCode::Capacity,
+            message,
+        }) => assert!(message.contains("cap"), "{message}"),
+        other => panic!("expected a capacity error, got {other:?}"),
+    }
+    assert_eq!(c.stats(s).unwrap().epoch, 2);
+
+    let facts = padded_facts(1, MAX_FRAME as usize);
+    match c.apply(s, &facts) {
+        Err(ClientError::Proto(ProtoError::Io(message))) => {
+            assert!(message.contains("cap"), "{message}")
+        }
+        other => panic!("expected a local refusal, got {other:?}"),
+    }
+    assert_eq!(c.stats(s).unwrap().epoch, 2);
     server.shutdown();
 }

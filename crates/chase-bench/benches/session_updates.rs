@@ -8,7 +8,7 @@
 //! re-discovery on data it already chased. The **warm** path keeps one
 //! `ChaseSession` resident: each batch is inserted into the columnar store,
 //! the trigger pool is re-matched semi-naively from the batch delta, and
-//! the chase resumes with pool, dead-memo and join plans already warm.
+//! the chase resumes with its trigger pool and join plans already warm.
 //! Both paths produce a universal model of the same accumulated facts
 //! after every epoch (pinned up to core isomorphism by
 //! `tests/session_equivalence.rs`); only the work differs.

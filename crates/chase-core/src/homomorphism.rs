@@ -30,11 +30,26 @@ use std::fmt;
 /// so scanning a few pairs beats hashing (a binary search lost to the hash
 /// map on `matching_micro/star`), and cloning a match copies one small
 /// buffer. The sorted order is canonical, so the derived `PartialEq` is map
-/// equality.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// equality. `clone_from` copies into the existing buffers, so a scratch
+/// substitution reused across matches allocates only while it grows.
+#[derive(Default, PartialEq, Eq)]
 pub struct Subst {
     vars: Vec<(Sym, Term)>,
     nulls: Vec<(u32, Term)>,
+}
+
+impl Clone for Subst {
+    fn clone(&self) -> Subst {
+        Subst {
+            vars: self.vars.clone(),
+            nulls: self.nulls.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Subst) {
+        self.vars.clone_from(&source.vars);
+        self.nulls.clone_from(&source.nulls);
+    }
 }
 
 /// Bind `k` in a key-sorted vector, overwriting an existing binding.
@@ -128,6 +143,12 @@ impl Subst {
     /// True iff no variable or null is bound.
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty() && self.nulls.is_empty()
+    }
+
+    /// Unbind everything, keeping the buffers for reuse.
+    pub fn clear(&mut self) {
+        self.vars.clear();
+        self.nulls.clear();
     }
 }
 

@@ -42,6 +42,7 @@ use crate::fx::{FxHashMap, FxHasher};
 use crate::schema::{PosSet, Position, Schema};
 use crate::symbol::Sym;
 use crate::term::{Term, TermId};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hasher;
@@ -203,19 +204,21 @@ impl Instance {
         crate::parser::parse_instance(text)
     }
 
-    /// Insert a ground atom; returns `true` if it was new.
+    /// Insert a ground atom, given by value or by reference (the store
+    /// keeps ids, never the atom); returns `true` if it was new.
     ///
     /// # Panics
     /// Panics if the atom contains a variable; use [`Instance::try_insert`]
     /// for a checked version.
-    pub fn insert(&mut self, atom: Atom) -> bool {
+    pub fn insert(&mut self, atom: impl Borrow<Atom>) -> bool {
         self.try_insert(atom)
             .expect("non-ground atom inserted into instance")
     }
 
     /// Insert a ground atom; returns `true` if it was new, or an error if the
     /// atom contains a variable.
-    pub fn try_insert(&mut self, atom: Atom) -> Result<bool, CoreError> {
+    pub fn try_insert(&mut self, atom: impl Borrow<Atom>) -> Result<bool, CoreError> {
+        let atom = atom.borrow();
         let mut ids = std::mem::take(&mut self.scratch);
         ids.clear();
         for &t in atom.terms() {
@@ -244,6 +247,13 @@ impl Instance {
         if self.probe(hash, pred, ids).is_some() {
             return false;
         }
+        self.append(hash, pred, ids);
+        true
+    }
+
+    /// Append a fact known to be absent, `hash` being its [`row_hash`]:
+    /// the insert path after the dedup probe.
+    fn append(&mut self, hash: u64, pred: Sym, ids: &[TermId]) {
         let fact = FactId::try_from(self.locs.len()).expect("instance too large");
         // Locate (or create) the `(pred, arity)` table and append the row.
         let table = match self
@@ -286,7 +296,6 @@ impl Instance {
         self.by_pred.entry(pred).or_default().push(fact);
         self.dedup_insert(hash, fact);
         self.version += 1;
-        true
     }
 
     /// Insert a batch of ground atoms atomically; returns the atoms that
@@ -462,8 +471,10 @@ impl Instance {
     /// Bring `self` up to `src` in O(delta) when `self` is an earlier state
     /// of `src` with only inserts since; returns whether it did.
     ///
-    /// Replays `src`'s facts `self.len()..src.len()` through
-    /// [`Instance::insert_ids`] and copies the fresh-null counter, so the
+    /// Appends `src`'s facts `self.len()..src.len()` through the insert
+    /// path's append, skipping its dedup probe: a fact `src` added after
+    /// `self`'s state is absent from it by construction (debug builds still
+    /// probe and assert so). Then it copies the fresh-null counter, so the
     /// result is structurally identical to `src.clone()`: same fact ids,
     /// tables, index buckets, dedup chains and version. The inserts-only
     /// case is detected in O(1): each new fact bumps both the version and
@@ -485,14 +496,20 @@ impl Instance {
         if versions != facts as u64 {
             return false;
         }
-        let mut ids = Vec::new();
+        let mut ids = std::mem::take(&mut self.scratch);
         for loc in &src.locs[self.len()..] {
             let tbl = &src.tables[loc.table as usize];
             ids.clear();
             ids.extend(tbl.cols.iter().map(|col| col[loc.row as usize]));
-            let new = self.insert_ids(src.table_preds[loc.table as usize], &ids);
-            debug_assert!(new, "catch-up replayed a fact the earlier state held");
+            let pred = src.table_preds[loc.table as usize];
+            let hash = row_hash(pred, &ids);
+            debug_assert!(
+                self.probe(hash, pred, &ids).is_none(),
+                "catch-up replayed a fact the earlier state held"
+            );
+            self.append(hash, pred, &ids);
         }
+        self.scratch = ids;
         self.next_null = src.next_null;
         true
     }

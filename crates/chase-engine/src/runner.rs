@@ -19,8 +19,9 @@
 //! # The delta-driven trigger queue
 //!
 //! The engine keeps every currently fireable trigger in a trigger pool —
-//! one ordered map per constraint, keyed by the normalized assignment — and
-//! maintains it **incrementally**. After a TGD step adds atoms:
+//! one ordered set per constraint of trigger keys, each key the terms of
+//! the normalized assignment — and maintains it **incrementally**. After a
+//! TGD step adds atoms:
 //!
 //! * only constraints whose *body* predicates intersect the delta are
 //!   re-matched, semi-naively: each new atom is pinned into each compatible
@@ -41,10 +42,10 @@
 //!
 //! EGD merges are delta-driven too. The store returns a
 //! [`chase_core::MergeEffect`] naming the rows the merge rewrote, and the
-//! engine repairs its structures from that delta: pooled substitutions and
-//! (oblivious mode) fired memo keys are remapped through `from ↦ to`
-//! (normalized keys sort by variable *name*, so the substitution
-//! renormalizes them in place), remapped pool triggers are re-validated in
+//! engine repairs its structures from that delta: pooled and (oblivious
+//! mode) fired keys are remapped through `from ↦ to` (a key lists the
+//! universals in a fixed order, so substituting its terms keeps it a key),
+//! remapped pool triggers are re-validated in
 //! full, and the rewritten rows seed the same semi-naive re-matching and
 //! head revalidation a TGD delta uses — no pool rebuild, no memo wipe.
 //!
@@ -58,6 +59,13 @@
 //! listed: inserting it costs one hash and no clone, as in a plain set;
 //! under a Σ without EGDs no key is listed at all. The pool is still
 //! scanned for keys that mention `from`.
+//!
+//! Once warm, the trigger path allocates only for the facts a step adds.
+//! A trigger is its key, held inline (`TriggerKey`); its assignment is
+//! rebuilt into a reused buffer when it fires or is revalidated, the
+//! executor reuses its registers, and the delta-match and revalidation
+//! collections are scratch kept across steps (`tests/alloc_budget.rs`
+//! pins the budget).
 //!
 //! All matching work — pool rebuilds, semi-naive delta re-matching, head
 //! revalidation, and the naive reference's full re-enumeration — goes
@@ -82,15 +90,14 @@
 
 use crate::monitor::MonitorGraph;
 use crate::step::{apply_step, StepEffect};
-use crate::trigger::{key_order, normalize_in, Matcher};
+use crate::trigger::{key_order, Matcher, TriggerKey};
 use chase_core::fx::{FxHashMap, FxHashSet, FxHasher};
 use chase_core::homomorphism::Subst;
-use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Term};
+use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Term, TermId};
 use chase_obs::{EventKind, Phase, PhaseTimer, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -284,16 +291,12 @@ impl fmt::Display for ChaseResult {
     }
 }
 
-/// Canonical identity of a trigger: the normalized assignment of the
-/// constraint's universal variables (see [`crate::trigger::normalize`]).
-type TriggerKey = Vec<(Sym, Term)>;
-
 /// One TGD head atom, as the pool's revalidation index sees it.
 ///
 /// An added atom can newly satisfy a pooled trigger's head only by unifying
 /// with the trigger's instance of some head atom: same predicate and arity,
 /// the atom's constants in place, and µ's values at its frontier positions.
-/// The slot buckets pooled triggers by a hash of those frontier values, so
+/// The slot files pooled triggers under a hash of those frontier values, so
 /// an added atom finds every trigger it might satisfy through this atom by
 /// hashing its own values at the same positions.
 #[derive(Clone)]
@@ -302,30 +305,36 @@ struct HeadSlot {
     arity: usize,
     /// `(position, constant)`: what a unifying atom must carry there.
     consts: Vec<(usize, Term)>,
-    /// `(position, universal variable)`, in position order.
-    frontier: Vec<(usize, Sym)>,
-    /// Frontier-value hash → the pooled keys with those values. A hash
-    /// collision only adds a candidate; revalidation's exact check drops it.
-    buckets: FxHashMap<u64, FxHashSet<TriggerKey>>,
+    /// `(position, index in the trigger key)` of each universal variable,
+    /// in position order.
+    frontier: Vec<(usize, usize)>,
+    /// `(frontier-value hash, key)` of every pooled trigger. One ordered
+    /// set serves every bucket as a range of it, so a bucket costs no
+    /// allocation of its own. A hash collision only adds a candidate;
+    /// revalidation's exact check drops it.
+    index: BTreeSet<(u64, TriggerKey)>,
 }
 
-/// Hash a sequence of terms the same way for triggers and atoms.
-fn hash_terms(terms: impl Iterator<Item = Term>) -> u64 {
+/// Hash a sequence of term ids the same way for triggers and atoms.
+fn hash_ids(ids: impl Iterator<Item = TermId>) -> u64 {
     let mut h = FxHasher::default();
-    for t in terms {
-        t.hash(&mut h);
+    for id in ids {
+        id.hash(&mut h);
     }
     h.finish()
 }
 
 impl HeadSlot {
-    fn new(atom: &Atom, universals: &[Sym]) -> HeadSlot {
+    fn new(atom: &Atom, order: &[Sym]) -> HeadSlot {
         let mut consts = Vec::new();
         let mut frontier = Vec::new();
         for (p, &t) in atom.terms().iter().enumerate() {
             match t {
-                Term::Var(v) if universals.contains(&v) => frontier.push((p, v)),
-                Term::Var(_) => {}
+                Term::Var(v) => {
+                    if let Some(k) = order.iter().position(|&u| u == v) {
+                        frontier.push((p, k));
+                    }
+                }
                 _ => consts.push((p, t)),
             }
         }
@@ -334,16 +343,12 @@ impl HeadSlot {
             arity: atom.arity(),
             consts,
             frontier,
-            buckets: FxHashMap::default(),
+            index: BTreeSet::new(),
         }
     }
 
-    fn trigger_hash(&self, mu: &Subst) -> u64 {
-        hash_terms(
-            self.frontier
-                .iter()
-                .map(|&(_, v)| mu.var(v).expect("a pooled trigger binds every universal")),
-        )
+    fn trigger_hash(&self, key: &TriggerKey) -> u64 {
+        hash_ids(self.frontier.iter().map(|&(_, k)| key[k]))
     }
 
     /// The bucket `a` would unify into, or `None` when its predicate,
@@ -353,41 +358,47 @@ impl HeadSlot {
         let fits = a.pred() == self.pred
             && terms.len() == self.arity
             && self.consts.iter().all(|&(p, t)| terms[p] == t);
-        fits.then(|| hash_terms(self.frontier.iter().map(|&(p, _)| terms[p])))
+        fits.then(|| {
+            hash_ids(
+                self.frontier
+                    .iter()
+                    .map(|&(p, _)| TermId::from_ground(terms[p]).expect("added atoms are ground")),
+            )
+        })
     }
 
-    fn add(&mut self, key: &TriggerKey, mu: &Subst) {
-        let h = self.trigger_hash(mu);
-        self.buckets.entry(h).or_default().insert(key.clone());
+    fn add(&mut self, key: &TriggerKey) {
+        self.index.insert((self.trigger_hash(key), key.clone()));
     }
 
-    fn remove(&mut self, key: &TriggerKey, mu: &Subst) {
-        let h = self.trigger_hash(mu);
-        let bucket = self
-            .buckets
-            .get_mut(&h)
-            .expect("a pooled trigger is indexed in every head slot");
-        bucket.remove(key);
-        if bucket.is_empty() {
-            self.buckets.remove(&h);
-        }
+    fn remove(&mut self, key: &TriggerKey) {
+        let removed = self.index.remove(&(self.trigger_hash(key), key.clone()));
+        debug_assert!(removed, "a pooled trigger is indexed in every head slot");
+    }
+
+    /// The keys filed under hash `h`.
+    fn bucket(&self, h: u64) -> impl Iterator<Item = &TriggerKey> {
+        let first = (h, TriggerKey::new(std::iter::empty()));
+        self.index
+            .range(first..)
+            .take_while(move |(k, _)| *k == h)
+            .map(|(_, key)| key)
     }
 }
 
-/// The currently fireable triggers, one ordered map per constraint.
+/// The currently fireable triggers, one ordered key set per constraint.
 ///
-/// `BTreeMap` gives the canonical within-constraint order (assignments
-/// compare by interned symbol id, then term) that both engines use for
-/// selection, and `pop_first` hands the fired trigger out by value — no
-/// `Subst` clone on the hot path.
+/// A trigger is its key ([`TriggerKey`]): the assignment is rebuilt from
+/// it when the trigger fires or is revalidated. `BTreeSet` gives the
+/// canonical within-constraint order that both engines use for selection.
 ///
 /// In standard mode every TGD's head atoms also index its pooled triggers
 /// ([`HeadSlot`]), so head revalidation visits only the triggers an added
 /// atom can unify with instead of the whole pool. Every mutation below
-/// keeps the index in step with the maps.
+/// keeps the index in step with the sets.
 #[derive(Clone)]
 struct TriggerPool {
-    pools: Vec<BTreeMap<TriggerKey, Subst>>,
+    pools: Vec<BTreeSet<TriggerKey>>,
     /// Per constraint, one slot per TGD head atom; empty for EGDs and in
     /// oblivious mode, where nothing revalidates.
     slots: Vec<Vec<HeadSlot>>,
@@ -395,82 +406,73 @@ struct TriggerPool {
 }
 
 impl TriggerPool {
-    fn new(set: &ConstraintSet, mode: ChaseMode) -> TriggerPool {
+    fn new(set: &ConstraintSet, mode: ChaseMode, key_orders: &[Vec<Sym>]) -> TriggerPool {
         let slots = set
             .enumerate()
-            .map(|(_, c)| match c {
+            .map(|(ci, c)| match c {
                 Constraint::Tgd(t) if mode == ChaseMode::Standard => t
                     .head()
                     .iter()
-                    .map(|a| HeadSlot::new(a, t.universals()))
+                    .map(|a| HeadSlot::new(a, &key_orders[ci]))
                     .collect(),
                 _ => Vec::new(),
             })
             .collect();
         TriggerPool {
-            pools: (0..set.len()).map(|_| BTreeMap::new()).collect(),
+            pools: (0..set.len()).map(|_| BTreeSet::new()).collect(),
             slots,
             total: 0,
         }
     }
 
-    fn insert(&mut self, ci: usize, key: TriggerKey, mu: Subst) -> bool {
-        match self.pools[ci].entry(key) {
-            Entry::Occupied(mut e) => {
-                // Equal keys bind every universal alike, so the frontier
-                // values — and the index — are unchanged.
-                e.insert(mu);
-                false
-            }
-            Entry::Vacant(e) => {
-                for slot in &mut self.slots[ci] {
-                    slot.add(e.key(), &mu);
-                }
-                e.insert(mu);
-                self.total += 1;
-                true
-            }
+    /// Pool a trigger that is not pooled yet.
+    fn insert(&mut self, ci: usize, key: TriggerKey) {
+        for slot in &mut self.slots[ci] {
+            slot.add(&key);
         }
+        let new = self.pools[ci].insert(key);
+        debug_assert!(new, "a trigger is pooled at most once");
+        self.total += 1;
     }
 
     fn contains(&self, ci: usize, key: &TriggerKey) -> bool {
-        self.pools[ci].contains_key(key)
+        self.pools[ci].contains(key)
     }
 
     /// Account for a trigger just taken out of `pools[ci]`: drop it from
     /// the index and the total.
-    fn unindex(&mut self, ci: usize, key: &TriggerKey, mu: &Subst) {
+    fn unindex(&mut self, ci: usize, key: &TriggerKey) {
         for slot in &mut self.slots[ci] {
-            slot.remove(key, mu);
+            slot.remove(key);
         }
         self.total -= 1;
     }
 
-    fn remove(&mut self, ci: usize, key: &TriggerKey) -> Option<Subst> {
-        let mu = self.pools[ci].remove(key)?;
-        self.unindex(ci, key, &mu);
-        Some(mu)
+    fn remove(&mut self, ci: usize, key: &TriggerKey) {
+        if self.pools[ci].remove(key) {
+            self.unindex(ci, key);
+        }
     }
 
-    fn pop_first(&mut self, ci: usize) -> Option<(TriggerKey, Subst)> {
-        let (key, mu) = self.pools[ci].pop_first()?;
-        self.unindex(ci, &key, &mu);
-        Some((key, mu))
+    fn pop_first(&mut self, ci: usize) -> Option<TriggerKey> {
+        let key = self.pools[ci].pop_first()?;
+        self.unindex(ci, &key);
+        Some(key)
     }
 
     /// Remove and return the `n`-th trigger in global canonical order
     /// (constraint index, then assignment).
-    fn take_nth(&mut self, mut n: usize) -> Option<(usize, TriggerKey, Subst)> {
+    fn take_nth(&mut self, mut n: usize) -> Option<(usize, TriggerKey)> {
         for ci in 0..self.pools.len() {
             let len = self.pools[ci].len();
             if n < len {
                 let key = self.pools[ci]
-                    .keys()
+                    .iter()
                     .nth(n)
                     .expect("index in range")
                     .clone();
-                let mu = self.remove(ci, &key).expect("key just read");
-                return Some((ci, key, mu));
+                self.remove(ci, &key);
+                return Some((ci, key));
             }
             n -= len;
         }
@@ -482,29 +484,58 @@ impl TriggerPool {
             pool.clear();
         }
         for slot in self.slots.iter_mut().flatten() {
-            slot.buckets.clear();
+            slot.index.clear();
         }
         self.total = 0;
     }
 
-    /// The pooled triggers of `ci` whose frontier values at some head atom
-    /// an atom of `added` carries, in canonical key order: a superset of
-    /// the triggers `added` may have newly satisfied (hash collisions and
-    /// existential positions are left to the exact check).
-    fn head_candidates(&self, ci: usize, added: &[Atom]) -> Vec<&TriggerKey> {
-        let mut out: Vec<&TriggerKey> = Vec::new();
+    /// Fill `out` with the pooled triggers of `ci` whose frontier values at
+    /// some head atom an atom of `added` carries, in canonical key order:
+    /// a superset of the triggers `added` may have newly satisfied (hash
+    /// collisions and existential positions are left to the exact check).
+    /// `hashes` is scratch.
+    fn head_candidates(
+        &self,
+        ci: usize,
+        added: &[Atom],
+        hashes: &mut Vec<u64>,
+        out: &mut Vec<TriggerKey>,
+    ) {
+        out.clear();
         for slot in &self.slots[ci] {
             // One visit per bucket, however many added atoms hash to it.
-            let hashes: FxHashSet<u64> = added.iter().filter_map(|a| slot.atom_hash(a)).collect();
-            for h in hashes {
-                if let Some(bucket) = slot.buckets.get(&h) {
-                    out.extend(bucket);
-                }
+            hashes.clear();
+            hashes.extend(added.iter().filter_map(|a| slot.atom_hash(a)));
+            hashes.sort_unstable();
+            hashes.dedup();
+            for &h in hashes.iter() {
+                out.extend(slot.bucket(h).cloned());
             }
         }
         out.sort_unstable();
         out.dedup();
-        out
+    }
+}
+
+/// Buffers the trigger path reuses from step to step, so that once warm it
+/// allocates only for the facts a step adds. Nothing in here outlives the
+/// call that fills it, so a clone of the state starts them empty.
+#[derive(Default)]
+struct Scratch {
+    /// The assignment of the trigger being fired or revalidated, rebuilt
+    /// from its key.
+    mu: Subst,
+    /// Head-slot hashes of the added atoms ([`TriggerPool::head_candidates`]).
+    hashes: Vec<u64>,
+    /// Trigger keys: head-revalidation candidates, merge-stale keys.
+    keys: Vec<TriggerKey>,
+    /// Delta matches of one constraint seen so far, active or not.
+    seen: FxHashSet<TriggerKey>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
     }
 }
 
@@ -550,6 +581,8 @@ pub struct EngineState {
     /// Per-constraint [`key_order`]: trigger keys are built in it, so
     /// normalizing a match never sorts by name.
     key_orders: Vec<Vec<Sym>>,
+    /// Buffers the trigger path reuses across steps.
+    scratch: Scratch,
     /// The matching engine every trigger query goes through: compiled
     /// `chase-plan` join programs. Refreshed when the instance's statistics
     /// epoch moves; it only ever reads the instance.
@@ -604,9 +637,10 @@ impl EngineState {
             fresh_nulls: 0,
             monitor,
             fired: vec![KeyMemo::new(renames); set.len()],
-            pool: TriggerPool::new(set, cfg.mode),
+            pool: TriggerPool::new(set, cfg.mode, &key_orders),
             body_preds,
             key_orders,
+            scratch: Scratch::default(),
             matcher,
             merge_rewritten: 0,
             merge_collapsed: 0,
@@ -757,27 +791,9 @@ struct Run<'a> {
     nulls0: usize,
 }
 
-/// Does this normalized key bind some variable to `t`?
-fn key_mentions(key: &TriggerKey, t: Term) -> bool {
-    key.iter().any(|&(_, bound)| bound == t)
-}
-
-/// Substitute `from ↦ to` in a normalized key. Keys sort by variable
-/// *name*, which the substitution leaves untouched, so the result is
-/// normalized too.
-fn remap_key(key: &TriggerKey, from: Term, to: Term) -> TriggerKey {
-    key.iter()
-        .map(|&(v, t)| (v, if t == from { to } else { t }))
-        .collect()
-}
-
-/// Substitute `from ↦ to` in a trigger assignment.
-fn remap_subst(mu: &Subst, from: Term, to: Term) -> Subst {
-    let mut nu = Subst::new();
-    for (v, t) in mu.var_bindings() {
-        nu.bind_var(v, if t == from { to } else { t });
-    }
-    nu
+/// The id of a merged term: a merge only ever renames ground terms.
+fn term_id(t: Term) -> TermId {
+    TermId::from_ground(t).expect("merged terms are ground")
 }
 
 /// A per-constraint memo of the oblivious chase's fired trigger keys that
@@ -817,15 +833,12 @@ impl KeyMemo {
         let Some(by_null) = &mut self.by_null else {
             return self.keys.insert(key);
         };
-        if !key.iter().any(|&(_, t)| t.is_null()) || self.keys.contains(&key) {
+        if !key.iter().any(|t| t.is_null()) || self.keys.contains(&key) {
             return self.keys.insert(key);
         }
-        for (i, &(_, t)) in key.iter().enumerate() {
+        for (i, &t) in key.iter().enumerate() {
             // List the key once per distinct null: at its first binding.
-            if let Some(n) = t
-                .as_null()
-                .filter(|_| key[..i].iter().all(|&(_, u)| u != t))
-            {
+            if let Some(n) = t.as_null().filter(|_| !key[..i].contains(&t)) {
                 by_null.entry(n).or_default().push(key.clone());
             }
         }
@@ -848,10 +861,11 @@ impl KeyMemo {
         let Some(listed) = from.as_null().and_then(|n| by_null.remove(&n)) else {
             return;
         };
+        let (from, to) = (term_id(from), term_id(to));
         for key in listed {
             // Stale: already renamed away through another null it binds.
             if self.keys.remove(&key) {
-                self.insert(remap_key(&key, from, to));
+                self.insert(key.remap(from, to));
             }
         }
     }
@@ -956,72 +970,68 @@ impl<'a> Run<'a> {
         let matcher = &*matcher;
         for (ci, c) in set.enumerate() {
             matcher.for_each_body_hom(ci, inst, &mut |mu| {
-                let key = normalize_in(&key_orders[ci], mu);
-                let fires = match cfg.mode {
-                    ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
-                    ChaseMode::Oblivious => !fired[ci].contains(&key),
-                };
-                if fires && !pool.contains(ci, &key) {
-                    pool.insert(ci, key, mu.clone());
+                let key = TriggerKey::of(&key_orders[ci], mu);
+                let fires = !pool.contains(ci, &key)
+                    && match cfg.mode {
+                        ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
+                        ChaseMode::Oblivious => !fired[ci].contains(&key),
+                    };
+                if fires {
+                    pool.insert(ci, key);
                 }
                 false
             });
         }
     }
 
-    /// Semi-naive re-matching of the `affected` constraints against `delta`
-    /// (a subset of the instance): the fireable triggers not yet pooled, as
-    /// `(constraint, key, assignment)`, deduplicated per constraint.
+    /// Semi-naive re-matching of constraint `ci` against `delta` (a subset
+    /// of the instance): pool every fireable trigger not yet pooled.
     ///
-    /// A satisfied trigger found again costs one activity probe here: no
-    /// memo remembers it. Without an EGD that never happens — a match is
-    /// found only through a new atom of its image, and no atom is new
-    /// twice — so under such a Σ a found trigger is never already pooled.
-    fn collect_delta_matches(
-        &self,
-        affected: &[usize],
-        delta: &[Atom],
-    ) -> Vec<(usize, TriggerKey, Subst)> {
-        let mut out = Vec::new();
+    /// Activity is probed on the match itself, before its key is kept, and
+    /// once per key: `seen` dedups both a match reported once per delta
+    /// atom it uses and distinct homomorphisms that normalize to the same
+    /// trigger. A satisfied trigger found again costs one activity probe
+    /// here: no memo remembers it. Without an EGD that never happens — a
+    /// match is found only through a new atom of its image, and no atom is
+    /// new twice — so under such a Σ a found trigger is never already
+    /// pooled.
+    fn pool_delta_matches(&mut self, ci: usize, delta: &[Atom]) {
         let egd_free = cfg!(debug_assertions) && !self.set.iter().any(Constraint::is_egd);
-        for &ci in affected {
-            let c = &self.set[ci];
-            // The map both dedups matches reported once per delta atom they
-            // use and distinct homomorphisms that normalize to the same
-            // trigger.
-            let mut found: FxHashMap<TriggerKey, Subst> = FxHashMap::default();
-            let pool = &self.st.pool;
-            let fired = &self.st.fired;
-            let mode = self.cfg.mode;
-            let order = &self.st.key_orders[ci];
-            self.st
-                .matcher
-                .for_each_delta_match(ci, c, &self.st.inst, delta, &mut |mu| {
-                    let key = normalize_in(order, mu);
-                    let pooled = pool.contains(ci, &key);
-                    debug_assert!(
-                        !(egd_free && pooled),
-                        "an EGD-free delta rediscovered pooled trigger {ci} {key:?}"
-                    );
-                    let known = pooled
-                        || (mode == ChaseMode::Oblivious && fired[ci].contains(&key))
-                        || found.contains_key(&key);
-                    if !known {
-                        found.insert(key, mu.clone());
-                    }
-                    false
-                });
-            let (inst, matcher) = (&self.st.inst, &self.st.matcher);
-            out.extend(
-                found
-                    .into_iter()
-                    .filter(|(_, mu)| {
-                        mode == ChaseMode::Oblivious || matcher.is_active(ci, c, inst, mu)
-                    })
-                    .map(|(key, mu)| (ci, key, mu)),
+        let c = &self.set[ci];
+        let mode = self.cfg.mode;
+        let EngineState {
+            inst,
+            fired,
+            pool,
+            matcher,
+            key_orders,
+            scratch,
+            ..
+        } = &mut *self.st;
+        let seen = &mut scratch.seen;
+        seen.clear();
+        let matcher = &*matcher;
+        matcher.for_each_delta_match(ci, c, inst, delta, &mut |mu| {
+            let key = TriggerKey::of(&key_orders[ci], mu);
+            if seen.contains(&key) {
+                return false;
+            }
+            let pooled = pool.contains(ci, &key);
+            debug_assert!(
+                !(egd_free && pooled),
+                "an EGD-free delta rediscovered pooled trigger {ci} {key:?}"
             );
-        }
-        out
+            let fires = !pooled
+                && match mode {
+                    ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
+                    ChaseMode::Oblivious => !fired[ci].contains(&key),
+                };
+            if fires {
+                pool.insert(ci, key.clone());
+            }
+            seen.insert(key);
+            false
+        });
     }
 
     /// Incremental pool update after a TGD step added `added` to the
@@ -1030,7 +1040,6 @@ impl<'a> Run<'a> {
         if added.is_empty() {
             return;
         }
-        let delta_preds: FxHashSet<Sym> = added.iter().map(|a| a.pred()).collect();
         // Revalidate pooled triggers that the new atoms may have satisfied.
         // A violated TGD trigger becomes satisfied only when a new atom
         // unifies with one of its instantiated head atoms, which pins the
@@ -1044,37 +1053,37 @@ impl<'a> Run<'a> {
                 let Constraint::Tgd(t) = &self.set[ci] else {
                     continue;
                 };
-                let head = t.head();
-                let pool = &self.st.pool;
-                let candidates = pool.head_candidates(ci, added);
-                if candidates.is_empty() {
-                    continue;
-                }
-                let (inst, matcher) = (&self.st.inst, &self.st.matcher);
-                let satisfied: Vec<TriggerKey> = candidates
-                    .into_iter()
-                    .filter(|&key| {
-                        let mu = &pool.pools[ci][key];
-                        matcher.head_newly_satisfied(ci, head, inst, added, mu)
-                    })
-                    .cloned()
-                    .collect();
-                for key in satisfied {
-                    self.st.pool.remove(ci, &key);
+                let EngineState {
+                    inst,
+                    pool,
+                    matcher,
+                    key_orders,
+                    scratch,
+                    ..
+                } = &mut *self.st;
+                let Scratch {
+                    mu, hashes, keys, ..
+                } = scratch;
+                pool.head_candidates(ci, added, hashes, keys);
+                keys.retain(|key| {
+                    key.assignment_into(&key_orders[ci], mu);
+                    matcher.head_newly_satisfied(ci, t.head(), inst, added, mu)
+                });
+                for key in keys.iter() {
+                    pool.remove(ci, key);
                 }
             }
         }
         // Re-match constraints whose body can see the delta, seeded from the
         // new atoms.
         let _t = self.sampled_phase(Phase::DeltaMatch);
-        let affected: Vec<usize> = (0..self.set.len())
-            .filter(|&ci| !self.st.body_preds[ci].is_disjoint(&delta_preds))
-            .collect();
-        if affected.is_empty() {
-            return;
-        }
-        for (ci, key, mu) in self.collect_delta_matches(&affected, added) {
-            self.st.pool.insert(ci, key, mu);
+        for ci in 0..self.set.len() {
+            if added
+                .iter()
+                .any(|a| self.st.body_preds[ci].contains(&a.pred()))
+            {
+                self.pool_delta_matches(ci, added);
+            }
         }
     }
 
@@ -1082,10 +1091,10 @@ impl<'a> Run<'a> {
     /// for the old conservative full rebuild:
     ///
     /// 1. **Remap.** Every pooled trigger whose key mentions `from` is
-    ///    rewritten through `from ↦ to` (normalized keys sort by variable
-    ///    *name*, so substituting the bound terms renormalizes them in
-    ///    place; equal bound variables imply equal substitutions, so key
-    ///    collisions are idempotent). A remapped pooled trigger is
+    ///    rewritten through `from ↦ to` (keys list the universals in a
+    ///    fixed order, so substituting the bound terms keeps them keys;
+    ///    equal keys are equal assignments, so key collisions are
+    ///    idempotent). A remapped pooled trigger is
     ///    re-admitted only if it is still active under its new bindings —
     ///    a *full* activity check, because the remapped head instantiation
     ///    can coincide with an unchanged fact, and an EGD's sides can have
@@ -1103,25 +1112,28 @@ impl<'a> Run<'a> {
     /// least one row content that is new to the store — a subset of the
     /// rewritten rows — so delta seeding discovers it.
     fn apply_merge_delta(&mut self, m: &MergeEffect) -> Vec<Atom> {
+        let (from, to) = (term_id(m.from), term_id(m.to));
+        let mut stale = std::mem::take(&mut self.st.scratch.keys);
+        let mut mu = std::mem::take(&mut self.st.scratch.mu);
         for ci in 0..self.set.len() {
-            let stale: Vec<TriggerKey> = self.st.pool.pools[ci]
-                .keys()
-                .filter(|k| key_mentions(k, m.from))
-                .cloned()
-                .collect();
-            for key in stale {
-                let mu = self
-                    .st
-                    .pool
-                    .remove(ci, &key)
-                    .expect("stale key just listed");
-                let key = remap_key(&key, m.from, m.to);
-                let mu = remap_subst(&mu, m.from, m.to);
+            stale.clear();
+            stale.extend(
+                self.st.pool.pools[ci]
+                    .iter()
+                    .filter(|k| k.contains(&from))
+                    .cloned(),
+            );
+            for key in &stale {
+                self.st.pool.remove(ci, key);
+                let key = key.remap(from, to);
+                key.assignment_into(&self.st.key_orders[ci], &mut mu);
                 if !self.st.pool.contains(ci, &key) && self.fires(ci, &self.set[ci], &mu, &key) {
-                    self.st.pool.insert(ci, key, mu);
+                    self.st.pool.insert(ci, key);
                 }
             }
         }
+        self.st.scratch.keys = stale;
+        self.st.scratch.mu = mu;
         m.rewritten
             .iter()
             .map(|&f| self.st.inst.atom_at(f))
@@ -1131,15 +1143,15 @@ impl<'a> Run<'a> {
     /// Next fireable trigger for constraint `ci` under the naive reference:
     /// re-enumerate every body homomorphism and keep the canonically least
     /// fireable one, exactly like the pool (but in O(instance) per call).
-    fn naive_next_trigger(&self, ci: usize) -> Option<(TriggerKey, Subst)> {
+    fn naive_next_trigger(&self, ci: usize) -> Option<TriggerKey> {
         let c = &self.set[ci];
-        let mut best: Option<(TriggerKey, Subst)> = None;
+        let mut best: Option<TriggerKey> = None;
         self.st
             .matcher
             .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
-                let key = normalize_in(&self.st.key_orders[ci], mu);
-                if best.as_ref().is_none_or(|(bk, _)| key < *bk) && self.fires(ci, c, mu, &key) {
-                    best = Some((key, mu.clone()));
+                let key = TriggerKey::of(&self.st.key_orders[ci], mu);
+                if best.as_ref().is_none_or(|bk| key < *bk) && self.fires(ci, c, mu, &key) {
+                    best = Some(key);
                 }
                 false
             });
@@ -1148,27 +1160,27 @@ impl<'a> Run<'a> {
 
     /// All fireable triggers in global canonical order, re-enumerated from
     /// scratch (naive reference for `Random`).
-    fn naive_all_triggers(&self) -> Vec<(usize, TriggerKey, Subst)> {
-        let mut out: Vec<(usize, TriggerKey, Subst)> = Vec::new();
+    fn naive_all_triggers(&self) -> Vec<(usize, TriggerKey)> {
+        let mut out: Vec<(usize, TriggerKey)> = Vec::new();
         for (ci, c) in self.set.enumerate() {
-            let mut per: BTreeMap<TriggerKey, Subst> = BTreeMap::new();
+            let mut per: BTreeSet<TriggerKey> = BTreeSet::new();
             self.st
                 .matcher
                 .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
-                    let key = normalize_in(&self.st.key_orders[ci], mu);
-                    if !per.contains_key(&key) && self.fires(ci, c, mu, &key) {
-                        per.insert(key, mu.clone());
+                    let key = TriggerKey::of(&self.st.key_orders[ci], mu);
+                    if !per.contains(&key) && self.fires(ci, c, mu, &key) {
+                        per.insert(key);
                     }
                     false
                 });
-            out.extend(per.into_iter().map(|(key, mu)| (ci, key, mu)));
+            out.extend(per.into_iter().map(|key| (ci, key)));
         }
         out
     }
 
     /// Take the next trigger to fire for constraint `ci`, removing it from
     /// the pool in delta mode.
-    fn take_next_trigger(&mut self, ci: usize) -> Option<(TriggerKey, Subst)> {
+    fn take_next_trigger(&mut self, ci: usize) -> Option<TriggerKey> {
         if self.naive {
             self.naive_next_trigger(ci)
         } else {
@@ -1177,12 +1189,19 @@ impl<'a> Run<'a> {
     }
 
     /// Apply one step; returns `false` when the run must stop.
-    fn fire(&mut self, ci: usize, key: TriggerKey, mu: Subst) -> bool {
+    fn fire(&mut self, ci: usize, key: TriggerKey) -> bool {
         let c = &self.set[ci];
         if self.cfg.mode == ChaseMode::Oblivious {
             self.st.fired[ci].insert(key.clone());
         }
-        let ground_body: Vec<Atom> = mu.apply_atoms(c.body());
+        let mut mu = std::mem::take(&mut self.st.scratch.mu);
+        key.assignment_into(&self.st.key_orders[ci], &mut mu);
+        // Only the monitor and the trace read the instantiated body.
+        let ground_body: Vec<Atom> = if self.cfg.keep_trace || self.st.monitor.is_some() {
+            mu.apply_atoms(c.body())
+        } else {
+            Vec::new()
+        };
         // One sampling decision covers the whole step: taken before the
         // counter moves, so the insert timer and the StepFired event
         // describe the same (sampled) step.
@@ -1199,6 +1218,7 @@ impl<'a> Run<'a> {
         // itself).
         let merge_t0 = (!is_tgd && self.st.recorder.is_enabled()).then(Instant::now);
         let effect = apply_step(&mut self.st.inst, c, &mu);
+        self.st.scratch.mu = mu;
         drop(insert);
         self.st.steps += 1;
         if sampled {
@@ -1271,7 +1291,7 @@ impl<'a> Run<'a> {
         if self.cfg.keep_trace {
             self.trace.push(StepRecord {
                 constraint: ci,
-                assignment: key,
+                assignment: key.assignment(&self.st.key_orders[ci]),
                 ground_body,
                 added,
                 fresh_nulls: fresh,
@@ -1321,9 +1341,9 @@ impl<'a> Run<'a> {
                 if self.stop.is_some() {
                     return;
                 }
-                if let Some((key, mu)) = self.take_next_trigger(ci) {
+                if let Some(key) = self.take_next_trigger(ci) {
                     progressed = true;
-                    if !self.fire(ci, key, mu) {
+                    if !self.fire(ci, key) {
                         return;
                     }
                 }
@@ -1339,7 +1359,7 @@ impl<'a> Run<'a> {
             if self.stop.is_some() {
                 return;
             }
-            let (ci, key, mu) = if self.naive {
+            let (ci, key) = if self.naive {
                 let mut triggers = self.naive_all_triggers();
                 if triggers.is_empty() {
                     return;
@@ -1359,13 +1379,23 @@ impl<'a> Run<'a> {
                     .as_mut()
                     .expect("random strategy has an RNG")
                     .gen_range(0..self.st.pool.total);
-                let (ci, key, mu) = self.st.pool.take_nth(pick).expect("pick in range");
-                (ci, key, mu)
+                self.st.pool.take_nth(pick).expect("pick in range")
             };
-            if !self.fire(ci, key, mu) {
+            if !self.fire(ci, key) {
                 return;
             }
         }
+    }
+
+    /// `I ⊨ Σ`, decided by a full enumeration through the matcher: the
+    /// same verdict as [`ConstraintSet::satisfied_by`] (the tests pin the
+    /// matcher to that searcher), but without allocating, so a debug build
+    /// keeps the trigger path's allocation profile.
+    fn no_active_trigger(&self) -> bool {
+        let (inst, matcher) = (&self.st.inst, &self.st.matcher);
+        self.set.enumerate().all(|(ci, c)| {
+            !matcher.for_each_body_hom(ci, inst, &mut |mu| matcher.is_active(ci, c, inst, mu))
+        })
     }
 
     fn finish(mut self) -> ResumeOutcome {
@@ -1373,7 +1403,7 @@ impl<'a> Run<'a> {
             Some(r) => r,
             None => {
                 debug_assert!(
-                    self.cfg.mode == ChaseMode::Oblivious || self.set.satisfied_by(&self.st.inst),
+                    self.cfg.mode == ChaseMode::Oblivious || self.no_active_trigger(),
                     "chase stopped without exhausting triggers"
                 );
                 StopReason::Satisfied
@@ -1903,8 +1933,14 @@ mod tests {
         );
     }
 
+    /// The key binding the listed variables, named for readability (a key
+    /// holds only the terms, in key order).
     fn memo_key(binds: &[(&str, Term)]) -> TriggerKey {
-        binds.iter().map(|&(v, t)| (Sym::new(v), t)).collect()
+        TriggerKey::new(binds.iter().map(|&(_, t)| term_id(t)))
+    }
+
+    fn remap_key(key: &TriggerKey, from: Term, to: Term) -> TriggerKey {
+        key.remap(term_id(from), term_id(to))
     }
 
     fn listed(memo: &KeyMemo) -> &FxHashMap<u32, Vec<TriggerKey>> {

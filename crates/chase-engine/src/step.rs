@@ -12,15 +12,12 @@ use chase_core::{Atom, Constraint, Instance, MergeEffect, Term};
 /// What a single chase step did to the instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepEffect {
-    /// A TGD fired: these atoms were produced (after deduplication) and these
-    /// fresh nulls were invented for the existential variables, in
-    /// declaration order.
+    /// A TGD fired: these atoms of `ν(head)` were new to the instance (the
+    /// rest were already present) and these fresh nulls were invented for
+    /// the existential variables, in declaration order.
     Tgd {
         /// Atoms newly added to the instance.
         added: Vec<Atom>,
-        /// The full instantiated head `ν(head)` (including atoms that were
-        /// already present).
-        instantiated_head: Vec<Atom>,
         /// Fresh nulls, one per existential variable.
         fresh_nulls: Vec<Term>,
     },
@@ -46,23 +43,25 @@ pub enum StepEffect {
 pub fn apply_step(inst: &mut Instance, c: &Constraint, mu: &Subst) -> StepEffect {
     match c {
         Constraint::Tgd(t) => {
-            let mut nu = mu.clone();
-            let mut fresh = Vec::with_capacity(t.existentials().len());
-            for &y in t.existentials() {
-                let n = inst.fresh_null();
-                nu.bind_var(y, n);
-                fresh.push(n);
-            }
-            let instantiated: Vec<Atom> = t.head().iter().map(|a| nu.apply_atom(a)).collect();
+            let fresh: Vec<Term> = t.existentials().iter().map(|_| inst.fresh_null()).collect();
+            // ν extends µ by the fresh nulls; each head atom is built once,
+            // inserted by reference and kept only if it was new.
+            let nu = |x: Term| match x {
+                Term::Var(v) => match t.existentials().iter().position(|&y| y == v) {
+                    Some(i) => fresh[i],
+                    None => mu.apply(x),
+                },
+                ground => ground,
+            };
             let mut added = Vec::new();
-            for a in &instantiated {
-                if inst.insert(a.clone()) {
-                    added.push(a.clone());
+            for h in t.head() {
+                let a = h.map_terms(&nu);
+                if inst.insert(&a) {
+                    added.push(a);
                 }
             }
             StepEffect::Tgd {
                 added,
-                instantiated_head: instantiated,
                 fresh_nulls: fresh,
             }
         }

@@ -16,8 +16,9 @@
 
 use chase_core::fx::FxHashSet;
 use chase_core::homomorphism::{for_each_hom, Subst};
-use chase_core::{Constraint, Instance, Sym, Term};
+use chase_core::{Constraint, Instance, Sym, Term, TermId};
 pub use chase_plan::Matcher;
+use std::ops::Deref;
 
 /// Is `(c, µ)` an active (standard-chase) trigger? Assumes `µ` maps the body
 /// into `inst`; checks the violation side.
@@ -61,25 +62,102 @@ pub fn active_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
 /// Canonical form of an assignment: bindings of the universal variables,
 /// sorted by variable name. Two triggers are "the same" iff they agree here.
 pub fn normalize(c: &Constraint, mu: &Subst) -> Vec<(Sym, Term)> {
-    normalize_in(&key_order(c), mu)
+    key_order(c)
+        .into_iter()
+        .filter_map(|u| mu.var(u).map(|t| (u, t)))
+        .collect()
 }
 
 /// The order [`normalize`] lists a constraint's bindings in: its universal
 /// variables sorted by name. Each name comparison reads the process-wide
-/// interner, so hot paths compute this once per constraint and build keys
-/// with [`normalize_in`].
+/// interner, so hot paths compute this once per constraint and build
+/// [`TriggerKey`]s in it.
 pub(crate) fn key_order(c: &Constraint) -> Vec<Sym> {
     let mut order = c.universals();
     order.sort_by_key(|s| s.as_str());
     order
 }
 
-/// [`normalize`] with the constraint's [`key_order`] precomputed.
-pub(crate) fn normalize_in(order: &[Sym], mu: &Subst) -> Vec<(Sym, Term)> {
-    order
-        .iter()
-        .filter_map(|&u| mu.var(u).map(|t| (u, t)))
-        .collect()
+/// Keys of at most this many universals are held inline.
+const KEY_INLINE: usize = 6;
+
+/// Canonical identity of a trigger, and all the engine keeps of it: the
+/// interned terms its assignment gives the constraint's universal
+/// variables, in [`key_order`]. Universals are exactly the body variables,
+/// so the key determines the whole assignment, which
+/// [`TriggerKey::assignment_into`] rebuilds when the trigger fires or is
+/// revalidated.
+///
+/// Every key of one constraint lists the same variables in the same
+/// order, and [`TermId`] order is [`Term`] order on ground terms, so two
+/// keys compare exactly as their [`normalize`]d assignments do: canonical
+/// selection is unchanged. The derived comparisons rely on that: keys of
+/// one constraint have one length and so one variant, and unused inline
+/// slots always hold [`TermId::NEVER`]. Up to `KEY_INLINE` universals the
+/// ids live inline, so building, cloning or storing a key does not
+/// allocate.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum TriggerKey {
+    Inline(u8, [TermId; KEY_INLINE]),
+    Heap(Box<[TermId]>),
+}
+
+impl TriggerKey {
+    /// The key of `ids`, in key order.
+    pub(crate) fn new(ids: impl ExactSizeIterator<Item = TermId>) -> TriggerKey {
+        if ids.len() > KEY_INLINE {
+            return TriggerKey::Heap(ids.collect());
+        }
+        let mut inline = [TermId::NEVER; KEY_INLINE];
+        let n = ids.len();
+        for (slot, id) in inline.iter_mut().zip(ids) {
+            *slot = id;
+        }
+        TriggerKey::Inline(n as u8, inline)
+    }
+
+    /// The key of the body match `mu`, whose constraint's key order is
+    /// `order`.
+    pub(crate) fn of(order: &[Sym], mu: &Subst) -> TriggerKey {
+        TriggerKey::new(order.iter().map(|&u| {
+            let t = mu.var(u).expect("a body match binds every universal");
+            TermId::from_ground(t).expect("a body match is ground")
+        }))
+    }
+
+    /// Overwrite `mu` with the assignment this key stands for.
+    pub(crate) fn assignment_into(&self, order: &[Sym], mu: &mut Subst) {
+        mu.clear();
+        for (&u, id) in order.iter().zip(self.iter()) {
+            mu.bind_var(u, id.term());
+        }
+    }
+
+    /// The normalized assignment, as the trace records it.
+    pub(crate) fn assignment(&self, order: &[Sym]) -> Vec<(Sym, Term)> {
+        order
+            .iter()
+            .zip(self.iter())
+            .map(|(&u, id)| (u, id.term()))
+            .collect()
+    }
+
+    /// The key with `from ↦ to` substituted. The key order is by variable,
+    /// which the substitution leaves alone, so the result is a key too.
+    pub(crate) fn remap(&self, from: TermId, to: TermId) -> TriggerKey {
+        TriggerKey::new(self.iter().map(|&t| if t == from { to } else { t }))
+    }
+}
+
+impl Deref for TriggerKey {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        match self {
+            TriggerKey::Inline(n, ids) => &ids[..*n as usize],
+            TriggerKey::Heap(ids) => ids,
+        }
+    }
 }
 
 #[cfg(test)]

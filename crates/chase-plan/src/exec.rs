@@ -6,9 +6,14 @@
 //! position by position straight out of the columnar store (raw `u32`
 //! compares, no atom materialized), and unwinds bindings through an
 //! explicit trail. [`chase_core::Term`]s are materialized — an O(1) id
-//! round-trip each
-//! — only when a complete match builds the [`chase_core::Subst`] the
-//! callback needs.
+//! round-trip each — only when [`for_each_match`] hands a complete match to
+//! its callback; [`exists_match`] never builds a substitution at all.
+//!
+//! The registers, the trail and the output substitution live in a run
+//! state that is reused, not rebuilt: each thread keeps its idle states,
+//! a run takes one and gives it back, so once warm a run allocates
+//! nothing. A run nested inside another's callback (an activity probe
+//! inside a body-match enumeration) simply takes a second state.
 //!
 //! Candidates come from the access path the compiler chose: one exact-row
 //! probe of the dedup table when every position is bound, else the
@@ -21,20 +26,83 @@
 use crate::plan::{Access, JoinProgram, PatTerm};
 use chase_core::homomorphism::Subst;
 use chase_core::{Instance, TermId};
+use std::cell::RefCell;
 
-/// Mutable search state, separate from the instance so candidate buckets
-/// (which borrow the instance) stay valid across recursion.
-struct RunState {
+/// The backtracking state of one run, separate from the instance so
+/// candidate buckets (which borrow the instance) stay valid across
+/// recursion.
+#[derive(Default)]
+struct Search {
     regs: Vec<Option<TermId>>,
     /// Registers bound since entry, for backtracking.
     trail: Vec<u16>,
     /// Scratch buffer for probed rows (reused across nodes).
     row: Vec<TermId>,
-    /// The substitution handed to the callback, reused across matches: at a
-    /// complete match every register is bound, so overwriting the pattern
-    /// variables' bindings in place is equivalent to rebuilding from the
-    /// seed — without the per-match clone.
+}
+
+/// Everything one run mutates: the search state plus the substitution handed
+/// to the callback. At a complete match every register is bound, so
+/// overwriting the pattern variables' bindings in place is equivalent to
+/// rebuilding from the seed — without the per-match clone.
+#[derive(Default)]
+struct RunState {
+    search: Search,
     out: Subst,
+}
+
+thread_local! {
+    /// This thread's idle run states: as many as runs have ever nested.
+    static IDLE: RefCell<Vec<RunState>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `prog` from the registers `seed` binds. `seed` gets every register
+/// unbound and an empty output substitution, and returns `false` when no
+/// match can exist. With a callback, each complete match is materialized
+/// into a [`Subst`] (the seed's ride-along bindings plus every register)
+/// and the callback returns `true` to stop; without one, the first
+/// complete match stops the run. Returns `true` iff the run was stopped.
+pub(crate) fn run(
+    prog: &JoinProgram,
+    inst: &Instance,
+    seed: impl FnOnce(&mut [Option<TermId>], &mut Subst) -> bool,
+    cb: Option<&mut dyn FnMut(&Subst) -> bool>,
+) -> bool {
+    let mut st = IDLE
+        .with(|idle| idle.borrow_mut().pop())
+        .unwrap_or_default();
+    let RunState { search, out } = &mut st;
+    search.regs.clear();
+    search.regs.resize(prog.vars.len(), None);
+    search.trail.clear();
+    out.clear();
+    let stopped = seed(&mut search.regs, out)
+        && match cb {
+            Some(cb) => step(prog, inst, search, 0, &mut |bound: &[Option<TermId>]| {
+                // The one place ids become [`chase_core::Term`]s again. The
+                // substitution is only valid for the duration of the
+                // callback, like the backtracking searcher's.
+                for (&v, t) in prog.vars.iter().zip(bound) {
+                    let t = t.expect("all registers bound at a complete match");
+                    out.bind_var(v, t.term());
+                }
+                cb(out)
+            }),
+            None => step(prog, inst, search, 0, &mut |_| true),
+        };
+    IDLE.with(|idle| idle.borrow_mut().push(st));
+    stopped
+}
+
+/// Bind every register whose variable `seed` binds.
+pub(crate) fn seed_regs(prog: &JoinProgram, seed: &Subst, regs: &mut [Option<TermId>]) {
+    for (r, &v) in prog.vars.iter().enumerate() {
+        if let Some(t) = seed.var(v) {
+            // A seed binding to a non-ground term (a variable bound to a
+            // variable) could never equal a stored fact term; `NEVER` keeps
+            // that semantics in id space.
+            regs[r] = Some(TermId::from_ground(t).unwrap_or(TermId::NEVER));
+        }
+    }
 }
 
 /// Enumerate every homomorphism of the program's pattern into `inst` that
@@ -52,48 +120,36 @@ pub fn for_each_match(
     seed: &Subst,
     cb: &mut dyn FnMut(&Subst) -> bool,
 ) -> bool {
-    let mut st = RunState {
-        regs: vec![None; prog.vars.len()],
-        trail: Vec::with_capacity(prog.vars.len()),
-        row: Vec::new(),
-        out: seed.clone(),
+    let seed_fn = |regs: &mut [Option<TermId>], out: &mut Subst| {
+        out.clone_from(seed);
+        seed_regs(prog, seed, regs);
+        true
     };
-    for (r, &v) in prog.vars.iter().enumerate() {
-        if let Some(t) = seed.var(v) {
-            // A seed binding to a non-ground term (a variable bound to a
-            // variable) could never equal a stored fact term; `NEVER` keeps
-            // that semantics in id space.
-            st.regs[r] = Some(TermId::from_ground(t).unwrap_or(TermId::NEVER));
-        }
-    }
-    step(prog, inst, &mut st, 0, cb)
+    run(prog, inst, seed_fn, Some(cb))
 }
 
 /// Does any homomorphism extending `seed` exist? The planned counterpart of
-/// [`chase_core::exists_extension`].
+/// [`chase_core::exists_extension`]; it stops at the first complete match
+/// and builds no substitution.
 pub fn exists_match(prog: &JoinProgram, inst: &Instance, seed: &Subst) -> bool {
-    for_each_match(prog, inst, seed, &mut |_| true)
+    let seed_fn = |regs: &mut [Option<TermId>], _: &mut Subst| {
+        seed_regs(prog, seed, regs);
+        true
+    };
+    run(prog, inst, seed_fn, None)
 }
 
 fn step(
     prog: &JoinProgram,
     inst: &Instance,
-    st: &mut RunState,
+    st: &mut Search,
     depth: usize,
-    cb: &mut dyn FnMut(&Subst) -> bool,
+    done: &mut dyn FnMut(&[Option<TermId>]) -> bool,
 ) -> bool {
     let Some(s) = prog.steps.get(depth) else {
         // Complete match: every register is bound (each variable occurs in
-        // some matched atom), so overwriting `out`'s bindings in place
-        // yields exactly `seed` extended by the current registers. The
-        // substitution is only valid for the duration of the callback, like
-        // the backtracking searcher's. This is the one place ids become
-        // [`chase_core::Term`]s again.
-        for (r, &v) in prog.vars.iter().enumerate() {
-            let t = st.regs[r].expect("all registers bound at a complete match");
-            st.out.bind_var(v, t.term());
-        }
-        return cb(&st.out);
+        // some matched atom).
+        return done(&st.regs);
     };
     // Resolve the step's access path under the current registers. Bound
     // registers are always `Some` by construction (seed or earlier step);
@@ -138,7 +194,7 @@ fn step(
                 continue 'cand;
             }
         }
-        if step(prog, inst, st, depth + 1, cb) {
+        if step(prog, inst, st, depth + 1, done) {
             unwind(st, mark);
             return true;
         }
@@ -189,7 +245,7 @@ fn resolve(pt: PatTerm, regs: &[Option<TermId>]) -> Option<TermId> {
     }
 }
 
-fn unwind(st: &mut RunState, mark: usize) {
+fn unwind(st: &mut Search, mark: usize) {
     while st.trail.len() > mark {
         let r = st.trail.pop().expect("trail entry");
         st.regs[r as usize] = None;

@@ -19,8 +19,10 @@
 //!   smallest positional bucket when some are, a per-predicate scan
 //!   otherwise ([`exec`]); plans only read the store, so its layout never
 //!   depends on which plans ran,
-//! * a register-file executor that never clones candidate facts and only
-//!   materializes a [`chase_core::Subst`] at complete matches.
+//! * a register-file executor that never clones candidate facts, only
+//!   materializes a [`chase_core::Subst`] at complete matches (never for an
+//!   existence check), and reuses its run state, so a warm run allocates
+//!   nothing.
 //!
 //! The [`Matcher`] bundles the compiled programs per constraint — full
 //! body, per-slot delta bodies, head, per-slot head rests — behind one

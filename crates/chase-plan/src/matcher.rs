@@ -28,10 +28,10 @@
 //! and the engines' canonical (normalized-key) trigger selection makes
 //! traces independent of enumeration order.
 
-use crate::exec::{exists_match, for_each_match};
+use crate::exec::{exists_match, for_each_match, run, seed_regs};
 use crate::plan::{compile, JoinProgram};
-use chase_core::homomorphism::{unify_atom, Subst};
-use chase_core::{Atom, Constraint, ConstraintSet, Instance, Sym};
+use chase_core::homomorphism::Subst;
+use chase_core::{Atom, Constraint, ConstraintSet, Instance, Sym, Term, TermId};
 use chase_obs::{EventKind, Phase, Recorder};
 
 /// Compiled programs for one constraint.
@@ -223,6 +223,10 @@ impl Matcher {
     /// cost scales with the delta, not the instance. A match using several
     /// delta atoms is reported once per delta atom it uses; callers
     /// deduplicate by normalized assignment.
+    ///
+    /// Pinning binds the slot program's registers straight from the delta
+    /// atom's term ids; the slot's variables the rest of the body does not
+    /// mention ride along in the reported substitution.
     pub fn for_each_delta_match(
         &self,
         ci: usize,
@@ -232,11 +236,18 @@ impl Matcher {
         cb: &mut dyn FnMut(&Subst) -> bool,
     ) -> bool {
         for (j, pattern) in c.body().iter().enumerate() {
-            for a in delta {
-                let Some(mu0) = unify_atom(pattern, a, &Subst::new()) else {
-                    continue;
+            let prog = &self.cache.plans[ci].body_delta[j];
+            for a in delta.iter().filter(|a| same_shape(pattern, a)) {
+                let pin = |regs: &mut [Option<TermId>], out: &mut Subst| {
+                    pin_atom(prog, pattern, a, regs, &mut |v, t| match out.var(v) {
+                        Some(bound) => bound == t,
+                        None => {
+                            out.bind_var(v, t);
+                            true
+                        }
+                    })
                 };
-                if for_each_match(&self.cache.plans[ci].body_delta[j], inst, &mu0, cb) {
+                if run(prog, inst, pin, Some(&mut *cb)) {
                     return true;
                 }
             }
@@ -268,7 +279,8 @@ impl Matcher {
     /// TGD head of `ci` under the pooled trigger `mu`? Delta-seeded, like
     /// the body re-match: a *new* head extension must map at least one head
     /// atom onto a delta atom, so only those pairs are tried, each completed
-    /// by the slot's head-rest program.
+    /// by the slot's head-rest program from registers bound straight from
+    /// `mu` and the delta atom's term ids.
     pub fn head_newly_satisfied(
         &self,
         ci: usize,
@@ -278,26 +290,64 @@ impl Matcher {
         mu: &Subst,
     ) -> bool {
         head.iter().enumerate().any(|(j, h)| {
-            let h_inst = mu.apply_atom(h);
-            added.iter().any(|a| {
-                let Some(nu0) = unify_atom(&h_inst, a, &Subst::new()) else {
-                    return false;
+            let prog = &self.cache.plans[ci].head_rests[j];
+            added.iter().filter(|a| same_shape(h, a)).any(|a| {
+                let pin = |regs: &mut [Option<TermId>], _: &mut Subst| {
+                    seed_regs(prog, mu, regs);
+                    pin_atom(prog, h, a, regs, &mut |v, t| match mu.var(v) {
+                        Some(bound) => bound == t,
+                        // An existential only this head atom mentions: it
+                        // must read alike at each of its positions.
+                        None => h
+                            .terms()
+                            .iter()
+                            .zip(a.terms())
+                            .all(|(&p, &f)| p != Term::Var(v) || f == t),
+                    })
                 };
-                let mut seed = mu.clone();
-                for (v, term) in nu0.var_bindings() {
-                    seed.bind_var(v, term);
-                }
-                exists_match(&self.cache.plans[ci].head_rests[j], inst, &seed)
+                run(prog, inst, pin, None)
             })
         })
     }
 }
 
+/// Same predicate and arity: the cheap test before pinning.
+fn same_shape(pattern: &Atom, fact: &Atom) -> bool {
+    pattern.pred() == fact.pred() && pattern.arity() == fact.arity()
+}
+
+/// Unify `pattern` with the ground atom `fact` into `prog`'s registers:
+/// a variable with a register binds it (or must agree with its binding),
+/// a variable without one goes to `loose`, and a ground pattern term must
+/// equal the fact's. `false` if they do not unify.
+fn pin_atom(
+    prog: &JoinProgram,
+    pattern: &Atom,
+    fact: &Atom,
+    regs: &mut [Option<TermId>],
+    loose: &mut dyn FnMut(Sym, Term) -> bool,
+) -> bool {
+    pattern
+        .terms()
+        .iter()
+        .zip(fact.terms())
+        .all(|(&p, &f)| match p {
+            Term::Var(v) => match prog.reg_of(v) {
+                Some(r) => {
+                    // As in a seed: a non-ground term matches no stored fact.
+                    let id = TermId::from_ground(f).unwrap_or(TermId::NEVER);
+                    *regs[r as usize].get_or_insert(id) == id
+                }
+                None => loose(v, f),
+            },
+            ground => ground == f,
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_core::homomorphism::{exists_extension, find_all_homs, for_each_hom};
-    use chase_core::Term;
+    use chase_core::homomorphism::{exists_extension, find_all_homs, for_each_hom, unify_atom};
 
     /// Reference delta enumeration: each body slot unified with each delta
     /// atom, the rest of the body completed by the backtracking searcher.

@@ -64,8 +64,8 @@
 //! A trigger is its key, held inline (`TriggerKey`); its assignment is
 //! rebuilt into a reused buffer when it fires or is revalidated, the
 //! executor reuses its registers, and the delta-match and revalidation
-//! collections are scratch kept across steps (`tests/alloc_budget.rs`
-//! pins the budget).
+//! collections are per-thread scratch kept across steps
+//! (`tests/alloc_budget.rs` pins the budget).
 //!
 //! All matching work — pool rebuilds, semi-naive delta re-matching, head
 //! revalidation, and the naive reference's full re-enumeration — goes
@@ -97,6 +97,7 @@ use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Te
 use chase_obs::{EventKind, Phase, PhaseTimer, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -517,14 +518,13 @@ impl TriggerPool {
     }
 }
 
-/// Buffers the trigger path reuses from step to step, so that once warm it
-/// allocates only for the facts a step adds. Nothing in here outlives the
-/// call that fills it, so a clone of the state starts them empty.
+/// Collections the trigger path reuses from step to step, so that once
+/// warm it allocates only for the facts a step adds. Nothing in here
+/// outlives the call that fills it, so one set per thread serves every
+/// state that thread chases: the buffers grow to the largest delta the
+/// thread has matched, not to the largest delta of each session.
 #[derive(Default)]
 struct Scratch {
-    /// The assignment of the trigger being fired or revalidated, rebuilt
-    /// from its key.
-    mu: Subst,
     /// Head-slot hashes of the added atoms ([`TriggerPool::head_candidates`]).
     hashes: Vec<u64>,
     /// Trigger keys: head-revalidation candidates, merge-stale keys.
@@ -533,10 +533,14 @@ struct Scratch {
     seen: FxHashSet<TriggerKey>,
 }
 
-impl Clone for Scratch {
-    fn clone(&self) -> Scratch {
-        Scratch::default()
-    }
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Run `f` on this thread's [`Scratch`]. Calls must not nest; the trigger
+/// path never nests them.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// The resumable core of a chase run: the instance together with every
@@ -581,8 +585,9 @@ pub struct EngineState {
     /// Per-constraint [`key_order`]: trigger keys are built in it, so
     /// normalizing a match never sorts by name.
     key_orders: Vec<Vec<Sym>>,
-    /// Buffers the trigger path reuses across steps.
-    scratch: Scratch,
+    /// The assignment of the trigger being fired, revalidated or remapped,
+    /// rebuilt from its key into this one buffer.
+    mu: Subst,
     /// The matching engine every trigger query goes through: compiled
     /// `chase-plan` join programs. Refreshed when the instance's statistics
     /// epoch moves; it only ever reads the instance.
@@ -640,7 +645,7 @@ impl EngineState {
             pool: TriggerPool::new(set, cfg.mode, &key_orders),
             body_preds,
             key_orders,
-            scratch: Scratch::default(),
+            mu: Subst::new(),
             matcher,
             merge_rewritten: 0,
             merge_collapsed: 0,
@@ -994,8 +999,8 @@ impl<'a> Run<'a> {
     /// here: no memo remembers it. Without an EGD that never happens — a
     /// match is found only through a new atom of its image, and no atom is
     /// new twice — so under such a Σ a found trigger is never already
-    /// pooled.
-    fn pool_delta_matches(&mut self, ci: usize, delta: &[Atom]) {
+    /// pooled. `seen` is scratch.
+    fn pool_delta_matches(&mut self, ci: usize, delta: &[Atom], seen: &mut FxHashSet<TriggerKey>) {
         let egd_free = cfg!(debug_assertions) && !self.set.iter().any(Constraint::is_egd);
         let c = &self.set[ci];
         let mode = self.cfg.mode;
@@ -1005,10 +1010,8 @@ impl<'a> Run<'a> {
             pool,
             matcher,
             key_orders,
-            scratch,
             ..
         } = &mut *self.st;
-        let seen = &mut scratch.seen;
         seen.clear();
         let matcher = &*matcher;
         matcher.for_each_delta_match(ci, c, inst, delta, &mut |mu| {
@@ -1040,6 +1043,10 @@ impl<'a> Run<'a> {
         if added.is_empty() {
             return;
         }
+        with_scratch(|scratch| self.apply_delta_with(added, scratch));
+    }
+
+    fn apply_delta_with(&mut self, added: &[Atom], scratch: &mut Scratch) {
         // Revalidate pooled triggers that the new atoms may have satisfied.
         // A violated TGD trigger becomes satisfied only when a new atom
         // unifies with one of its instantiated head atoms, which pins the
@@ -1058,12 +1065,10 @@ impl<'a> Run<'a> {
                     pool,
                     matcher,
                     key_orders,
-                    scratch,
+                    mu,
                     ..
                 } = &mut *self.st;
-                let Scratch {
-                    mu, hashes, keys, ..
-                } = scratch;
+                let Scratch { hashes, keys, .. } = &mut *scratch;
                 pool.head_candidates(ci, added, hashes, keys);
                 keys.retain(|key| {
                     key.assignment_into(&key_orders[ci], mu);
@@ -1082,7 +1087,7 @@ impl<'a> Run<'a> {
                 .iter()
                 .any(|a| self.st.body_preds[ci].contains(&a.pred()))
             {
-                self.pool_delta_matches(ci, added);
+                self.pool_delta_matches(ci, added, &mut scratch.seen);
             }
         }
     }
@@ -1113,27 +1118,27 @@ impl<'a> Run<'a> {
     /// rewritten rows — so delta seeding discovers it.
     fn apply_merge_delta(&mut self, m: &MergeEffect) -> Vec<Atom> {
         let (from, to) = (term_id(m.from), term_id(m.to));
-        let mut stale = std::mem::take(&mut self.st.scratch.keys);
-        let mut mu = std::mem::take(&mut self.st.scratch.mu);
-        for ci in 0..self.set.len() {
-            stale.clear();
-            stale.extend(
-                self.st.pool.pools[ci]
-                    .iter()
-                    .filter(|k| k.contains(&from))
-                    .cloned(),
-            );
-            for key in &stale {
-                self.st.pool.remove(ci, key);
-                let key = key.remap(from, to);
-                key.assignment_into(&self.st.key_orders[ci], &mut mu);
-                if !self.st.pool.contains(ci, &key) && self.fires(ci, &self.set[ci], &mu, &key) {
-                    self.st.pool.insert(ci, key);
+        with_scratch(|Scratch { keys: stale, .. }| {
+            for ci in 0..self.set.len() {
+                stale.clear();
+                stale.extend(
+                    self.st.pool.pools[ci]
+                        .iter()
+                        .filter(|k| k.contains(&from))
+                        .cloned(),
+                );
+                for key in stale.iter() {
+                    self.st.pool.remove(ci, key);
+                    let key = key.remap(from, to);
+                    key.assignment_into(&self.st.key_orders[ci], &mut self.st.mu);
+                    if !self.st.pool.contains(ci, &key)
+                        && self.fires(ci, &self.set[ci], &self.st.mu, &key)
+                    {
+                        self.st.pool.insert(ci, key);
+                    }
                 }
             }
-        }
-        self.st.scratch.keys = stale;
-        self.st.scratch.mu = mu;
+        });
         m.rewritten
             .iter()
             .map(|&f| self.st.inst.atom_at(f))
@@ -1194,7 +1199,7 @@ impl<'a> Run<'a> {
         if self.cfg.mode == ChaseMode::Oblivious {
             self.st.fired[ci].insert(key.clone());
         }
-        let mut mu = std::mem::take(&mut self.st.scratch.mu);
+        let mut mu = std::mem::take(&mut self.st.mu);
         key.assignment_into(&self.st.key_orders[ci], &mut mu);
         // Only the monitor and the trace read the instantiated body.
         let ground_body: Vec<Atom> = if self.cfg.keep_trace || self.st.monitor.is_some() {
@@ -1218,7 +1223,7 @@ impl<'a> Run<'a> {
         // itself).
         let merge_t0 = (!is_tgd && self.st.recorder.is_enabled()).then(Instant::now);
         let effect = apply_step(&mut self.st.inst, c, &mu);
-        self.st.scratch.mu = mu;
+        self.st.mu = mu;
         drop(insert);
         self.st.steps += 1;
         if sampled {
@@ -1387,23 +1392,12 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// `I ⊨ Σ`, decided by a full enumeration through the matcher: the
-    /// same verdict as [`ConstraintSet::satisfied_by`] (the tests pin the
-    /// matcher to that searcher), but without allocating, so a debug build
-    /// keeps the trigger path's allocation profile.
-    fn no_active_trigger(&self) -> bool {
-        let (inst, matcher) = (&self.st.inst, &self.st.matcher);
-        self.set.enumerate().all(|(ci, c)| {
-            !matcher.for_each_body_hom(ci, inst, &mut |mu| matcher.is_active(ci, c, inst, mu))
-        })
-    }
-
     fn finish(mut self) -> ResumeOutcome {
         let reason = match self.stop.take() {
             Some(r) => r,
             None => {
                 debug_assert!(
-                    self.cfg.mode == ChaseMode::Oblivious || self.no_active_trigger(),
+                    self.cfg.mode == ChaseMode::Oblivious || self.set.satisfied_by(&self.st.inst),
                     "chase stopped without exhausting triggers"
                 );
                 StopReason::Satisfied
@@ -1843,6 +1837,36 @@ mod tests {
                 ..ChaseConfig::default()
             },
         );
+    }
+
+    /// Keys wider than the inline form go to the heap: pool order, head
+    /// revalidation, merge remapping, `Random`'s `take_nth` and the
+    /// oblivious memo must treat them exactly as the naive reference does.
+    /// The 7-variable body yields heap keys; `M` merges `_n0`, which some of
+    /// them bind; `Q` adds `P` atoms that satisfy pooled heap triggers.
+    #[test]
+    fn delta_and_naive_agree_on_heap_keys() {
+        let set = "R(A,B,C,D), R(D,E,F,G) -> P(A,G,Y)\n\
+                   M(X,Y) -> X = Y\n\
+                   Q(A,G) -> P(A,G,A)";
+        let inst = "M(_n0,d). R(a,b,c,_n0). R(_n0,e,f,g). R(a,b,c,d). R(d,e,f,h). \
+                    R(d,e,f,g). R(b,c,a,d). R(_n0,a,a,a). Q(a,h). Q(b,g).";
+        let (parsed, _) = parse(set, inst);
+        assert!(key_order(&parsed[0]).len() > crate::trigger::KEY_INLINE);
+        let mut cfgs = vec![
+            ChaseConfig::default(),
+            ChaseConfig {
+                mode: ChaseMode::Oblivious,
+                ..ChaseConfig::default()
+            },
+        ];
+        cfgs.extend((0..4).map(|seed| ChaseConfig {
+            strategy: Strategy::Random { seed },
+            ..ChaseConfig::default()
+        }));
+        for cfg in &cfgs {
+            assert_engines_agree(set, inst, cfg);
+        }
     }
 
     /// Warm resume over an [`EngineState`] must land on the same instance

@@ -79,7 +79,7 @@ pub(crate) fn key_order(c: &Constraint) -> Vec<Sym> {
 }
 
 /// Keys of at most this many universals are held inline.
-const KEY_INLINE: usize = 6;
+pub(crate) const KEY_INLINE: usize = 6;
 
 /// Canonical identity of a trigger, and all the engine keeps of it: the
 /// interned terms its assignment gives the constraint's universal

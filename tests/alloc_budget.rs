@@ -13,6 +13,13 @@
 //! The counting allocator counts per thread, so the test harness's other
 //! threads do not add to the count. Both a fresh allocation and a
 //! `realloc` count as one.
+//!
+//! The budget holds on optimized builds only (`cargo test --release --test
+//! alloc_budget`). A debug build checks, at every satisfied stop, that the
+//! instance satisfies Σ through the backtracking searcher
+//! (`ConstraintSet::satisfied_by`), an oracle kept independent of the
+//! matcher under test; its allocations, about 250 per `fly` fact and 810
+//! per `rail` fact here, are the oracle's and not the trigger path's.
 
 use chase_core::{Atom, ConstraintSet, Sym};
 use chase_corpus::random::{random_travel_instance, RandomTravelConfig};
@@ -82,6 +89,10 @@ impl Tally {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run the allocating satisfied-stop oracle; run with --release"
+)]
 fn a_warm_apply_allocates_within_its_budget_per_fact() {
     let sigma = ConstraintSet::parse(
         "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2); rail(C1,C2,D) -> rail(C2,C1,D)",
